@@ -48,9 +48,14 @@ void bm_dynamic_request_path(benchmark::State& state) {
   owner_spec.cred = {"evolver", "g", "", "batch", ""};
   owner_spec.cores = 8;
   owner_spec.walltime = Duration::minutes(30);
-  rms::Job owner(JobId{1000}, owner_spec,
-                 std::make_unique<apps::RigidApp>(Duration::minutes(30)), now);
-  owner.mark_started(now, cluster::Placement{{{NodeId{0}, 8}}}, false);
+  rms::Job::Restore running;
+  running.state = rms::JobState::Running;
+  running.start = now;
+  running.placement = cluster::Placement{{{NodeId{0}, 8}}};
+  const auto owner_job = rms::Job::restore(
+      JobId{1000}, owner_spec,
+      std::make_unique<apps::RigidApp>(Duration::minutes(30)), now, running);
+  const rms::Job& owner = *owner_job;
 
   const core::PlanOptions opts{now, 5, true, false};
   const core::ReservationTable baseline =

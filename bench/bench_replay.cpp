@@ -16,7 +16,7 @@
 //   ./build/bench/bench_replay --benchmark_out=replay.json
 //       --benchmark_out_format=json
 //   python3 tools/check_bench_regression.py
-//       bench/results/BENCH_2026-08-08_replay.json replay.json
+//       bench/results/BENCH_2026-10-17_replay.json replay.json
 //       --max-scaling 2.0
 #include <benchmark/benchmark.h>
 

@@ -44,6 +44,7 @@ DfsEngine::DfsEngine(DfsConfig config, Time start)
 void DfsEngine::set_sinks(const obs::Sinks& sinks) {
   tracer_ = sinks.tracer;
   registry_ = &sinks.registry_or_global();
+  verdict_counters_ = {};
 }
 
 DfsEngine::EntityAcc& DfsEngine::acc_of(DfsEntityKind kind) {
@@ -87,7 +88,10 @@ DfsVerdict DfsEngine::admit(const Credentials& requester,
                             const std::vector<DelayedJob>& delays) const {
   if (config_.policy == DfsPolicy::None) return DfsVerdict::Allowed;
   const DfsVerdict verdict = admit_impl(requester, delays);
-  registry_->counter(verdict_counter_name(verdict)).add();
+  obs::lazy_counter(*registry_,
+                    verdict_counters_[static_cast<std::size_t>(verdict)],
+                    verdict_counter_name(verdict))
+      .add();
   if (tracer_ != nullptr && tracer_->enabled()) {
     Duration worst = Duration::zero();
     for (const DelayedJob& d : delays) worst = max(worst, d.delay);

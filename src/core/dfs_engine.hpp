@@ -25,6 +25,7 @@ class Job;
 }
 
 namespace dbs::obs {
+class Counter;
 class Tracer;
 class Registry;
 struct Sinks;
@@ -111,6 +112,10 @@ class DfsEngine {
   std::unordered_map<JobId, Duration> job_delay_;
   obs::Tracer* tracer_ = nullptr;
   obs::Registry* registry_;  ///< never null; defaults to the global one
+  /// One counter per DfsVerdict, each resolved on first use and cleared by
+  /// set_sinks (see obs::lazy_counter). admit() is logically pure; the
+  /// handles are a cache.
+  mutable std::array<obs::Counter*, 4> verdict_counters_{};
 };
 
 }  // namespace dbs::core

@@ -63,6 +63,7 @@ void MauiScheduler::set_sinks(const obs::Sinks& sinks) {
   ctx_.sinks.recorder = sinks.recorder;
   dfs_.set_sinks(sinks);
   instruments_ = Instruments{};
+  ctx_.measure_depth = nullptr;
 }
 
 void MauiScheduler::attach() {
@@ -200,10 +201,8 @@ void MauiScheduler::record_iteration(const IterationStats& stats) {
   if (instruments_.iterations == nullptr) {
     obs::Registry& registry = *ctx_.sinks.registry;
     instruments_.iterations = &registry.counter("scheduler.iterations");
-    instruments_.started = &registry.counter("scheduler.started");
     instruments_.backfilled = &registry.counter("scheduler.backfilled");
     instruments_.start_failed = &registry.counter("scheduler.start_failed");
-    instruments_.dyn_granted = &registry.counter("scheduler.dyn_granted");
     instruments_.dyn_rejected = &registry.counter("scheduler.dyn_rejected");
     instruments_.dyn_deferred = &registry.counter("scheduler.dyn_deferred");
     instruments_.preemptions = &registry.counter("scheduler.preemptions");
@@ -228,10 +227,8 @@ void MauiScheduler::record_iteration(const IterationStats& stats) {
   }
 
   instruments_.iterations->add();
-  instruments_.started->add(stats.started);
   instruments_.backfilled->add(stats.backfilled);
   instruments_.start_failed->add(stats.start_failed);
-  instruments_.dyn_granted->add(stats.dyn_granted);
   instruments_.dyn_rejected->add(stats.dyn_rejected);
   instruments_.dyn_deferred->add(stats.dyn_deferred);
   instruments_.preemptions->add(stats.preempted);

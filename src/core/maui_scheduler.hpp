@@ -195,10 +195,8 @@ class MauiScheduler {
   /// are stable for a registry's lifetime. Invalidated by set_sinks.
   struct Instruments {
     obs::Counter* iterations = nullptr;  ///< null == not yet resolved
-    obs::Counter* started = nullptr;
     obs::Counter* backfilled = nullptr;
     obs::Counter* start_failed = nullptr;
-    obs::Counter* dyn_granted = nullptr;
     obs::Counter* dyn_rejected = nullptr;
     obs::Counter* dyn_deferred = nullptr;
     obs::Counter* preemptions = nullptr;

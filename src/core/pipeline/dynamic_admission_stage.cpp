@@ -136,8 +136,8 @@ void DynamicAdmissionStage::run(PipelineEnv& env, IterationContext& ctx) {
                                    ctx.measure_opts, tracer,
                                    ctx.measure_scratch, ctx.measure);
     }
-    ctx.sinks.registry
-        ->histogram("scheduler.delay_measure_depth", measure_depth_bounds())
+    obs::lazy_histogram(*ctx.sinks.registry, ctx.measure_depth,
+                        "scheduler.delay_measure_depth", measure_depth_bounds())
         .observe(static_cast<double>(m->delays.size()));
 
     // Optional §II-B strategy (gentle): free cores by shrinking running

@@ -90,6 +90,10 @@ struct IterationContext {
   /// sinks.tracer may be null (tracing off); sinks.registry is always
   /// resolved to a concrete registry by MauiScheduler::set_sinks.
   obs::Sinks sinks;
+  /// The admission stage's delay-measurement depth histogram, resolved
+  /// from sinks.registry on first use and cleared by
+  /// MauiScheduler::set_sinks (see obs::lazy_histogram).
+  obs::Histogram* measure_depth = nullptr;
 
   // --- iteration-scoped values (reset by begin_iteration) ------------------
   Time now;

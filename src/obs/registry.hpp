@@ -135,4 +135,21 @@ class Registry {
   std::map<std::string, Histogram> histograms_;
 };
 
+/// Returns the instrument cached in `slot`, resolving it by name on first
+/// use. Components keep their per-event instruments in such slots and
+/// clear them on every sink change: an event then costs a null test rather
+/// than a string, the registry mutex and a map lookup, and the registry
+/// still lists exactly the instruments that were touched.
+inline Counter& lazy_counter(Registry& registry, Counter*& slot,
+                             const char* name) {
+  if (slot == nullptr) slot = &registry.counter(name);
+  return *slot;
+}
+inline Histogram& lazy_histogram(Registry& registry, Histogram*& slot,
+                                 const char* name,
+                                 const std::vector<double>& upper_bounds) {
+  if (slot == nullptr) slot = &registry.histogram(name, upper_bounds);
+  return *slot;
+}
+
 }  // namespace dbs::obs

@@ -111,16 +111,9 @@ class Job {
     return dyn_requests_made_ > 0 && dyn_rejects_ == 0;
   }
 
-  // --- state transitions (server-internal; validated) ------------------
-  void mark_started(Time at, cluster::Placement placement, bool backfilled);
-  void mark_dynqueued();
-  void mark_running_again();
+  // --- allocation changes of a running job (validated) ------------------
   void expand(const cluster::Placement& extra);
   void shrink(const cluster::Placement& freed);
-  void mark_completed(Time at);
-  void mark_cancelled(Time at);
-  /// Preemption: back to Queued, all progress and placement dropped.
-  void mark_requeued();
 
   void count_dyn_request() { ++dyn_requests_made_; }
   void count_dyn_grant() { ++dyn_grants_; }
@@ -146,6 +139,17 @@ class Job {
       const Restore& r);
 
  private:
+  // State transitions (validated). Private: JobQueue wraps each one so its
+  // per-state indexes move with the job.
+  friend class JobQueue;
+  void mark_started(Time at, cluster::Placement placement, bool backfilled);
+  void mark_dynqueued();
+  void mark_running_again();
+  void mark_completed(Time at);
+  void mark_cancelled(Time at);
+  /// Preemption: back to Queued, all progress and placement dropped.
+  void mark_requeued();
+
   JobId id_;
   JobSpec spec_;
   std::unique_ptr<Application> app_;

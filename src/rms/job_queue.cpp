@@ -6,6 +6,27 @@
 
 namespace dbs::rms {
 
+namespace {
+
+std::vector<const Job*>::iterator find_slot(std::vector<const Job*>& index,
+                                            JobId id) {
+  return std::lower_bound(
+      index.begin(), index.end(), id,
+      [](const Job* entry, JobId key) { return entry->id() < key; });
+}
+
+void index_insert(std::vector<const Job*>& index, const Job& job) {
+  index.insert(find_slot(index, job.id()), &job);
+}
+
+void index_erase(std::vector<const Job*>& index, const Job& job) {
+  const auto pos = find_slot(index, job.id());
+  DBS_ASSERT(pos != index.end() && *pos == &job, "state index out of sync");
+  index.erase(pos);
+}
+
+}  // namespace
+
 Job& JobQueue::add(std::unique_ptr<Job> job) {
   DBS_REQUIRE(job != nullptr, "null job");
   const JobId id = job->id();
@@ -15,7 +36,54 @@ Job& JobQueue::add(std::unique_ptr<Job> job) {
   Job& ref = *job;
   jobs_.emplace(id, std::move(job));
   order_.emplace_back(id, &ref);
+  // The id is the largest yet, so each index takes it at the back.
+  if (ref.state() == JobState::Queued) queued_.push_back(&ref);
+  if (ref.is_running()) running_.push_back(&ref);
   return ref;
+}
+
+Job& JobQueue::mark_started(JobId id, Time now, cluster::Placement placement,
+                            bool backfilled) {
+  Job& job = at(id);
+  job.mark_started(now, std::move(placement), backfilled);
+  index_erase(queued_, job);
+  index_insert(running_, job);
+  return job;
+}
+
+Job& JobQueue::mark_dynqueued(JobId id) {
+  Job& job = at(id);
+  job.mark_dynqueued();  // stays in running_
+  return job;
+}
+
+Job& JobQueue::mark_running_again(JobId id) {
+  Job& job = at(id);
+  job.mark_running_again();  // stays in running_
+  return job;
+}
+
+Job& JobQueue::mark_completed(JobId id, Time now) {
+  Job& job = at(id);
+  job.mark_completed(now);
+  index_erase(running_, job);
+  return job;
+}
+
+Job& JobQueue::mark_cancelled(JobId id, Time now) {
+  Job& job = at(id);
+  const bool was_queued = job.state() == JobState::Queued;
+  job.mark_cancelled(now);
+  index_erase(was_queued ? queued_ : running_, job);
+  return job;
+}
+
+Job& JobQueue::mark_requeued(JobId id) {
+  Job& job = at(id);
+  job.mark_requeued();
+  index_erase(running_, job);
+  index_insert(queued_, job);
+  return job;
 }
 
 void JobQueue::retire(JobId id) {
@@ -63,59 +131,6 @@ const Job& JobQueue::at(JobId id) const {
   auto it = jobs_.find(id);
   DBS_REQUIRE(it != jobs_.end(), "unknown job id");
   return *it->second;
-}
-
-std::vector<Job*> JobQueue::queued() {
-  std::vector<Job*> out;
-  for (const auto& [id, j] : order_)
-    if (j != nullptr && j->state() == JobState::Queued) out.push_back(j);
-  return out;
-}
-
-std::vector<const Job*> JobQueue::queued() const {
-  std::vector<const Job*> out;
-  for (const auto& [id, j] : order_)
-    if (j != nullptr && j->state() == JobState::Queued) out.push_back(j);
-  return out;
-}
-
-void JobQueue::queued_into(std::vector<const Job*>& out) const {
-  out.clear();
-  for (const auto& [id, j] : order_)
-    if (j != nullptr && j->state() == JobState::Queued) out.push_back(j);
-}
-
-std::size_t JobQueue::queued_count() const {
-  std::size_t n = 0;
-  for (const auto& [id, j] : order_)
-    if (j != nullptr && j->state() == JobState::Queued) ++n;
-  return n;
-}
-
-bool JobQueue::has_queued() const {
-  for (const auto& [id, j] : order_)
-    if (j != nullptr && j->state() == JobState::Queued) return true;
-  return false;
-}
-
-std::vector<const Job*> JobQueue::running() const {
-  std::vector<const Job*> out;
-  for (const auto& [id, j] : order_)
-    if (j != nullptr && j->is_running()) out.push_back(j);
-  return out;
-}
-
-std::size_t JobQueue::running_count() const {
-  std::size_t n = 0;
-  for (const auto& [id, j] : order_)
-    if (j != nullptr && j->is_running()) ++n;
-  return n;
-}
-
-bool JobQueue::has_running() const {
-  for (const auto& [id, j] : order_)
-    if (j != nullptr && j->is_running()) return true;
-  return false;
 }
 
 std::vector<const Job*> JobQueue::all() const {

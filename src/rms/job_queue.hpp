@@ -15,7 +15,8 @@ namespace dbs::rms {
 class JobQueue {
  public:
   /// Takes ownership; id must be fresh and greater than every id ever
-  /// added (the server allocates them sequentially).
+  /// added (the server allocates them sequentially). The job may be in any
+  /// state (a durable restore re-adds running and finished jobs).
   Job& add(std::unique_ptr<Job> job);
 
   /// Destroys a finished job's storage. After this the id is unknown —
@@ -38,19 +39,40 @@ class JobQueue {
   [[nodiscard]] Job& at(JobId id);
   [[nodiscard]] const Job& at(JobId id) const;
 
+  // --- state transitions -------------------------------------------------
+  // The only way to change a stored job's state: each validates exactly as
+  // the Job transition it wraps, then moves the job between the per-state
+  // indexes below, so they can never disagree with the jobs themselves.
+  Job& mark_started(JobId id, Time now, cluster::Placement placement,
+                    bool backfilled);
+  Job& mark_dynqueued(JobId id);
+  Job& mark_running_again(JobId id);
+  Job& mark_completed(JobId id, Time now);
+  Job& mark_cancelled(JobId id, Time now);
+  /// Preemption or failure: back to Queued under the same id.
+  Job& mark_requeued(JobId id);
+
+  // --- per-state views -----------------------------------------------------
+  // Reads of indexes the transitions keep current: O(1), or O(result) for
+  // a copy. A returned reference is invalidated by the next transition.
+
   /// Jobs in Queued state, in submission (id) order.
-  [[nodiscard]] std::vector<Job*> queued();
-  [[nodiscard]] std::vector<const Job*> queued() const;
-  /// Allocation-free variant for per-iteration callers: clears `out` and
-  /// fills it, reusing its capacity.
-  void queued_into(std::vector<const Job*>& out) const;
-  [[nodiscard]] std::size_t queued_count() const;
-  [[nodiscard]] bool has_queued() const;
+  [[nodiscard]] const std::vector<const Job*>& queued() const {
+    return queued_;
+  }
+  /// Copies queued() into `out`, reusing its capacity.
+  void queued_into(std::vector<const Job*>& out) const {
+    out.assign(queued_.begin(), queued_.end());
+  }
+  [[nodiscard]] std::size_t queued_count() const { return queued_.size(); }
+  [[nodiscard]] bool has_queued() const { return !queued_.empty(); }
 
   /// Jobs in Running or DynQueued state, in id order.
-  [[nodiscard]] std::vector<const Job*> running() const;
-  [[nodiscard]] std::size_t running_count() const;
-  [[nodiscard]] bool has_running() const;
+  [[nodiscard]] const std::vector<const Job*>& running() const {
+    return running_;
+  }
+  [[nodiscard]] std::size_t running_count() const { return running_.size(); }
+  [[nodiscard]] bool has_running() const { return !running_.empty(); }
 
   /// All live (non-retired) jobs, in id order.
   [[nodiscard]] std::vector<const Job*> all() const;
@@ -73,11 +95,15 @@ class JobQueue {
   void maybe_compact_order();
 
   std::unordered_map<JobId, std::unique_ptr<Job>> jobs_;
-  // Submission order as (id, job) pairs sorted by id: unique_ptr storage
-  // is stable, so the scan methods walk this vector without per-job hash
-  // lookups. Retirement nulls the pointer (the id stays, keeping the
-  // vector binary-searchable) and compaction erases the tombstones once
-  // they outnumber live entries.
+  // Per-state indexes, each sorted by id. Submissions append to queued_
+  // (ids only grow); the other transitions insert or erase at a binary-
+  // searched position.
+  std::vector<const Job*> queued_;
+  std::vector<const Job*> running_;
+  // Submission order as (id, job) pairs sorted by id, for all(),
+  // min_live_id() and retire(). Retirement nulls the pointer (the id
+  // stays, keeping the vector binary-searchable) and compaction erases the
+  // tombstones once they outnumber live entries.
   std::vector<std::pair<JobId, Job*>> order_;
   std::size_t order_tombstones_ = 0;
   /// Lazily advanced index of the first live entry in order_.

@@ -15,6 +15,7 @@
 #include "sim/simulator.hpp"
 
 namespace dbs::obs {
+class Counter;
 class Tracer;
 class Registry;
 struct Sinks;
@@ -124,6 +125,14 @@ class MomManager {
   std::unordered_map<JobId, JobRuntime> running_;
   obs::Tracer* tracer_ = nullptr;
   obs::Registry* registry_;  ///< never null; defaults to the global one
+  /// Registry instrument handles, each resolved on first use and cleared by
+  /// set_sinks (see obs::lazy_counter).
+  struct Instruments {
+    obs::Counter* joins = nullptr;
+    obs::Counter* dyn_joins = nullptr;
+    obs::Counter* dyn_disjoins = nullptr;
+  };
+  Instruments instruments_;
 };
 
 }  // namespace dbs::rms

@@ -15,8 +15,10 @@ namespace dbs::rms {
 
 namespace {
 /// Residency buckets: sub-second answers up to hour-long negotiations.
-std::vector<double> residency_bounds() {
-  return {0.1, 1, 5, 15, 30, 60, 120, 300, 600, 1800, 3600};
+const std::vector<double>& residency_bounds() {
+  static const std::vector<double> bounds{0.1, 1,   5,   15,   30,  60,
+                                          120, 300, 600, 1800, 3600};
+  return bounds;
 }
 }  // namespace
 
@@ -32,6 +34,7 @@ Server::Server(sim::Simulator& simulator, cluster::Cluster& cluster,
 void Server::set_sinks(const obs::Sinks& sinks) {
   tracer_ = sinks.tracer;
   registry_ = &sinks.registry_or_global();
+  instruments_ = Instruments{};
   if (recorder_ != sinks.recorder) {
     // The recorder listens like any other observer; swapping sinks must
     // not leave a stale registration behind.
@@ -45,8 +48,13 @@ void Server::set_sinks(const obs::Sinks& sinks) {
   }
 }
 
+void Server::count(obs::Counter*& slot, const char* name) {
+  obs::lazy_counter(*registry_, slot, name).add();
+}
+
 void Server::record_residency(const DynRequest& req) {
-  registry_->histogram("dyn.queue_residency_s", residency_bounds())
+  obs::lazy_histogram(*registry_, instruments_.queue_residency,
+                      "dyn.queue_residency_s", residency_bounds())
       .observe((sim_.now() - req.submitted).as_seconds());
 }
 
@@ -87,7 +95,7 @@ JobId Server::submit(JobSpec spec, std::unique_ptr<Application> app) {
       std::make_unique<Job>(id, std::move(spec), std::move(app), sim_.now()));
   DBS_TRACE("submit " << id.value() << " (" << job.spec().name << ") at "
                       << sim_.now());
-  registry_->counter("server.jobs_submitted").add();
+  count(instruments_.jobs_submitted, "server.jobs_submitted");
   DBS_TRACE_EVENT(tracer_, obs::TraceEvent(sim_.now(), "rms", "submit")
                                .field("job", id.value())
                                .field("job_name", job.spec().name)
@@ -112,7 +120,7 @@ bool Server::cancel(JobId id) {
     moms_->kill(id);
     cluster_.release_all(id);
   }
-  job.mark_cancelled(sim_.now());
+  queue_.mark_cancelled(id, sim_.now());
   for (auto* o : observers_) o->on_cancel(job, released);
   notify_scheduler();
   return true;
@@ -125,11 +133,11 @@ bool Server::start_job(JobId id, bool backfilled) {
   auto placement = cluster_.allocate_chunked(id, job.spec().cores,
                                              effective_ppn(job), alloc_policy_);
   if (!placement) return false;
-  job.mark_started(sim_.now(), std::move(*placement), backfilled);
+  queue_.mark_started(id, sim_.now(), std::move(*placement), backfilled);
   DBS_TRACE("start " << id.value() << " (" << job.spec().name << ") on "
                      << job.placement().node_count() << " nodes at "
                      << sim_.now() << (backfilled ? " [backfill]" : ""));
-  registry_->counter("server.jobs_started").add();
+  count(instruments_.jobs_started, "server.jobs_started");
   DBS_TRACE_EVENT(tracer_, obs::TraceEvent(sim_.now(), "rms", "job_start")
                                .field("job", id.value())
                                .field("cores", job.allocated_cores())
@@ -160,11 +168,11 @@ bool Server::grant_dyn(RequestId req_id) {
   queue_.remove_dyn_request(req_id);
   availability_hints_.erase(job.id());
   job.expand(*extra);
-  job.mark_running_again();
+  queue_.mark_running_again(job.id());
   job.count_dyn_grant();
   DBS_TRACE("grant +" << done.extra_cores << " cores to job "
                       << job.id().value() << " at " << sim_.now());
-  registry_->counter("dyn.grants").add();
+  count(instruments_.dyn_grants, "dyn.grants");
   record_residency(done);
   DBS_TRACE_EVENT(tracer_, obs::TraceEvent(sim_.now(), "rms", "dyn_grant")
                                .field("job", job.id().value())
@@ -189,7 +197,7 @@ void Server::reject_dyn(RequestId req_id, std::optional<Time> availability_hint)
     // Negotiation extension: the request stays queued; remember when the
     // scheduler believes resources could be available.
     if (availability_hint) availability_hints_[req->job] = *availability_hint;
-    registry_->counter("dyn.defers").add();
+    count(instruments_.dyn_defers, "dyn.defers");
     DBS_TRACE_EVENT(
         tracer_, obs::TraceEvent(sim_.now(), "rms", "dyn_defer")
                      .field("job", req->job.value())
@@ -209,11 +217,11 @@ void Server::finalize_reject(const DynRequest& req) {
   Job& job = queue_.at(done.job);
   queue_.remove_dyn_request(done.id);
   availability_hints_.erase(job.id());
-  job.mark_running_again();
+  queue_.mark_running_again(job.id());
   job.count_dyn_reject();
   DBS_TRACE("reject +" << done.extra_cores << " cores for job "
                        << job.id().value() << " at " << sim_.now());
-  registry_->counter("dyn.rejects").add();
+  count(instruments_.dyn_rejects, "dyn.rejects");
   record_residency(done);
   DBS_TRACE_EVENT(tracer_, obs::TraceEvent(sim_.now(), "rms", "dyn_reject")
                                .field("job", job.id().value())
@@ -236,9 +244,9 @@ void Server::preempt(JobId id) {
     queue_.remove_dyn_request(r->id);
   moms_->kill(id);
   cluster_.release_all(id);
-  if (job.state() == JobState::DynQueued) job.mark_running_again();
-  job.mark_requeued();
-  registry_->counter("server.preemptions").add();
+  if (job.state() == JobState::DynQueued) queue_.mark_running_again(id);
+  queue_.mark_requeued(id);
+  count(instruments_.preemptions, "server.preemptions");
   DBS_TRACE_EVENT(tracer_, obs::TraceEvent(sim_.now(), "rms", "preempt")
                                .field("job", id.value()));
   for (auto* o : observers_) o->on_requeue(job);
@@ -257,14 +265,14 @@ void Server::mom_dyn_request(JobId id, CoreCount extra_cores, Duration timeout,
   DBS_REQUIRE(job.state() == JobState::Running,
               "dynamic request requires a running job");
   DBS_REQUIRE(extra_cores > 0, "dynamic request must ask for cores");
-  job.mark_dynqueued();
+  queue_.mark_dynqueued(id);
   job.count_dyn_request();
   const DynRequest req{RequestId{next_request_++}, id, extra_cores, sim_.now(),
                        attempt, sim_.now() + timeout};
   queue_.push_dyn_request(req);
   DBS_TRACE("dynget +" << extra_cores << " cores from job " << id.value()
                        << " (attempt " << attempt << ") at " << sim_.now());
-  registry_->counter("dyn.requests").add();
+  count(instruments_.dyn_requests, "dyn.requests");
   DBS_TRACE_EVENT(tracer_, obs::TraceEvent(sim_.now(), "rms", "dyn_request")
                                .field("job", id.value())
                                .field("request", req.id.value())
@@ -281,13 +289,13 @@ void Server::mom_job_finished(JobId id) {
   if (const DynRequest* r = queue_.dyn_request_of(id)) {
     // The job finished while its last request was still queued.
     queue_.remove_dyn_request(r->id);
-    job.mark_running_again();
+    queue_.mark_running_again(id);
   }
   cluster_.release_all(id);
-  job.mark_completed(sim_.now());
+  queue_.mark_completed(id, sim_.now());
   DBS_TRACE("finish " << id.value() << " (" << job.spec().name << ") at "
                       << sim_.now());
-  registry_->counter("server.jobs_finished").add();
+  count(instruments_.jobs_finished, "server.jobs_finished");
   DBS_TRACE_EVENT(tracer_, obs::TraceEvent(sim_.now(), "rms", "job_finish")
                                .field("job", id.value())
                                .field("turnaround_s",
@@ -326,7 +334,7 @@ void Server::shrink_job(JobId id, CoreCount cores) {
   job.shrink(freed);
   DBS_TRACE("malleable shrink -" << cores << " cores of job " << id.value()
                                  << " at " << sim_.now());
-  registry_->counter("server.malleable_shrinks").add();
+  count(instruments_.malleable_shrinks, "server.malleable_shrinks");
   DBS_TRACE_EVENT(tracer_,
                   obs::TraceEvent(sim_.now(), "rms", "malleable_shrink")
                       .field("job", id.value())
@@ -355,14 +363,14 @@ void Server::node_failure(NodeId node_id) {
     // A pending dynamic request is superseded by the failure.
     if (const DynRequest* r = queue_.dyn_request_of(id)) {
       queue_.remove_dyn_request(r->id);
-      job.mark_running_again();
+      queue_.mark_running_again(id);
     }
     node.release(id, lost);
     if (job.allocated_cores() == lost) {
       // Whole allocation on the failed node: restart from scratch.
       moms_->kill(id);
       cluster_.release_all(id);
-      job.mark_requeued();
+      queue_.mark_requeued(id);
       for (auto* o : observers_) o->on_requeue(job);
       continue;
     }
@@ -372,7 +380,7 @@ void Server::node_failure(NodeId node_id) {
   }
   DBS_TRACE("node " << node_id.value() << " failed, " << victims.size()
                     << " jobs affected");
-  registry_->counter("server.node_failures").add();
+  count(instruments_.node_failures, "server.node_failures");
   DBS_TRACE_EVENT(tracer_, obs::TraceEvent(sim_.now(), "rms", "node_failure")
                                .field("node", node_id.value())
                                .field("jobs_affected", victims.size()));
@@ -392,9 +400,9 @@ void Server::mom_job_failed(JobId id) {
   if (job.state() == JobState::DynQueued) {
     if (const DynRequest* r = queue_.dyn_request_of(id))
       queue_.remove_dyn_request(r->id);
-    job.mark_running_again();
+    queue_.mark_running_again(id);
   }
-  job.mark_requeued();
+  queue_.mark_requeued(id);
   for (auto* o : observers_) o->on_requeue(job);
   notify_scheduler();
 }
@@ -448,7 +456,7 @@ void Server::mom_dyn_release(JobId id, const cluster::Placement& freed) {
   DBS_REQUIRE(job.is_running(), "release requires a running job");
   cluster_.release(id, freed);
   job.shrink(freed);
-  registry_->counter("dyn.releases").add();
+  count(instruments_.dyn_releases, "dyn.releases");
   DBS_TRACE_EVENT(tracer_, obs::TraceEvent(sim_.now(), "rms", "dyn_release")
                                .field("job", id.value())
                                .field("cores", freed.total_cores())

@@ -16,6 +16,8 @@
 #include "sim/simulator.hpp"
 
 namespace dbs::obs {
+class Counter;
+class Histogram;
 class Tracer;
 class Registry;
 struct Sinks;
@@ -187,6 +189,8 @@ class Server {
  private:
   void notify_scheduler();
   void finalize_reject(const DynRequest& req);
+  /// Adds one to the counter cached in `slot`, resolving it on first use.
+  void count(obs::Counter*& slot, const char* name);
   /// now - submitted of a finally answered dynamic request, into the
   /// "dyn.queue_residency_s" histogram.
   void record_residency(const DynRequest& req);
@@ -206,6 +210,23 @@ class Server {
   std::unordered_map<JobId, Time> availability_hints_;
   obs::Tracer* tracer_ = nullptr;
   obs::Registry* registry_;  ///< never null; defaults to the global one
+  /// Registry instrument handles, each resolved on first use and cleared by
+  /// set_sinks (see obs::lazy_counter).
+  struct Instruments {
+    obs::Counter* jobs_submitted = nullptr;
+    obs::Counter* jobs_started = nullptr;
+    obs::Counter* jobs_finished = nullptr;
+    obs::Counter* preemptions = nullptr;
+    obs::Counter* malleable_shrinks = nullptr;
+    obs::Counter* node_failures = nullptr;
+    obs::Counter* dyn_requests = nullptr;
+    obs::Counter* dyn_grants = nullptr;
+    obs::Counter* dyn_rejects = nullptr;
+    obs::Counter* dyn_defers = nullptr;
+    obs::Counter* dyn_releases = nullptr;
+    obs::Histogram* queue_residency = nullptr;
+  };
+  Instruments instruments_;
   /// Flight recorder currently registered in observers_ via set_sinks.
   obs::rec::FlightRecorder* recorder_ = nullptr;
 };

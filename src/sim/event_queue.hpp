@@ -1,10 +1,10 @@
 // Time-ordered event queue with stable FIFO ordering for equal timestamps
-// and O(log n) cancellation via tombstones.
+// and O(1) cancellation through generation-checked slots.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <unordered_set>
+#include <type_traits>
 #include <vector>
 
 #include "common/time.hpp"
@@ -32,18 +32,14 @@ class EventQueue {
   EventId push(Time at, EventFn fn, Lane lane = Lane::Normal);
 
   /// Cancels a pending event. Returns false if it already fired, was
-  /// already cancelled, or never existed — and records a tombstone only
-  /// for genuinely pending events, so repeated cancels of fired ids do not
-  /// accumulate state.
+  /// already cancelled, or never existed; such calls change nothing.
   bool cancel(EventId id);
 
-  [[nodiscard]] bool empty() const;
+  [[nodiscard]] bool empty() const { return live_ == 0; }
   /// Exact number of pending (non-cancelled) events, O(1).
-  [[nodiscard]] std::size_t size() const;
+  [[nodiscard]] std::size_t size() const { return live_; }
   /// Cancelled entries still lingering in the heap as tombstones, O(1).
-  [[nodiscard]] std::size_t cancelled_count() const {
-    return cancelled_.size();
-  }
+  [[nodiscard]] std::size_t cancelled_count() const { return tombstones_; }
   /// Times the heap was rebuilt to shed tombstones (observability).
   [[nodiscard]] std::uint64_t compactions() const { return compactions_; }
 
@@ -71,24 +67,42 @@ class EventQueue {
   }
 
  private:
-  struct Entry {
+  /// What the heap sifts: the firing order plus where the callable lives.
+  /// The callables stay put in slots_, so a sift moves 24 bytes instead
+  /// of a 64-byte entry with a std::function inside.
+  struct Key {
     Time at;
-    std::uint64_t seq;
-    EventId id;
-    Lane lane;
-    EventFn fn;
+    /// Lane in the top bit, push sequence below: one compare orders equal
+    /// timestamps by lane, then FIFO.
+    std::uint64_t order;
+    std::uint32_t slot;
+    /// The slot's generation at push time. A cancel or a fire bumps the
+    /// slot's generation, so a key whose generation no longer matches is
+    /// a tombstone.
+    std::uint32_t gen;
   };
+  static_assert(sizeof(Key) == 24 && std::is_trivially_copyable_v<Key>);
+
   /// Min-heap order via std::*_heap's max-heap convention: `a` sorts
-  /// later than `b` when it fires after it — later time, then (equal
-  /// times) the Normal lane, then higher sequence number.
+  /// later than `b` when it fires after it.
   struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.at != b.at) return a.at > b.at;
-      if (a.lane != b.lane) return a.lane > b.lane;
-      return a.seq > b.seq;
+      return a.order > b.order;
     }
   };
 
+  struct Slot {
+    EventFn fn;  ///< empty while the slot is free
+    std::uint32_t gen = 0;
+  };
+
+  [[nodiscard]] bool is_tombstone(const Key& k) const {
+    return slots_[k.slot].gen != k.gen;
+  }
+  /// Destroys the slot's callable and bumps its generation, which turns
+  /// every outstanding EventId and heap key for it stale.
+  void release(std::uint32_t slot);
   /// Drops cancelled entries from the front.
   void skip_tombstones() const;
   /// Rebuilds the heap without the tombstones once they dominate it, so
@@ -97,13 +111,14 @@ class EventQueue {
   /// O(pending) instead of O(pushed).
   void maybe_compact();
 
-  // Invariant: the heap holds exactly pending_ ∪ cancelled_ (cancelled
-  // entries linger as interior tombstones until they surface at the top
-  // or a compaction sheds them), so pending_.size() is the exact live
-  // count.
-  mutable std::vector<Entry> heap_;
-  mutable std::unordered_set<EventId> cancelled_;
-  std::unordered_set<EventId> pending_;
+  // Invariant: the heap holds one key per pending event plus tombstones_
+  // stale keys (cancelled entries linger until they surface at the top or
+  // a compaction sheds them).
+  mutable std::vector<Key> heap_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  std::size_t live_ = 0;
+  mutable std::size_t tombstones_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t compactions_ = 0;
 };

@@ -1,6 +1,7 @@
 #include "workload/swf/swf_parser.hpp"
 
 #include <array>
+#include <charconv>
 #include <cmath>
 
 #include "common/assert.hpp"
@@ -10,16 +11,44 @@ namespace dbs::wl::swf {
 
 namespace {
 
+constexpr std::size_t kFields = 18;
+
+/// Splits `line` on blanks and tabs into exactly kFields tokens (views into
+/// `line`); false for any other count.
+bool split_fields(std::string_view line,
+                  std::array<std::string_view, kFields>& fields) {
+  const auto is_sep = [](char c) { return c == ' ' || c == '\t'; };
+  std::size_t n = 0;
+  std::size_t i = 0;
+  while (i < line.size()) {
+    while (i < line.size() && is_sep(line[i])) ++i;
+    std::size_t j = i;
+    while (j < line.size() && !is_sep(line[j])) ++j;
+    if (j > i) {
+      if (n == kFields) return false;
+      fields[n++] = line.substr(i, j - i);
+    }
+    i = j;
+  }
+  return n == kFields;
+}
+
 /// SWF fields are integers in practice, but the definition permits
 /// fractional values (average CPU time, fractional seconds); accept both
 /// and truncate toward the integer model the simulator uses.
 bool parse_field(std::string_view token, std::int64_t& out) {
-  if (const auto i = parse_int(token)) {
-    out = *i;
+  // Integers, the -1 sentinel included, parse in place. A negative value
+  // beyond 2^53 is left to the double path, which rounds it, so every
+  // parsed value stays what that path has always produced.
+  constexpr std::int64_t kExactInDouble = std::int64_t{1} << 53;
+  const std::string_view t = trim(token);
+  std::int64_t v = 0;
+  const auto [ptr, ec] = std::from_chars(t.data(), t.data() + t.size(), v);
+  if (!t.empty() && ec == std::errc{} && ptr == t.data() + t.size() &&
+      v >= -kExactInDouble) {
+    out = v;
     return true;
   }
-  // parse_int rejects signs; -1 sentinels and fractional values both land
-  // here.
   if (const auto d = parse_double(token)) {
     out = static_cast<std::int64_t>(std::llround(*d));
     return true;
@@ -63,10 +92,10 @@ void SwfParser::parse_directive() {
 }
 
 bool SwfParser::parse_record(SwfRecord& out) {
-  const std::vector<std::string> fields = split(line_);
-  if (fields.size() != 18) return false;
-  std::array<std::int64_t, 18> v{};
-  for (std::size_t i = 0; i < 18; ++i)
+  std::array<std::string_view, kFields> fields;
+  if (!split_fields(line_, fields)) return false;
+  std::array<std::int64_t, kFields> v{};
+  for (std::size_t i = 0; i < kFields; ++i)
     if (!parse_field(fields[i], v[i])) return false;
   out.job_number = v[0];
   out.submit_s = v[1];

@@ -41,6 +41,12 @@ struct DurationCase {
   std::int64_t expected_seconds;
 };
 
+// Without this gtest prints the raw bytes, pointer included, and the case
+// name ctest derives from it changes with every load address.
+void PrintTo(const DurationCase& c, std::ostream* os) {
+  *os << '"' << c.text << "\" -> " << c.expected_seconds;
+}
+
 class ParseDurationValid : public testing::TestWithParam<DurationCase> {};
 
 TEST_P(ParseDurationValid, Parses) {

@@ -22,12 +22,10 @@ struct Fixture {
 
   const rms::Job* running(std::uint64_t id, CoreCount cores, Duration walltime,
                           Time started) {
-    storage.push_back(std::make_unique<rms::Job>(
+    storage.push_back(test::running_job(
         JobId{id}, test::spec("r" + std::to_string(id), cores, walltime),
-        test::rigid(walltime), Time::epoch()));
-    storage.back()->mark_started(started,
-                                 cluster::Placement{{{NodeId{0}, cores}}},
-                                 false);
+        test::rigid(walltime), started,
+        cluster::Placement{{{NodeId{0}, cores}}}));
     return storage.back().get();
   }
 };

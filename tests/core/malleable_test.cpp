@@ -16,10 +16,9 @@ struct Fixture {
     rms::JobSpec s = test::spec("j" + std::to_string(id), cores,
                                 Duration::minutes(30));
     s.malleable_min = malleable_min;
-    storage.push_back(std::make_unique<rms::Job>(
-        JobId{id}, s, test::rigid(Duration::minutes(10)), Time::epoch()));
-    storage.back()->mark_started(
-        Time::epoch(), cluster::Placement{{{NodeId{0}, cores}}}, false);
+    storage.push_back(test::running_job(
+        JobId{id}, s, test::rigid(Duration::minutes(10)), Time::epoch(),
+        cluster::Placement{{{NodeId{0}, cores}}}));
     return storage.back().get();
   }
 

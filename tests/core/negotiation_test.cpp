@@ -10,11 +10,9 @@ namespace {
 Time at(std::int64_t s) { return Time::from_seconds(s); }
 
 std::unique_ptr<rms::Job> running_job(Duration walltime, Time started) {
-  auto job = std::make_unique<rms::Job>(
-      JobId{1}, test::spec("j", 8, walltime), test::rigid(walltime),
-      Time::epoch());
-  job->mark_started(started, cluster::Placement{{{NodeId{0}, 8}}}, false);
-  return job;
+  return test::running_job(JobId{1}, test::spec("j", 8, walltime),
+                           test::rigid(walltime), started,
+                           cluster::Placement{{{NodeId{0}, 8}}});
 }
 
 TEST(Negotiation, ImmediateWhenFree) {

@@ -40,17 +40,17 @@ TEST(JobQueue, QueuedInSubmissionOrder) {
   EXPECT_THROW(q.add(job(5)), precondition_error);
 }
 
-void finish(Job& j) {
-  j.mark_started(Time::epoch(), cluster::Placement{{{NodeId{0}, 2}}}, false);
-  j.mark_completed(Time::from_seconds(1));
+void finish(JobQueue& q, JobId id) {
+  q.mark_started(id, Time::epoch(), cluster::Placement{{{NodeId{0}, 2}}}, false);
+  q.mark_completed(id, Time::from_seconds(1));
 }
 
 TEST(JobQueue, RetireDestroysRecordAndForgetsId) {
   JobQueue q;
-  Job& a = q.add(job(1));
+  q.add(job(1));
   q.add(job(2));
   EXPECT_THROW(q.retire(JobId{1}), precondition_error);  // not finished
-  finish(a);
+  finish(q, JobId{1});
   q.retire(JobId{1});
   EXPECT_FALSE(q.contains(JobId{1}));
   EXPECT_EQ(q.size(), 1u);
@@ -64,14 +64,14 @@ TEST(JobQueue, RetireDestroysRecordAndForgetsId) {
 TEST(JobQueue, MinLiveIdAdvancesAndFallsBack) {
   JobQueue q;
   EXPECT_EQ(q.min_live_id(77), 77u);
-  Job& a = q.add(job(1));
-  Job& b = q.add(job(2));
+  q.add(job(1));
+  q.add(job(2));
   q.add(job(3));
   EXPECT_EQ(q.min_live_id(), 1u);
-  finish(a);
+  finish(q, JobId{1});
   q.retire(JobId{1});
   EXPECT_EQ(q.min_live_id(), 2u);
-  finish(b);
+  finish(q, JobId{2});
   q.retire(JobId{2});
   EXPECT_EQ(q.min_live_id(), 3u);
 }
@@ -84,7 +84,7 @@ TEST(JobQueue, CompactionKeepsScansAndLookupsIntact) {
   JobQueue q;
   for (std::uint64_t i = 1; i <= kJobs; ++i) q.add(job(i));
   for (std::uint64_t i = 1; i <= kRetire; ++i) {
-    finish(q.at(JobId{i}));
+    finish(q, JobId{i});
     q.retire(JobId{i});
   }
   EXPECT_EQ(q.size(), kJobs - kRetire);
@@ -100,22 +100,25 @@ TEST(JobQueue, CompactionKeepsScansAndLookupsIntact) {
 
 TEST(JobQueue, StateFiltering) {
   JobQueue q;
-  Job& a = q.add(job(1));
+  q.add(job(1));
   q.add(job(2));
-  a.mark_started(Time::epoch(), cluster::Placement{{{NodeId{0}, 2}}}, false);
+  q.mark_started(JobId{1}, Time::epoch(),
+                 cluster::Placement{{{NodeId{0}, 2}}}, false);
   EXPECT_EQ(q.queued().size(), 1u);
   EXPECT_EQ(q.running().size(), 1u);
   EXPECT_EQ(q.all().size(), 2u);
-  a.mark_completed(Time::from_seconds(1));
+  q.mark_completed(JobId{1}, Time::from_seconds(1));
   EXPECT_TRUE(q.running().empty());
 }
 
 TEST(JobQueue, DynFifoOrder) {
   JobQueue q;
-  Job& a = q.add(job(1));
-  Job& b = q.add(job(2));
-  a.mark_started(Time::epoch(), cluster::Placement{{{NodeId{0}, 2}}}, false);
-  b.mark_started(Time::epoch(), cluster::Placement{{{NodeId{1}, 2}}}, false);
+  q.add(job(1));
+  q.add(job(2));
+  q.mark_started(JobId{1}, Time::epoch(),
+                 cluster::Placement{{{NodeId{0}, 2}}}, false);
+  q.mark_started(JobId{2}, Time::epoch(),
+                 cluster::Placement{{{NodeId{1}, 2}}}, false);
   q.push_dyn_request({RequestId{10}, JobId{2}, 4, Time::epoch(), 1, Time::epoch()});
   q.push_dyn_request({RequestId{11}, JobId{1}, 2, Time::epoch(), 1, Time::epoch()});
   ASSERT_EQ(q.dyn_requests().size(), 2u);

@@ -4,6 +4,7 @@
 
 #include "../testutil.hpp"
 #include "common/assert.hpp"
+#include "rms/job_queue.hpp"
 
 namespace dbs::rms {
 namespace {
@@ -16,6 +17,16 @@ std::unique_ptr<Job> make_job(JobSpec s = test::spec("j", 4, Duration::minutes(1
 cluster::Placement place(CoreCount cores) {
   return cluster::Placement{{{NodeId{0}, cores}}};
 }
+
+/// State transitions belong to the owning queue; each test queues its job.
+struct QueuedJob {
+  JobQueue queue;
+  Job& job;
+  const JobId id;
+
+  explicit QueuedJob(std::unique_ptr<Job> j = make_job())
+      : job(queue.add(std::move(j))), id(job.id()) {}
+};
 
 TEST(Job, ConstructionValidation) {
   JobSpec bad = test::spec("j", 0, Duration::minutes(1));
@@ -32,72 +43,73 @@ TEST(Job, ConstructionValidation) {
 }
 
 TEST(Job, LifecycleTransitions) {
-  auto job = make_job();
-  EXPECT_EQ(job->state(), JobState::Queued);
-  EXPECT_FALSE(job->started());
+  QueuedJob q;
+  Job& job = q.job;
+  EXPECT_EQ(job.state(), JobState::Queued);
+  EXPECT_FALSE(job.started());
 
-  job->mark_started(Time::from_seconds(200), place(4), false);
-  EXPECT_EQ(job->state(), JobState::Running);
-  EXPECT_TRUE(job->is_running());
-  EXPECT_EQ(job->start_time(), Time::from_seconds(200));
-  EXPECT_EQ(job->walltime_end(), Time::from_seconds(200) + Duration::minutes(10));
+  q.queue.mark_started(q.id, Time::from_seconds(200), place(4), false);
+  EXPECT_EQ(job.state(), JobState::Running);
+  EXPECT_TRUE(job.is_running());
+  EXPECT_EQ(job.start_time(), Time::from_seconds(200));
+  EXPECT_EQ(job.walltime_end(), Time::from_seconds(200) + Duration::minutes(10));
 
-  job->mark_dynqueued();
-  EXPECT_EQ(job->state(), JobState::DynQueued);
-  EXPECT_TRUE(job->is_running());
-  job->mark_running_again();
-  EXPECT_EQ(job->state(), JobState::Running);
+  q.queue.mark_dynqueued(q.id);
+  EXPECT_EQ(job.state(), JobState::DynQueued);
+  EXPECT_TRUE(job.is_running());
+  q.queue.mark_running_again(q.id);
+  EXPECT_EQ(job.state(), JobState::Running);
 
-  job->mark_completed(Time::from_seconds(500));
-  EXPECT_TRUE(job->finished());
-  EXPECT_EQ(job->end_time(), Time::from_seconds(500));
+  q.queue.mark_completed(q.id, Time::from_seconds(500));
+  EXPECT_TRUE(job.finished());
+  EXPECT_EQ(job.end_time(), Time::from_seconds(500));
 }
 
 TEST(Job, InvalidTransitionsRejected) {
-  auto job = make_job();
-  EXPECT_THROW(job->mark_dynqueued(), precondition_error);
-  EXPECT_THROW(job->mark_completed(Time::epoch()), precondition_error);
-  EXPECT_THROW((void)job->start_time(), precondition_error);
-  job->mark_started(Time::epoch(), place(4), false);
-  EXPECT_THROW(job->mark_started(Time::epoch(), place(4), false),
+  QueuedJob q;
+  EXPECT_THROW(q.queue.mark_dynqueued(q.id), precondition_error);
+  EXPECT_THROW(q.queue.mark_completed(q.id, Time::epoch()), precondition_error);
+  EXPECT_THROW((void)q.job.start_time(), precondition_error);
+  q.queue.mark_started(q.id, Time::epoch(), place(4), false);
+  EXPECT_THROW(q.queue.mark_started(q.id, Time::epoch(), place(4), false),
                precondition_error);
 }
 
 TEST(Job, PlacementMustMatchRequest) {
-  auto job = make_job();
-  EXPECT_THROW(job->mark_started(Time::epoch(), place(3), false),
+  QueuedJob q;
+  EXPECT_THROW(q.queue.mark_started(q.id, Time::epoch(), place(3), false),
                precondition_error);
 }
 
 TEST(Job, ExpandAndShrink) {
-  auto job = make_job();
-  job->mark_started(Time::epoch(), place(4), false);
-  job->expand(cluster::Placement{{{NodeId{1}, 4}}});
-  EXPECT_EQ(job->allocated_cores(), 8);
-  job->shrink(cluster::Placement{{{NodeId{1}, 2}}});
-  EXPECT_EQ(job->allocated_cores(), 6);
-  EXPECT_THROW(job->shrink(cluster::Placement{{{NodeId{2}, 1}}}),
+  QueuedJob q;
+  Job& job = q.queue.mark_started(q.id, Time::epoch(), place(4), false);
+  job.expand(cluster::Placement{{{NodeId{1}, 4}}});
+  EXPECT_EQ(job.allocated_cores(), 8);
+  job.shrink(cluster::Placement{{{NodeId{1}, 2}}});
+  EXPECT_EQ(job.allocated_cores(), 6);
+  EXPECT_THROW(job.shrink(cluster::Placement{{{NodeId{2}, 1}}}),
                precondition_error);
-  EXPECT_THROW(job->shrink(cluster::Placement{{{NodeId{1}, 3}}}),
+  EXPECT_THROW(job.shrink(cluster::Placement{{{NodeId{1}, 3}}}),
                precondition_error);
 }
 
 TEST(Job, ShrinkToZeroRejected) {
-  auto job = make_job();
-  job->mark_started(Time::epoch(), place(4), false);
-  EXPECT_THROW(job->shrink(cluster::Placement{{{NodeId{0}, 4}}}),
+  QueuedJob q;
+  Job& job = q.queue.mark_started(q.id, Time::epoch(), place(4), false);
+  EXPECT_THROW(job.shrink(cluster::Placement{{{NodeId{0}, 4}}}),
                precondition_error);
 }
 
 TEST(Job, RequeueResetsProgress) {
-  auto job = make_job();
-  job->mark_started(Time::from_seconds(10), place(4), true);
-  EXPECT_TRUE(job->was_backfilled());
-  job->mark_requeued();
-  EXPECT_EQ(job->state(), JobState::Queued);
-  EXPECT_FALSE(job->started());
-  EXPECT_FALSE(job->was_backfilled());
-  EXPECT_EQ(job->allocated_cores(), 0);
+  QueuedJob q;
+  Job& job = q.queue.mark_started(q.id, Time::from_seconds(10), place(4), true);
+  EXPECT_TRUE(job.was_backfilled());
+  q.queue.mark_requeued(q.id);
+  EXPECT_EQ(job.state(), JobState::Queued);
+  EXPECT_FALSE(job.started());
+  EXPECT_FALSE(job.was_backfilled());
+  EXPECT_EQ(job.allocated_cores(), 0);
 }
 
 TEST(Job, DynCountersAndSatisfied) {

@@ -90,6 +90,13 @@ struct ServiceResult {
 /// Runs `workload` through ingest + ServiceLoop to completion (or
 /// max_ticks). With a state_dir, recovers first; the producer skips the
 /// records the WAL already holds, exactly like a restarted trace feeder.
+///
+/// With one producer the test itself feeds the loop in lockstep: push one
+/// record, tick, repeat; then close the queue, tick until drained() and
+/// finalize(), which is the cycle run() performs. Every count the callers
+/// assert on (decisions before max_ticks, snapshots) is then fixed by the
+/// workload, not by how a producer thread races the ticks. Several
+/// producers run as racing threads against run().
 ServiceResult run_service(const wl::Workload& workload,
                           const ServiceConfig& scfg,
                           std::size_t producer_threads = 1) {
@@ -101,21 +108,29 @@ ServiceResult run_service(const wl::Workload& workload,
   if (!scfg.state_dir.empty()) r.recovered = system.open_state();
   const std::uint64_t skip = service.wal_ingest_total();
 
-  std::vector<std::thread> producers;
-  std::atomic<std::size_t> live{producer_threads};
   if (producer_threads <= 1) {
-    producers.emplace_back([&]() {
-      std::uint64_t yielded = 0;
-      for (const auto& s : workload.jobs) {
-        if (++yielded <= skip) continue;
-        ingest.submit(s.at, s.spec, s.behavior);
-      }
+    const std::uint64_t start_ticks = service.ticks();
+    const auto budget_left = [&] {
+      return scfg.max_ticks == 0 ||
+             service.ticks() - start_ticks < scfg.max_ticks;
+    };
+    for (std::size_t i = skip; i < workload.jobs.size() && budget_left();
+         ++i) {
+      const auto& s = workload.jobs[i];
+      ingest.submit(s.at, s.spec, s.behavior);
+      service.tick();
+    }
+    if (budget_left()) {
       ingest.close();
-    });
+      while (!service.drained() && budget_left()) service.tick();
+    }
+    service.finalize();
   } else {
     // Round-robin the workload across racing producers; close() once all
     // of them are done (multi-producer runs never resume, so skip == 0).
     EXPECT_EQ(skip, 0u);
+    std::vector<std::thread> producers;
+    std::atomic<std::size_t> live{producer_threads};
     for (std::size_t t = 0; t < producer_threads; ++t) {
       producers.emplace_back([&, t]() {
         for (std::size_t i = t; i < workload.jobs.size();
@@ -126,10 +141,9 @@ ServiceResult run_service(const wl::Workload& workload,
         if (live.fetch_sub(1) == 1) ingest.close();
       });
     }
+    system.run_service();
+    for (auto& p : producers) p.join();
   }
-
-  system.run_service();
-  for (auto& p : producers) p.join();
 
   r.summary = metrics::summarize(system.recorder());
   r.wal_ingest = service.wal_ingest_total();

@@ -43,4 +43,19 @@ inline std::unique_ptr<rms::Application> rigid(Duration runtime) {
   return std::make_unique<apps::RigidApp>(runtime);
 }
 
+/// A job record already running on `placement` since `started`, outside
+/// any server (submitted at the epoch). Planning kernels read jobs by
+/// pointer; Job::restore builds the running state directly, since state
+/// transitions belong to a JobQueue.
+inline std::unique_ptr<rms::Job> running_job(
+    JobId id, rms::JobSpec s, std::unique_ptr<rms::Application> app,
+    Time started, cluster::Placement placement, bool backfilled = false) {
+  rms::Job::Restore r;
+  r.state = rms::JobState::Running;
+  r.start = started;
+  r.placement = std::move(placement);
+  r.backfilled = backfilled;
+  return rms::Job::restore(id, std::move(s), std::move(app), Time::epoch(), r);
+}
+
 }  // namespace dbs::test

@@ -90,6 +90,32 @@ TEST(SwfParser, SkipPolicyCountsMalformedLines) {
   EXPECT_EQ(p.malformed(), 3u);
 }
 
+TEST(SwfParser, FieldSpellingsParseToTheirValues) {
+  // Signs, fractions, exponents and tab separators; a 19-field line is
+  // malformed like a 17-field one.
+  std::istringstream in(
+      "1\t-0 +5 -1.5 2.5 1e3 -7 -9007199254740993 "
+      "9007199254740993 -1 1 3 2 -1 5 -1 -1 -1\n"
+      "2 20 -1 50 4 -1 -1 -1 -1 -1 1 3 2 -1 5 -1 -1 -1 9\n");
+  SwfParser p(in, MalformedPolicy::Skip);
+  SwfRecord r;
+  ASSERT_TRUE(p.next(r));
+  EXPECT_EQ(r.job_number, 1);
+  EXPECT_EQ(r.submit_s, 0);
+  EXPECT_EQ(r.wait_s, 5);
+  EXPECT_EQ(r.run_s, -2);       // llround rounds half away from zero
+  EXPECT_EQ(r.used_procs, 3);
+  EXPECT_EQ(r.avg_cpu_s, 1000);
+  EXPECT_EQ(r.used_mem_kb, -7);
+  // Below -2^53 a field goes through double and rounds; a positive one
+  // parses exactly.
+  EXPECT_EQ(r.req_procs, -9007199254740992);
+  EXPECT_EQ(r.req_time_s, 9007199254740993);
+  EXPECT_EQ(r.req_mem_kb, -1);
+  EXPECT_FALSE(p.next(r));
+  EXPECT_EQ(p.malformed(), 1u);
+}
+
 TEST(SwfParser, StrictPolicyThrowsWithLineNumber) {
   std::istringstream in("; MaxProcs: 4\nnot a record\n");
   SwfParser p(in, MalformedPolicy::Strict);
