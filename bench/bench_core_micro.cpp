@@ -7,7 +7,6 @@
 #include "core/backfill.hpp"
 #include "core/dfs_engine.hpp"
 #include "core/priority.hpp"
-#include "exec/thread_pool.hpp"
 
 namespace {
 
@@ -126,27 +125,6 @@ void bm_dfs_admit(benchmark::State& state) {
   }
 }
 BENCHMARK(bm_dfs_admit)->Arg(5)->Arg(20)->Arg(100);
-
-/// ThreadPool dynamic-claim grain: n tiny tasks on 4 workers, grain as the
-/// sweep axis. Grain 1 pays one fetch_add + completion RMW per task; larger
-/// grains amortize it over the chunk — the shard fan-out runs K small
-/// per-shard iterations with grain ceil(K/threads) for exactly this reason.
-void bm_pool_grain(benchmark::State& state) {
-  exec::ThreadPool pool(4);
-  constexpr std::size_t kTasks = 4096;
-  const auto grain = static_cast<std::size_t>(state.range(0));
-  std::vector<std::uint64_t> out(kTasks, 0);
-  for (auto _ : state) {
-    pool.parallel_for(
-        kTasks,
-        [&](std::size_t i, std::size_t) { out[i] = i * 2654435761u; },
-        grain);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kTasks));
-}
-BENCHMARK(bm_pool_grain)->Arg(1)->Arg(8)->Arg(64)->Arg(512);
 
 }  // namespace
 

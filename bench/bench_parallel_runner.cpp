@@ -1,7 +1,6 @@
 // Wall-clock benchmark of the multi-replication experiment runner: an ESP
 // seed sweep (replication_seed-derived workload seeds) executed serially
-// (jobs=1) and on 4 threads (jobs=4), plus the scheduler's internal
-// measure_threads fan-out on a synthetic evolving-heavy workload.
+// (jobs=1) and on 4 threads (jobs=4).
 //
 // The jobs=1 and jobs=4 runs produce bit-identical results and merged
 // metrics (verified by tests/exec/parallel_determinism_test.cpp); this
@@ -13,7 +12,6 @@
 #include "batch/parallel_runner.hpp"
 #include "bench_common.hpp"
 #include "common/rng.hpp"
-#include "workload/synthetic.hpp"
 
 namespace {
 
@@ -58,44 +56,11 @@ void bm_esp_seed_sweep(benchmark::State& state) {
                  std::to_string(satisfied));
 }
 
-/// The scheduler-internal fan-out: a synthetic evolving-heavy workload run
-/// with measure_threads = 1 vs 4 (identical decisions, different wall
-/// clock when several dynamic requests queue up per iteration).
-void bm_measure_threads(benchmark::State& state) {
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  wl::SyntheticParams wp;
-  wp.job_count = 200;
-  wp.total_cores = 128;
-  wp.evolving_fraction = 0.5;
-  wp.seed = 9;
-  const wl::Workload workload = wl::generate_synthetic(wp);
-  batch::SystemConfig cfg;
-  cfg.cluster.node_count = 16;
-  cfg.cluster.cores_per_node = 8;
-  cfg.scheduler.reservation_depth = 5;
-  cfg.scheduler.reservation_delay_depth = 5;
-  cfg.scheduler.dfs.policy = core::DfsPolicy::TargetDelay;
-  cfg.scheduler.dfs.defaults.target_delay = Duration::seconds(600);
-  cfg.scheduler.measure_threads = threads;
-  for (auto _ : state) {
-    obs::Registry registry;
-    const batch::RunResult r =
-        batch::run_workload(cfg, workload, "measure", &registry);
-    benchmark::DoNotOptimize(r.summary.satisfied_dyn_jobs);
-  }
-  state.SetLabel("measure_threads=" + std::to_string(threads));
-}
-
 }  // namespace
 
 BENCHMARK(bm_esp_seed_sweep)
     ->Args({1, 8})
     ->Args({4, 8})
-    ->Unit(benchmark::kMillisecond);
-
-BENCHMARK(bm_measure_threads)
-    ->Arg(1)
-    ->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {

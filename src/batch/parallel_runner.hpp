@@ -54,7 +54,7 @@ class ParallelRunner {
     for (std::size_t i = 0; i < count; ++i)
       registries.push_back(std::make_unique<obs::Registry>());
     std::vector<R> out = pool_.parallel_map<R>(
-        count, [&](std::size_t index, std::size_t) {
+        count, [&](std::size_t index) {
           return fn(index, *registries[index]);
         });
     if (merge_into != nullptr)

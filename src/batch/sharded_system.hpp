@@ -37,9 +37,6 @@ struct ShardConfig {
   /// Worker threads driving the per-shard runs (1 = serial; byte-identical
   /// output either way).
   std::size_t threads = 1;
-  /// ThreadPool chunk-claim grain for the shard fan-out (see
-  /// exec::ThreadPool::parallel_for).
-  std::size_t grain = 1;
 };
 
 /// Builds the node partition `config` asks for from the whole-machine spec.
@@ -68,6 +65,9 @@ class ShardedSystem {
   [[nodiscard]] obs::Registry& shard_registry(std::size_t k) {
     return *registries_.at(k);
   }
+  /// The `threads`-wide pool the shard fan-outs run on; a ShardedService
+  /// driving this system runs its per-shard fan-outs on it too.
+  [[nodiscard]] exec::ThreadPool& pool() { return pool_; }
 
   /// Re-attaches shard k's sinks with caller-owned tracer/recorder outputs;
   /// the registry stays the shard's private one (a shared registry across

@@ -212,15 +212,6 @@ struct Parser {
       if (const auto v = one())
         if (const auto b = parse_bool(*v); expect(line, b, key))
           config.check_invariants = *b;
-    } else if (key == "MEASURETHREADS") {
-      if (const auto v = one()) {
-        const auto n = parse_int(*v);
-        if (!expect(line, n, key)) return;
-        if (*n < 1)
-          issue(line, "MEASURETHREADS must be >= 1");
-        else
-          config.measure_threads = static_cast<std::size_t>(*n);
-      }
     } else if (key == "ALLOCATIONPOLICY") {
       if (const auto v = one()) {
         if (iequals(*v, "PACK"))

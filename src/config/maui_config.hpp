@@ -3,12 +3,13 @@
 //   DFSPOLICY         DFSSINGLEANDTARGETDELAY
 //   DFSINTERVAL       06:00:00
 //   DFSDECAY          0.4
-//   USERCFG[user01]   DFSDYNDELAYPERM=1 DFSTARGETDELAYTIME=3600 \
+//   USERCFG[user01]   DFSDYNDELAYPERM=1 DFSTARGETDELAYTIME=3600 \  # joined
 //                     DFSSINGLEDELAYTIME=0
 //   GROUPCFG[group05] DFSTARGETDELAYTIME=04:00:00
 //
-// '#' starts a comment, '\' at end of line continues it, keys are
-// case-insensitive, durations are plain seconds or [HH:]MM:SS.
+// '#' starts a comment, a '\' ending a line (before any comment) joins
+// the next line to it, keys are case-insensitive, durations are plain
+// seconds or [HH:]MM:SS.
 // Besides the DFS parameters the parser understands the scheduler knobs
 // (RESERVATIONDEPTH, RESERVATIONDELAYDEPTH, BACKFILL, priority weights,
 // fairshare, PREEMPTION, DYNPARTITION, ...) and per-entity PRIORITY /

@@ -93,8 +93,13 @@ std::vector<const rms::Job*> protected_subset(
   return out;
 }
 
+namespace {
+
+/// Publishes the per-measurement "measure" trace event: the hold, the
+/// feasibility test and, when feasible, the `replanned` job count and the
+/// measured per-protected-job delays.
 void emit_measure_trace(const DynHold& hold, std::size_t protected_count,
-                        CoreCount physical_free_now,
+                        CoreCount physical_free_now, std::size_t replanned,
                         const DelayMeasurement& measurement,
                         const PlanOptions& options, obs::Tracer* tracer,
                         std::string& json_scratch) {
@@ -114,11 +119,13 @@ void emit_measure_trace(const DynHold& hold, std::size_t protected_count,
                    .field("until_us", hold.until.as_micros())
                    .field("free_cores", physical_free_now)
                    .field("feasible", true)
-                   .field("replanned", measurement.replanned_count)
+                   .field("replanned", replanned)
                    .field("protected", protected_count)
                    .field("depth", measurement.delays.size())
                    .field_json("delays", json_scratch));
 }
+
+}  // namespace
 
 void measure_dynamic_request_into(
     const DynHold& hold, const std::vector<const rms::Job*>& candidate_jobs,
@@ -130,14 +137,13 @@ void measure_dynamic_request_into(
   DBS_REQUIRE(hold.extra_cores > 0, "hold must request cores");
   out.feasible = false;
   out.delays.clear();
-  out.replanned_count = 0;
 
   // Step 12/13: are there enough idle cores *right now*? Queued jobs do not
   // occupy anything yet; only physically free cores count. Infeasible
   // requests never touch the profile — no copy, no replan.
   if (hold.extra_cores > physical_free_now) {
-    emit_measure_trace(hold, protected_jobs.size(), physical_free_now, out,
-                       options, tracer, scratch.json);
+    emit_measure_trace(hold, protected_jobs.size(), physical_free_now,
+                       /*replanned=*/0, out, options, tracer, scratch.json);
     return;
   }
   out.feasible = true;
@@ -149,7 +155,6 @@ void measure_dynamic_request_into(
   scratch.planned.reserve(candidate_jobs.size());
   for (const rms::Job* job : candidate_jobs)
     if (baseline.find(job->id()) != nullptr) scratch.planned.push_back(job);
-  out.replanned_count = scratch.planned.size();
 
   // Clamped: with a reserved dynamic partition the planning profile may
   // already sit at zero while the physical cores for the hold come out of
@@ -166,8 +171,8 @@ void measure_dynamic_request_into(
     if (baseline.find(job->id()) != nullptr)
       scratch.still_protected.push_back(job);
   diff_plans_into(scratch.still_protected, baseline, out.replanned, out.delays);
-  emit_measure_trace(hold, protected_jobs.size(), physical_free_now, out,
-                     options, tracer, scratch.json);
+  emit_measure_trace(hold, protected_jobs.size(), physical_free_now,
+                     scratch.planned.size(), out, options, tracer, scratch.json);
 }
 
 DelayMeasurement measure_dynamic_request(

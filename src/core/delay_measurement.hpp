@@ -39,10 +39,6 @@ struct DelayMeasurement {
   std::vector<DelayedJob> delays;      ///< per protected job (delay >= 0)
   ReservationTable replanned;          ///< new starts with the hold applied
   AvailabilityProfile profile_after;   ///< planning profile with the hold
-  /// Jobs replanned under the hold (everything with a baseline
-  /// reservation). Carried so a deferred trace emission can reproduce the
-  /// inline "measure" event exactly.
-  std::size_t replanned_count = 0;
 };
 
 /// Reusable working storage for measure_dynamic_request_into: the scheduler
@@ -99,19 +95,6 @@ void measure_dynamic_request_into(
     const AvailabilityProfile& planning_profile, CoreCount physical_free_now,
     const PlanOptions& options, obs::Tracer* tracer, MeasureScratch& scratch,
     DelayMeasurement& out);
-
-/// Publishes the per-measurement "measure" trace event for an already
-/// computed measurement — byte-identical to the event
-/// measure_dynamic_request_into emits inline when given a tracer. Used by
-/// the scheduler's speculative parallel fan-out, which measures with the
-/// tracer detached (workers must not write to a shared sink) and replays
-/// the events in FIFO request order during the serial reduction.
-/// `json_scratch` is a reusable buffer for the delays array.
-void emit_measure_trace(const DynHold& hold, std::size_t protected_count,
-                        CoreCount physical_free_now,
-                        const DelayMeasurement& measurement,
-                        const PlanOptions& options, obs::Tracer* tracer,
-                        std::string& json_scratch);
 
 /// JSON array of measured delays — `[{"job": 4, "user": "bob",
 /// "delay_s": 30.5}, ...]` — for trace events and the decision audit.

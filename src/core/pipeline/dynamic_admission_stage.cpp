@@ -17,7 +17,6 @@
 #include "core/pipeline/prioritize_stage.hpp"
 #include "core/priority.hpp"
 #include "core/scheduler_config.hpp"
-#include "exec/thread_pool.hpp"
 #include "obs/registry.hpp"
 #include "obs/tracer.hpp"
 
@@ -34,78 +33,13 @@ const std::vector<double>& measure_depth_bounds() {
 
 }  // namespace
 
-std::size_t DynamicAdmissionStage::speculate_measurements(PipelineEnv& env,
-                                                          IterationContext& ctx,
-                                                          std::size_t begin) {
-  if (!ctx.measure_pool)
-    ctx.measure_pool =
-        std::make_unique<exec::ThreadPool>(env.config.measure_threads);
-  if (ctx.worker_scratch.size() < ctx.measure_pool->worker_count())
-    ctx.worker_scratch.resize(ctx.measure_pool->worker_count());
-  if (ctx.measure_slots.size() < ctx.requests.size())
-    ctx.measure_slots.resize(ctx.requests.size());
-
-  // Cap the batch: an early grant/steal/preemption invalidates everything
-  // measured after it, so bounding the fan-out bounds the wasted work when
-  // the grant rate is high.
-  const std::size_t cap = env.config.measure_threads * 4;
-  ctx.batch_indices.clear();
-  std::size_t end = begin;
-  for (; end < ctx.requests.size() && ctx.batch_indices.size() < cap; ++end) {
-    IterationContext::MeasureSlot& slot = ctx.measure_slots[end];
-    slot.live = false;
-    const rms::DynRequest& req = ctx.requests[end];
-    // Same staleness test the serial loop applies; stale entries get no
-    // slot and the consume step skips them the same way.
-    const rms::DynRequest* live = env.server.jobs().dyn_request_of(req.job);
-    if (live == nullptr || live->id != req.id) continue;
-    slot.hold = make_hold(env.server.job(req.job), req, ctx.measure_opts.now);
-    slot.live = true;
-    ctx.batch_indices.push_back(end);
-  }
-
-  // Workers only read the shared planning state (baseline / planning /
-  // protected set) and write their own slot + per-worker scratch. The
-  // tracer stays detached here; "measure" events are replayed in FIFO
-  // order by the consume step so the trace is bit-identical to serial.
-  const ReservationTable& baseline = ctx.baseline_plan.table;
-  ctx.measure_pool->parallel_for(
-      ctx.batch_indices.size(), [&](std::size_t task, std::size_t worker) {
-        IterationContext::MeasureSlot& slot =
-            ctx.measure_slots[ctx.batch_indices[task]];
-        measure_dynamic_request_into(slot.hold, ctx.prioritized,
-                                     ctx.protected_jobs, baseline, ctx.planning,
-                                     ctx.physical_free, ctx.measure_opts,
-                                     /*tracer=*/nullptr,
-                                     ctx.worker_scratch[worker], slot.result);
-      });
-  return end;
-}
-
 void DynamicAdmissionStage::run(PipelineEnv& env, IterationContext& ctx) {
   const Time now = ctx.now;
   obs::Tracer* tracer = ctx.sinks.tracer;
   ReservationTable& baseline = ctx.baseline_plan.table;
+  DelayMeasurement& m = ctx.measure;
 
-  // Any state change while consuming (grant, malleable steal, preemption)
-  // truncates the speculation batch — the not-yet-consumed results were
-  // measured against a state that no longer exists and are discarded, then
-  // re-measured. A rejection/deferral mutates only the request's own
-  // job/queue entry, never the planning state, so it keeps the batch
-  // valid. Consumed results are therefore exactly the measurements the
-  // serial loop would have produced.
-  const bool parallel_measure =
-      env.config.measure_threads > 1 && ctx.requests.size() > 1;
-  std::size_t next = 0;
-  std::size_t spec_end = 0;
-  while (next < ctx.requests.size()) {
-    if (parallel_measure && next >= spec_end)
-      spec_end = speculate_measurements(env, ctx, next);
-    bool state_changed = false;
-    while (next < ctx.requests.size() && !state_changed &&
-           (!parallel_measure || next < spec_end)) {
-    const std::size_t index = next++;
-    const rms::DynRequest& req = ctx.requests[index];
+  for (const rms::DynRequest& req : ctx.requests) {
     // A preemption earlier in this loop may have requeued the owner and
     // removed its request from the FIFO; skip such stale entries.
     const rms::DynRequest* live = env.server.jobs().dyn_request_of(req.job);
@@ -113,36 +47,44 @@ void DynamicAdmissionStage::run(PipelineEnv& env, IterationContext& ctx) {
     const rms::Job& owner = env.server.job(req.job);
     DBS_ASSERT(owner.state() == rms::JobState::DynQueued,
                "FIFO entry for a job that is not dynqueued");
-    // `m` points at the decision-relevant measurement: the speculated slot
-    // when one is valid, the serial scratch otherwise (and always after a
-    // steal/preemption re-measure).
-    DelayMeasurement* m = &ctx.measure;
-    DynHold hold;
-    if (parallel_measure) {
-      IterationContext::MeasureSlot& slot = ctx.measure_slots[index];
-      // Liveness cannot change between speculation and consumption without
-      // a state change, and a state change truncates the batch.
-      DBS_ASSERT(slot.live, "live request missing its speculated slot");
-      hold = slot.hold;
-      m = &slot.result;
-      // Workers measured without the tracer; replay the byte-identical
-      // "measure" event in FIFO position.
-      emit_measure_trace(hold, ctx.protected_jobs.size(), ctx.physical_free,
-                         *m, ctx.measure_opts, tracer, ctx.json_scratch);
-    } else {
-      hold = make_hold(owner, req, now);
+    const DynHold hold = make_hold(owner, req, now);
+    measure_dynamic_request_into(hold, ctx.prioritized, ctx.protected_jobs,
+                                 baseline, ctx.planning, ctx.physical_free,
+                                 ctx.measure_opts, tracer, ctx.measure_scratch,
+                                 m);
+    obs::lazy_histogram(*ctx.sinks.registry, ctx.measure_depth,
+                        "scheduler.delay_measure_depth", measure_depth_bounds())
+        .observe(static_cast<double>(m.delays.size()));
+
+    // After a steal or preemption freed `freed` cores: resync the idle
+    // count, re-plan on the patched profile and re-measure the request.
+    // Preempted victims are requeued, so they are re-prioritized too.
+    const auto remeasure = [&](CoreCount freed, bool requeued) {
+      // Live mode resyncs from the cluster; dry-run simulates the same
+      // ledger arithmetically (the victims free exactly `freed` cores).
+      ctx.physical_free = ctx.applier.dry_run()
+                              ? ctx.physical_free + freed
+                              : env.server.cluster().free_cores();
+      ctx.rebuild_planning_profile(env.config.dynamic_partition_cores);
+      if (requeued)
+        ctx.prioritized = env.priority.prioritize(
+            eligible_static_jobs(env.server, env.config), now);
+      plan_jobs_into(ctx.prioritized, ctx.planning, ctx.measure_opts,
+                     ctx.baseline_plan,
+                     env.config.incremental_planning ? &ctx.classify_cache
+                                                     : nullptr);
+      protected_subset_into(ctx.prioritized, baseline,
+                            env.config.reservation_delay_depth,
+                            ctx.protected_jobs);
       measure_dynamic_request_into(hold, ctx.prioritized, ctx.protected_jobs,
                                    baseline, ctx.planning, ctx.physical_free,
                                    ctx.measure_opts, tracer,
-                                   ctx.measure_scratch, ctx.measure);
-    }
-    obs::lazy_histogram(*ctx.sinks.registry, ctx.measure_depth,
-                        "scheduler.delay_measure_depth", measure_depth_bounds())
-        .observe(static_cast<double>(m->delays.size()));
+                                   ctx.measure_scratch, m);
+    };
 
     // Optional §II-B strategy (gentle): free cores by shrinking running
     // malleable jobs toward their minimum — no progress is lost.
-    if (!m->feasible && env.config.allow_malleable_steal) {
+    if (!m.feasible && env.config.allow_malleable_steal) {
       const std::vector<MalleableShrink> shrinks =
           plan_malleable_steal(env.server.jobs().running(), req.extra_cores,
                                ctx.physical_free, req.job);
@@ -163,31 +105,13 @@ void DynamicAdmissionStage::run(PipelineEnv& env, IterationContext& ctx) {
           freed += s.cores;
           ++ctx.stats.malleable_shrinks;
         }
-        state_changed = true;
-        // Live mode resyncs from the cluster; dry-run simulates the same
-        // ledger arithmetically (the shrink frees exactly `freed` cores).
-        ctx.physical_free = ctx.applier.dry_run()
-                                ? ctx.physical_free + freed
-                                : env.server.cluster().free_cores();
-        ctx.rebuild_planning_profile(env.config.dynamic_partition_cores);
-        plan_jobs_into(ctx.prioritized, ctx.planning, ctx.measure_opts,
-                       ctx.baseline_plan,
-                       env.config.incremental_planning ? &ctx.classify_cache
-                                                       : nullptr);
-        protected_subset_into(ctx.prioritized, baseline,
-                              env.config.reservation_delay_depth,
-                              ctx.protected_jobs);
-        measure_dynamic_request_into(hold, ctx.prioritized, ctx.protected_jobs,
-                                     baseline, ctx.planning, ctx.physical_free,
-                                     ctx.measure_opts, tracer,
-                                     ctx.measure_scratch, ctx.measure);
-        m = &ctx.measure;
+        remeasure(freed, /*requeued=*/false);
       }
     }
 
     // Optional §II-B strategy: free cores by preempting backfilled
     // preemptible jobs, then re-measure against the patched state.
-    if (!m->feasible && env.config.allow_preemption) {
+    if (!m.feasible && env.config.allow_preemption) {
       const std::vector<JobId> victims =
           select_preemption_victims(env.server.jobs().running(),
                                     req.extra_cores, ctx.physical_free,
@@ -209,25 +133,7 @@ void DynamicAdmissionStage::run(PipelineEnv& env, IterationContext& ctx) {
           freed += victim_cores;
           ++ctx.stats.preempted;
         }
-        state_changed = true;
-        ctx.physical_free = ctx.applier.dry_run()
-                                ? ctx.physical_free + freed
-                                : env.server.cluster().free_cores();
-        ctx.rebuild_planning_profile(env.config.dynamic_partition_cores);
-        ctx.prioritized = env.priority.prioritize(
-            eligible_static_jobs(env.server, env.config), now);
-        plan_jobs_into(ctx.prioritized, ctx.planning, ctx.measure_opts,
-                       ctx.baseline_plan,
-                       env.config.incremental_planning ? &ctx.classify_cache
-                                                       : nullptr);
-        protected_subset_into(ctx.prioritized, baseline,
-                              env.config.reservation_delay_depth,
-                              ctx.protected_jobs);
-        measure_dynamic_request_into(hold, ctx.prioritized, ctx.protected_jobs,
-                                     baseline, ctx.planning, ctx.physical_free,
-                                     ctx.measure_opts, tracer,
-                                     ctx.measure_scratch, ctx.measure);
-        m = &ctx.measure;
+        remeasure(freed, /*requeued=*/true);
       }
     }
 
@@ -235,11 +141,11 @@ void DynamicAdmissionStage::run(PipelineEnv& env, IterationContext& ctx) {
     // placements, not sufficient: the extra cores must also fit the
     // node-level free map.
     const bool placeable =
-        m->feasible && env.server.cluster().can_allocate_chunked(
+        m.feasible && env.server.cluster().can_allocate_chunked(
                            req.extra_cores, env.server.effective_ppn(owner));
 
     DfsVerdict verdict = DfsVerdict::Allowed;
-    if (placeable) verdict = env.dfs.admit(owner.spec().cred, m->delays);
+    if (placeable) verdict = env.dfs.admit(owner.spec().cred, m.delays);
 
     const bool granted = placeable && verdict == DfsVerdict::Allowed &&
                          ctx.applier.grant_dyn(req);
@@ -248,7 +154,7 @@ void DynamicAdmissionStage::run(PipelineEnv& env, IterationContext& ctx) {
     // violated rule) and the non-DFS reason when resources were the issue.
     std::string_view reason = "granted";
     if (!granted) {
-      if (!m->feasible)
+      if (!m.feasible)
         reason = "no-idle-resources";
       else if (!placeable)
         reason = "node-fragmentation";
@@ -261,10 +167,10 @@ void DynamicAdmissionStage::run(PipelineEnv& env, IterationContext& ctx) {
     if (granted) {
       // A dry-run must not consume DFS delay budget: the grant is not real
       // and the next live iteration will commit it itself.
-      if (!ctx.applier.dry_run()) env.dfs.commit(owner.spec().cred, m->delays);
+      if (!ctx.applier.dry_run()) env.dfs.commit(owner.spec().cred, m.delays);
       if (tracer != nullptr && tracer->enabled()) {
         ctx.json_scratch.clear();
-        delays_to_json(m->delays, ctx.json_scratch);
+        delays_to_json(m.delays, ctx.json_scratch);
         tracer->emit(obs::TraceEvent(now, "sched", "dyn_grant")
                          .field("job", req.job.value())
                          .field("request", req.id.value())
@@ -273,13 +179,11 @@ void DynamicAdmissionStage::run(PipelineEnv& env, IterationContext& ctx) {
                          .field_json("delays", ctx.json_scratch));
       }
       // Adopt the tentative state: the hold is now real. Swaps keep the
-      // measurement's storage alive for the next request (the slot or the
-      // serial scratch — whichever produced this decision).
+      // measurement's storage alive for the next request.
       ctx.physical.subtract(hold.from, hold.until, hold.extra_cores);
       ctx.physical_free -= hold.extra_cores;
-      std::swap(ctx.planning, m->profile_after);
-      std::swap(baseline, m->replanned);
-      state_changed = true;
+      std::swap(ctx.planning, m.profile_after);
+      std::swap(baseline, m.replanned);
       ++ctx.stats.dyn_granted;
     } else {
       DBS_TRACE("dyn request of job " << req.job.value()
@@ -289,7 +193,7 @@ void DynamicAdmissionStage::run(PipelineEnv& env, IterationContext& ctx) {
       const bool deferred = ctx.applier.reject_dyn(req, hint, reason);
       if (tracer != nullptr && tracer->enabled()) {
         ctx.json_scratch.clear();
-        delays_to_json(m->delays, ctx.json_scratch);
+        delays_to_json(m.delays, ctx.json_scratch);
         tracer->emit(
             obs::TraceEvent(now, "sched", deferred ? "dyn_defer" : "dyn_reject")
                 .field("job", req.job.value())
@@ -304,10 +208,6 @@ void DynamicAdmissionStage::run(PipelineEnv& env, IterationContext& ctx) {
       else
         ++ctx.stats.dyn_rejected;
     }
-    }
-    // Discard speculation measured against a state that no longer exists;
-    // the outer loop re-fans-out from the next unconsumed request.
-    if (state_changed) spec_end = next;
   }
 }
 

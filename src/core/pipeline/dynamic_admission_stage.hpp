@@ -1,7 +1,5 @@
 #pragma once
 
-#include <cstddef>
-
 #include "core/pipeline/stage.hpp"
 
 namespace dbs::core {
@@ -11,26 +9,10 @@ namespace dbs::core {
 /// to the protected jobs (optionally freeing cores first via malleable
 /// shrinking or preemption), consult the DFS policies, then emit a
 /// GrantDyn or RejectDyn decision through ctx.applier.
-///
-/// With measure_threads > 1 the expensive what-if measurements of a batch
-/// of upcoming requests are fanned across the thread pool against the
-/// *current* planning state; consumption stays strictly FIFO, and any
-/// state change truncates the batch, so decisions, trace events and DFS
-/// verdicts are bit-identical at every thread count.
 class DynamicAdmissionStage final : public Stage {
  public:
   [[nodiscard]] std::string_view name() const override { return "admission"; }
   void run(PipelineEnv& env, IterationContext& ctx) override;
-
- private:
-  /// Speculatively measures a batch of upcoming live dynamic requests
-  /// (starting at `begin`) in parallel against the current planning state,
-  /// filling ctx.measure_slots. Returns the exclusive end of the batch.
-  /// Only called with measure_threads > 1; results are only consumed while
-  /// the planning state they were measured against is still current (see
-  /// run()).
-  std::size_t speculate_measurements(PipelineEnv& env, IterationContext& ctx,
-                                     std::size_t begin);
 };
 
 }  // namespace dbs::core

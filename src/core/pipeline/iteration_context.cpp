@@ -2,7 +2,6 @@
 
 #include "core/partition.hpp"
 #include "core/physical_profile.hpp"
-#include "exec/thread_pool.hpp"
 
 namespace dbs::core {
 
@@ -15,9 +14,6 @@ const std::array<std::string_view, kStageCount>& stage_names() {
 
 IterationContext::IterationContext(rms::Server& server_ref)
     : server(server_ref), applier(server_ref) {}
-
-// Out of line for the unique_ptr<exec::ThreadPool> member.
-IterationContext::~IterationContext() = default;
 
 void IterationContext::begin_iteration(Time at, std::uint64_t iteration_number,
                                        bool dry_run) {

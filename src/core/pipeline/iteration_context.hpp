@@ -3,8 +3,8 @@
 // The IterationContext owns (a) the iteration-scoped values stages hand to
 // each other (prioritized jobs, plan options, the drain flag), (b) the
 // reusable scratch that used to live as MauiScheduler members so the hot
-// path allocates nothing after warm-up (profiles, plans, measurement
-// slots, JSON buffers), and (c) the wiring every stage needs: the
+// path allocates nothing after warm-up (profiles, plans, the measurement,
+// JSON buffers), and (c) the wiring every stage needs: the
 // DecisionApplier that executes decisions against the server and the
 // observability sinks. One context is created per scheduler and re-armed
 // by begin_iteration() for every pass.
@@ -12,7 +12,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -24,10 +23,6 @@
 #include "core/priority_cache.hpp"
 #include "obs/sinks.hpp"
 #include "rms/decision_applier.hpp"
-
-namespace dbs::exec {
-class ThreadPool;
-}
 
 namespace dbs::core {
 
@@ -65,9 +60,7 @@ struct IterationStats {
 };
 
 struct IterationContext {
-  // Constructor/destructor out of line for the ThreadPool member.
   explicit IterationContext(rms::Server& server_ref);
-  ~IterationContext();
 
   IterationContext(const IterationContext&) = delete;
   IterationContext& operator=(const IterationContext&) = delete;
@@ -128,22 +121,6 @@ struct IterationContext {
   DelayMeasurement measure;
   MeasureScratch measure_scratch;
   std::string json_scratch;
-
-  /// One per-request speculation slot: the hold plus the measurement taken
-  /// against the planning state of the current batch. Storage is reused
-  /// across batches and iterations, so after warm-up the parallel fan-out
-  /// allocates nothing (the _into kernels refill in place).
-  struct MeasureSlot {
-    bool live = false;  ///< request was live and measured this batch
-    DynHold hold;
-    DelayMeasurement result;
-  };
-  /// Lazily created pool (measure_threads > 1 only) + per-worker planning
-  /// scratches; per-request slots indexed like `requests`.
-  std::unique_ptr<exec::ThreadPool> measure_pool;
-  std::vector<MeasureScratch> worker_scratch;
-  std::vector<MeasureSlot> measure_slots;
-  std::vector<std::size_t> batch_indices;
 };
 
 }  // namespace dbs::core

@@ -15,8 +15,6 @@ void SchedulerConfig::validate() const {
   if (max_eligible_per_user)
     DBS_REQUIRE(*max_eligible_per_user > 0,
                 "per-user throttle must allow at least one job");
-  DBS_REQUIRE(measure_threads >= 1,
-              "MEASURETHREADS must allow at least one worker");
 }
 
 }  // namespace dbs::core

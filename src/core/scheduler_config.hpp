@@ -40,14 +40,6 @@ struct SchedulerConfig {
   /// Throttling policy: at most this many eligible queued jobs per user.
   std::optional<std::size_t> max_eligible_per_user;
 
-  /// Worker threads for the dynamic-request what-if measurements
-  /// (MEASURETHREADS). 1 (default) keeps the fully serial Algorithm 2
-  /// loop; > 1 speculatively fans the per-request measurements of one
-  /// iteration across a thread pool with a deterministic FIFO-ordered
-  /// reduction — decisions, trace events and DFS verdicts are
-  /// bit-identical to the serial path at every thread count.
-  std::size_t measure_threads = 1;
-
   /// Incremental planning (INCREMENTALPLANNING): O(Δ)-in-state-changes
   /// iterations. The physical profile is a persistent structure patched on
   /// job events instead of rebuilt from the running set; the planning

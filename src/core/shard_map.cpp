@@ -17,6 +17,10 @@ std::uint64_t fnv1a64(std::string_view s) {
 
 namespace {
 
+/// Exact 128-bit products for the least-loaded comparison (a GNU
+/// extension; `__extension__` keeps -Wpedantic quiet about it).
+__extension__ using u128 = unsigned __int128;
+
 /// Routing hash of a node index: the decimal digits fed through fnv1a64,
 /// so the assignment is stable and platform-independent.
 std::uint64_t hash_node(std::size_t node) {
@@ -149,13 +153,11 @@ std::size_t ShardRouter::route(const rms::JobSpec& spec) {
       for (std::size_t cand = 1; cand < count; ++cand) {
         const auto cap = [&](std::size_t s) {
           const cluster::ClusterSpec& c = map_->shard(s).cluster;
-          return static_cast<unsigned __int128>(c.node_count) *
-                 static_cast<unsigned __int128>(c.cores_per_node);
+          return static_cast<u128>(c.node_count) *
+                 static_cast<u128>(c.cores_per_node);
         };
-        const unsigned __int128 lhs =
-            static_cast<unsigned __int128>(routed_cores_[cand]) * cap(k);
-        const unsigned __int128 rhs =
-            static_cast<unsigned __int128>(routed_cores_[k]) * cap(cand);
+        const u128 lhs = static_cast<u128>(routed_cores_[cand]) * cap(k);
+        const u128 rhs = static_cast<u128>(routed_cores_[k]) * cap(cand);
         if (lhs < rhs) k = cand;
       }
       break;

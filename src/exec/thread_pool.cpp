@@ -10,18 +10,15 @@ namespace dbs::exec {
 
 namespace {
 
-/// The pool (and worker slot) the current thread is executing a task for —
-/// the reentrancy guard. Plain thread_local: one level is enough because
-/// nested calls run inline and keep the same slot.
+/// The pool the current thread is executing a task for — the reentrancy
+/// guard. Plain thread_local: one level is enough because nested calls run
+/// inline.
 thread_local const ThreadPool* tls_pool = nullptr;
-thread_local std::size_t tls_worker_slot = 0;
 
 }  // namespace
 
 struct ThreadPool::Batch {
-  const ThreadPool* owner = nullptr;
   std::size_t n = 0;
-  std::size_t grain = 1;             ///< indices claimed per fetch_add
   const Task* fn = nullptr;
   std::atomic<std::size_t> next{0};  ///< next unclaimed task index
   std::atomic<std::size_t> done{0};  ///< completed tasks
@@ -35,8 +32,8 @@ struct ThreadPool::Batch {
 ThreadPool::ThreadPool(std::size_t threads) {
   DBS_REQUIRE(threads >= 1, "thread pool needs at least one worker");
   threads_.reserve(threads - 1);
-  for (std::size_t slot = 1; slot < threads; ++slot)
-    threads_.emplace_back([this, slot] { worker_main(slot); });
+  for (std::size_t t = 1; t < threads; ++t)
+    threads_.emplace_back([this] { worker_main(); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -48,46 +45,34 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : threads_) t.join();
 }
 
-void ThreadPool::run_tasks(Batch& batch, std::size_t worker_slot) {
+void ThreadPool::run_tasks(Batch& batch) {
   // Scoped reentrancy guard: while this thread runs tasks for `batch` it is
-  // marked as belonging to the owning pool, so a nested parallel_for on the
-  // same pool is detected and inlined. Saving/restoring (instead of
-  // clearing) keeps the guard correct when pools nest across each other.
+  // marked as belonging to this pool, so a nested parallel_for on the same
+  // pool is detected and inlined. Saving/restoring (instead of clearing)
+  // keeps the guard correct when pools nest across each other.
   const ThreadPool* saved_pool = tls_pool;
-  const std::size_t saved_slot = tls_worker_slot;
-  tls_pool = batch.owner;
-  tls_worker_slot = worker_slot;
+  tls_pool = this;
   for (;;) {
-    // One claim takes `grain` consecutive indices; the chunk runs in index
-    // order so per-index semantics (error_index, determinism contracts)
-    // match grain == 1 exactly.
-    const std::size_t begin =
-        batch.next.fetch_add(batch.grain, std::memory_order_relaxed);
-    if (begin >= batch.n) break;
-    const std::size_t end = std::min(begin + batch.grain, batch.n);
-    for (std::size_t i = begin; i < end; ++i) {
-      try {
-        (*batch.fn)(i, worker_slot);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(batch.error_mutex);
-        if (i < batch.error_index) {
-          batch.error = std::current_exception();
-          batch.error_index = i;
-        }
+    const std::size_t i = batch.next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= batch.n) break;
+    try {
+      (*batch.fn)(i);
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(batch.error_mutex);
+      if (i < batch.error_index) {
+        batch.error = std::current_exception();
+        batch.error_index = i;
       }
     }
-    const std::size_t chunk = end - begin;
-    if (batch.done.fetch_add(chunk, std::memory_order_acq_rel) + chunk ==
-        batch.n) {
+    if (batch.done.fetch_add(1, std::memory_order_acq_rel) + 1 == batch.n) {
       std::lock_guard<std::mutex> lock(batch.done_mutex);
       batch.done_cv.notify_all();
     }
   }
   tls_pool = saved_pool;
-  tls_worker_slot = saved_slot;
 }
 
-void ThreadPool::worker_main(std::size_t worker_slot) {
+void ThreadPool::worker_main() {
   std::uint64_t seen_seq = 0;
   for (;;) {
     std::shared_ptr<Batch> batch;
@@ -101,58 +86,36 @@ void ThreadPool::worker_main(std::size_t worker_slot) {
     // A null batch means the region already finished (posted and drained
     // before this worker woke up); just go back to waiting.
     if (!batch) continue;
-    run_tasks(*batch, worker_slot);
+    run_tasks(*batch);
   }
 }
 
-void ThreadPool::parallel_for(std::size_t n, const Task& fn,
-                              std::size_t grain) {
+void ThreadPool::parallel_for(std::size_t n, const Task& fn) {
   DBS_REQUIRE(fn != nullptr, "parallel_for needs a body");
-  DBS_REQUIRE(grain >= 1, "parallel_for grain must be >= 1");
-  if (n == 0) return;
-
-  // Nested call from inside one of our own tasks, or a trivially small /
-  // single-threaded region: run inline on the current worker slot.
-  const bool nested = tls_pool == this;
-  if (nested || threads_.empty() || n == 1) {
-    const std::size_t slot = nested ? tls_worker_slot : 0;
-    std::exception_ptr first_error;
-    std::size_t first_error_index = std::numeric_limits<std::size_t>::max();
-    for (std::size_t i = 0; i < n; ++i) {
-      try {
-        fn(i, slot);
-      } catch (...) {
-        if (i < first_error_index) {
-          first_error = std::current_exception();
-          first_error_index = i;
-        }
-      }
-    }
-    if (first_error) std::rethrow_exception(first_error);
-    return;
-  }
-
   auto batch = std::make_shared<Batch>();
-  batch->owner = this;
   batch->n = n;
-  batch->grain = grain;
   batch->fn = &fn;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    batch_ = batch;
-    ++batch_seq_;
+  // A nested call from inside one of our own tasks, or a trivially small /
+  // single-threaded region, runs inline: the caller claims every index.
+  const bool fan_out = tls_pool != this && !threads_.empty() && n > 1;
+  if (fan_out) {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      batch_ = batch;
+      ++batch_seq_;
+    }
+    work_cv_.notify_all();
   }
-  work_cv_.notify_all();
 
-  // The caller works too (slot 0), then waits for stragglers.
-  run_tasks(*batch, 0);
-  {
-    std::unique_lock<std::mutex> lock(batch->done_mutex);
-    batch->done_cv.wait(lock, [&] {
-      return batch->done.load(std::memory_order_acquire) == batch->n;
-    });
-  }
-  {
+  // The caller works too, then waits for stragglers.
+  run_tasks(*batch);
+  if (fan_out) {
+    {
+      std::unique_lock<std::mutex> lock(batch->done_mutex);
+      batch->done_cv.wait(lock, [&] {
+        return batch->done.load(std::memory_order_acquire) == batch->n;
+      });
+    }
     // Detach so a late-waking worker (holding its own shared_ptr) finds an
     // exhausted batch rather than the next region's state.
     std::lock_guard<std::mutex> lock(mutex_);

@@ -1,20 +1,16 @@
 // Fixed-size worker pool with a fork-join `parallel_for` — the execution
-// substrate for the scheduler's speculative what-if measurements and the
-// batch layer's multi-replication experiment runner.
+// substrate for the batch layer's multi-replication experiment runner and
+// the sharded system's per-shard fan-out.
 //
 // Design constraints (why not std::async / TBB):
 //  - deterministic reductions: tasks are identified by index; callers
 //    collect per-index results and reduce them in index order, so the
 //    outcome never depends on which worker ran what;
-//  - per-thread scratch: the body receives the worker slot id in
-//    [0, worker_count()), letting callers keep one pre-allocated scratch
-//    object per slot (profile clones, plan buffers) so a hot fan-out
-//    allocates nothing after warm-up;
 //  - no dependencies: the container image only has the C++ toolchain.
 //
 // A pool of `threads` spawns `threads - 1` background workers; the calling
-// thread participates as worker slot 0, so ThreadPool(1) degenerates into a
-// plain inline loop with zero synchronization.
+// thread runs tasks too, so ThreadPool(1) degenerates into a plain inline
+// loop with zero synchronization.
 #pragma once
 
 #include <condition_variable>
@@ -36,25 +32,15 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Total worker slots, calling thread included.
+  /// Parallelism degree, calling thread included.
   [[nodiscard]] std::size_t worker_count() const { return threads_.size() + 1; }
 
-  /// The body of one task: `index` in [0, n), `worker` in
-  /// [0, worker_count()) identifying the executing slot (stable for the
-  /// duration of one task, distinct across concurrently running tasks).
-  using Task = std::function<void(std::size_t index, std::size_t worker)>;
+  /// The body of one task: `index` in [0, n).
+  using Task = std::function<void(std::size_t index)>;
 
   /// Runs `fn(0..n-1)` across the workers and returns when every task has
   /// finished. Indices are claimed dynamically (no static partition), so
   /// uneven task costs balance out. n == 0 returns immediately.
-  ///
-  /// `grain` >= 1 is the chunk size of one dynamic claim: a worker grabs
-  /// `grain` consecutive indices per fetch_add and runs them back to back.
-  /// The default (1) maximizes balancing; a larger grain amortizes the
-  /// claim + completion bookkeeping when tasks are tiny relative to an
-  /// atomic RMW (e.g. K small scheduler-shard iterations fanned out over a
-  /// wide pool), at the cost of coarser balancing. Within a chunk indices
-  /// run in order, so per-index determinism contracts are unaffected.
   ///
   /// Exceptions: if one or more tasks throw, the exception of the
   /// lowest-indexed failing task is rethrown on the caller (the rest are
@@ -64,16 +50,15 @@ class ThreadPool {
   /// Reentrancy: calling parallel_for from inside a task of the same pool
   /// would deadlock a classic fork-join pool (the worker would wait on
   /// itself). Here the nested call is detected and executed inline,
-  /// serially, on the calling worker — correct, just not extra-parallel.
-  void parallel_for(std::size_t n, const Task& fn, std::size_t grain = 1);
+  /// serially, on the calling thread — correct, just not extra-parallel.
+  void parallel_for(std::size_t n, const Task& fn);
 
-  /// Map convenience: returns `fn(i, worker)` for each index, in index
-  /// order. R must be default-constructible and movable.
+  /// Map convenience: returns `fn(i)` for each index, in index order. R
+  /// must be default-constructible and movable.
   template <class R, class F>
-  std::vector<R> parallel_map(std::size_t n, F&& fn, std::size_t grain = 1) {
+  std::vector<R> parallel_map(std::size_t n, F&& fn) {
     std::vector<R> out(n);
-    parallel_for(
-        n, [&](std::size_t i, std::size_t w) { out[i] = fn(i, w); }, grain);
+    parallel_for(n, [&](std::size_t i) { out[i] = fn(i); });
     return out;
   }
 
@@ -82,8 +67,8 @@ class ThreadPool {
   /// late-waking worker can still safely observe an already-finished batch.
   struct Batch;
 
-  void worker_main(std::size_t worker_slot);
-  static void run_tasks(Batch& batch, std::size_t worker_slot);
+  void worker_main();
+  void run_tasks(Batch& batch);
 
   std::vector<std::thread> threads_;
   std::mutex mutex_;

@@ -1,72 +1,10 @@
 #include "rms/job.hpp"
 
-#include <new>
 #include <utility>
-#include <vector>
 
 #include "common/assert.hpp"
 
-#if defined(__SANITIZE_ADDRESS__)
-#define DBS_JOB_POOL_DISABLED 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define DBS_JOB_POOL_DISABLED 1
-#endif
-#endif
-
 namespace dbs::rms {
-
-namespace {
-
-/// Per-thread freelist of Job-sized blocks. Capped so an allocation burst
-/// (e.g. a full queue draining at simulation end) does not pin memory
-/// forever; blocks are genuinely freed at thread exit.
-struct JobPool {
-  std::vector<void*> blocks;
-  ~JobPool() {
-    for (void* p : blocks) ::operator delete(p);
-  }
-};
-
-constexpr std::size_t kJobPoolCap = 4096;
-
-JobPool& job_pool() {
-  thread_local JobPool pool;
-  return pool;
-}
-
-}  // namespace
-
-void* Job::operator new(std::size_t size) {
-#ifndef DBS_JOB_POOL_DISABLED
-  if (size == sizeof(Job)) {
-    auto& pool = job_pool();
-    if (!pool.blocks.empty()) {
-      void* p = pool.blocks.back();
-      pool.blocks.pop_back();
-      return p;
-    }
-  }
-#endif
-  return ::operator new(size);
-}
-
-void Job::operator delete(void* p, std::size_t size) noexcept {
-#ifndef DBS_JOB_POOL_DISABLED
-  if (p != nullptr && size == sizeof(Job)) {
-    auto& pool = job_pool();
-    if (pool.blocks.size() < kJobPoolCap) {
-      pool.blocks.push_back(p);
-      return;
-    }
-  }
-#endif
-  ::operator delete(p);
-}
-
-// Unsized fallback: pooled blocks all come from ::operator new, so
-// releasing one here (without recycling) is still correct.
-void Job::operator delete(void* p) noexcept { ::operator delete(p); }
 
 std::string_view to_string(JobState s) {
   switch (s) {

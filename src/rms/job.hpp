@@ -1,7 +1,6 @@
 // Job records kept by the server.
 #pragma once
 
-#include <cstddef>
 #include <memory>
 #include <optional>
 #include <string>
@@ -67,16 +66,6 @@ class Job {
 
   Job(const Job&) = delete;
   Job& operator=(const Job&) = delete;
-
-  /// Job storage is pooled: streaming replay churns through millions of
-  /// short-lived records, and the allocator round-trip would dominate the
-  /// submit/retire hot path. Blocks are recycled through a per-thread
-  /// freelist (each ParallelRunner replication runs single-threaded, so
-  /// thread_local is race-free). Disabled under ASan so use-after-retire
-  /// stays detectable.
-  static void* operator new(std::size_t size);
-  static void operator delete(void* p, std::size_t size) noexcept;
-  static void operator delete(void* p) noexcept;
 
   [[nodiscard]] JobId id() const { return id_; }
   [[nodiscard]] const JobSpec& spec() const { return spec_; }

@@ -13,11 +13,7 @@ std::string shard_state_dir(const std::string& base, std::size_t k) {
 ShardedService::ShardedService(batch::ShardedSystem& system,
                                IngestQueue& ingest,
                                const ServiceConfig& config)
-    : system_(system),
-      ingest_(ingest),
-      config_(config),
-      pool_(system.shard_config().threads >= 1 ? system.shard_config().threads
-                                               : 1) {
+    : system_(system), ingest_(ingest), config_(config) {
   const std::size_t count = system_.shard_count();
   queues_.reserve(count);
   loops_.reserve(count);
@@ -40,12 +36,9 @@ bool ShardedService::open() {
               "open() is only meaningful with a state_dir");
   // Per-shard parallel recovery: every shard restores its own snapshot and
   // replays its own WAL tail; the shards touch disjoint state.
-  const std::vector<char> had = pool_.parallel_map<char>(
+  const std::vector<char> had = system_.pool().parallel_map<char>(
       loops_.size(),
-      [&](std::size_t k, std::size_t) {
-        return static_cast<char>(loops_[k]->open());
-      },
-      system_.shard_config().grain);
+      [&](std::size_t k) { return static_cast<char>(loops_[k]->open()); });
   std::vector<std::uint64_t> cores(loops_.size(), 0);
   std::vector<std::uint64_t> jobs(loops_.size(), 0);
   for (std::size_t k = 0; k < loops_.size(); ++k) {
@@ -75,9 +68,8 @@ void ShardedService::route_pending() {
 
 void ShardedService::tick() {
   route_pending();
-  pool_.parallel_for(
-      loops_.size(), [&](std::size_t k, std::size_t) { loops_[k]->tick(); },
-      system_.shard_config().grain);
+  system_.pool().parallel_for(loops_.size(),
+                              [&](std::size_t k) { loops_[k]->tick(); });
   ++ticks_;
 }
 

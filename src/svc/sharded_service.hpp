@@ -3,9 +3,9 @@
 //
 // Layout: the driver thread drains the global queue (total ticket order),
 // routes every submission to its shard, and pushes it into that shard's
-// private IngestQueue; then all K shard loops tick concurrently on a
-// thread pool. Each shard owns its whole world — simulator, WAL
-// (state_dir/shard-K/), snapshots, metrics registry — so the fan-out
+// private IngestQueue; then all K shard loops tick concurrently on the
+// ShardedSystem's thread pool. Each shard owns its whole world — simulator,
+// WAL (state_dir/shard-K/), snapshots, metrics registry — so the fan-out
 // shares nothing mutable and a run at any thread count produces the same
 // per-shard WAL bytes, decision streams and metrics as ticking the loops
 // one after another.
@@ -87,7 +87,6 @@ class ShardedService {
   batch::ShardedSystem& system_;
   IngestQueue& ingest_;
   ServiceConfig config_;
-  exec::ThreadPool pool_;
   std::vector<std::unique_ptr<IngestQueue>> queues_;
   std::vector<std::unique_ptr<ServiceLoop>> loops_;
   std::vector<IngestRecord> route_buf_;

@@ -58,7 +58,6 @@ PREEMPTION            ON
 MALLEABLESTEAL        ON
 DYNPARTITION          8
 MAXJOBSPERUSER        4
-MEASURETHREADS        4
 STAGETIMING           ON
 ALLOCATIONPOLICY      SPREAD
 )");
@@ -73,17 +72,8 @@ ALLOCATIONPOLICY      SPREAD
   EXPECT_TRUE(config.allow_malleable_steal);
   EXPECT_EQ(config.dynamic_partition_cores, 8);
   EXPECT_EQ(config.max_eligible_per_user, 4u);
-  EXPECT_EQ(config.measure_threads, 4u);
   EXPECT_TRUE(config.stage_timing);
   EXPECT_EQ(config.allocation_policy, cluster::AllocationPolicy::Spread);
-}
-
-TEST(MauiConfig, MeasureThreadsRejectsNonPositive) {
-  const ParseResult zero = parse_maui_config("MEASURETHREADS 0\n");
-  ASSERT_EQ(zero.issues.size(), 1u);
-  EXPECT_EQ(zero.config.measure_threads, 1u);  // default preserved
-  const ParseResult bogus = parse_maui_config("MEASURETHREADS abc\n");
-  ASSERT_EQ(bogus.issues.size(), 1u);
 }
 
 TEST(MauiConfig, FairshareAndCredSettings) {

@@ -1,12 +1,11 @@
 // The parallel execution layer's central guarantee: thread count is a pure
-// performance knob. Multi-replication runs (batch::ParallelRunner) and the
-// scheduler's internal what-if fan-out (measure_threads) must produce
-// results byte-identical to their serial counterparts.
+// performance knob. Multi-replication runs (batch::ParallelRunner) must
+// produce results byte-identical to their serial counterparts.
 //
-// Host-time exemption: the `scheduler.iteration_us` histogram and the
-// `wall_us` field of "iteration" trace events record real wall-clock time
-// and are never deterministic, serial or not. Comparisons below drop
-// exactly those lines; everything else must match byte for byte.
+// Host-time exemption: the `scheduler.iteration_us` histogram records real
+// wall-clock time and is never deterministic, serial or not. Comparisons
+// below drop exactly those lines; everything else must match byte for
+// byte.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -17,8 +16,6 @@
 #include "batch/parallel_runner.hpp"
 #include "common/rng.hpp"
 #include "obs/registry.hpp"
-#include "obs/tracer.hpp"
-#include "workload/synthetic.hpp"
 
 namespace dbs::batch {
 namespace {
@@ -115,77 +112,6 @@ TEST(ParallelRunner, SeedSweepIsThreadCountInvariant) {
   for (std::size_t i = 1; i < serial.size(); ++i)
     any_difference |= serial[i].summary.avg_wait != serial[0].summary.avg_wait;
   EXPECT_TRUE(any_difference);
-}
-
-/// Runs an evolving-heavy synthetic workload with the given scheduler
-/// fan-out width; returns the metrics JSON and the full event trace.
-struct MeasureRun {
-  std::string metrics;
-  std::string trace;
-  std::size_t satisfied = 0;
-};
-
-MeasureRun run_with_measure_threads(std::size_t measure_threads) {
-  wl::SyntheticParams wp;
-  wp.job_count = 200;
-  wp.total_cores = 128;
-  wp.evolving_fraction = 0.5;
-  wp.seed = 9;
-  SystemConfig cfg;
-  cfg.cluster.node_count = 16;
-  cfg.cluster.cores_per_node = 8;
-  cfg.scheduler.reservation_depth = 5;
-  cfg.scheduler.reservation_delay_depth = 5;
-  cfg.scheduler.dfs.policy = core::DfsPolicy::TargetDelay;
-  cfg.scheduler.dfs.defaults.target_delay = Duration::seconds(600);
-  cfg.scheduler.measure_threads = measure_threads;
-
-  BatchSystem system(cfg);
-  obs::Registry registry;
-  std::ostringstream trace_stream;
-  obs::Tracer tracer;
-  tracer.attach_stream(trace_stream, obs::TraceFormat::Jsonl);
-  system.set_sinks({&tracer, &registry});
-  system.submit_workload(wl::generate_synthetic(wp));
-  system.run();
-  tracer.close();
-
-  MeasureRun out;
-  out.metrics = registry.to_json();
-  out.trace = trace_stream.str();
-  out.satisfied = metrics::summarize(system.recorder()).satisfied_dyn_jobs;
-  return out;
-}
-
-TEST(MeasureThreads, FourThreadsMatchSerialByteForByte) {
-  const MeasureRun serial = run_with_measure_threads(1);
-  const MeasureRun parallel = run_with_measure_threads(4);
-
-  EXPECT_EQ(serial.satisfied, parallel.satisfied);
-  EXPECT_GT(serial.satisfied, 0u);
-  // Metrics: identical except the host-time iteration_us histogram.
-  EXPECT_EQ(drop_lines(serial.metrics, "iteration_us"),
-            drop_lines(parallel.metrics, "iteration_us"));
-  // Trace: every event byte-identical — including each per-request
-  // "measure" event (replayed in FIFO order from the speculative results)
-  // and every dyn_grant/dyn_reject/dyn_defer decision — except the
-  // "iteration" events' wall_us field.
-  const std::string serial_events = drop_lines(serial.trace, "wall_us");
-  const std::string parallel_events = drop_lines(parallel.trace, "wall_us");
-  EXPECT_EQ(serial_events, parallel_events);
-  // Sanity: the comparison actually covers measurement + decision events.
-  EXPECT_NE(serial_events.find("\"measure\""), std::string::npos);
-  EXPECT_NE(serial_events.find("dyn_grant"), std::string::npos);
-  EXPECT_NE(serial_events.find("dyn_reject"), std::string::npos);
-}
-
-TEST(MeasureThreads, OddThreadCountAlsoMatches) {
-  const MeasureRun serial = run_with_measure_threads(1);
-  const MeasureRun parallel = run_with_measure_threads(3);
-  EXPECT_EQ(drop_lines(serial.metrics, "iteration_us"),
-            drop_lines(parallel.metrics, "iteration_us"));
-  EXPECT_EQ(drop_lines(serial.trace, "wall_us"),
-            drop_lines(parallel.trace, "wall_us"));
 }
 
 TEST(ReplicationSeed, StableAndWellSpread) {

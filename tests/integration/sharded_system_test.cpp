@@ -156,8 +156,8 @@ TEST(ShardedSystem, ByteIdenticalAcrossThreadCounts) {
 TEST(ShardedSystem, EveryJobLandsOnExactlyOneShard) {
   const ShardedRun run = run_sharded(2, /*streaming=*/false);
   std::uint64_t routed = 0;
-  std::int64_t submitted = 0;
-  std::int64_t completed = 0;
+  std::size_t submitted = 0;
+  std::size_t completed = 0;
   for (std::size_t k = 0; k < run.routed_jobs.size(); ++k) {
     routed += run.routed_jobs[k];
     submitted += run.shard_summaries[k].jobs_submitted;
@@ -166,8 +166,8 @@ TEST(ShardedSystem, EveryJobLandsOnExactlyOneShard) {
     EXPECT_GT(run.routed_jobs[k], 0u) << k;
   }
   EXPECT_EQ(routed, 160u);
-  EXPECT_EQ(submitted, 160);
-  EXPECT_EQ(completed, 160);
+  EXPECT_EQ(submitted, 160u);
+  EXPECT_EQ(completed, 160u);
   EXPECT_EQ(run.merged.jobs_submitted, 160);
   EXPECT_EQ(run.merged.jobs_completed, 160);
 }

@@ -57,7 +57,9 @@ TEST_P(SimProperty, EventStormFiresInOrderExactlyOnce) {
     EXPECT_EQ(f.at, times[static_cast<std::size_t>(f.id)]);
     // Monotonic time; FIFO (insertion order) within equal timestamps.
     EXPECT_GE(f.at, previous);
-    if (f.at == previous) EXPECT_GT(f.id, previous_id);
+    if (f.at == previous) {
+      EXPECT_GT(f.id, previous_id);
+    }
     previous = f.at;
     previous_id = f.id;
   }

@@ -147,7 +147,8 @@ TEST(EventQueue, CompactionShedsTombstones) {
         q.push(Time::from_seconds(i + 1), [&fired, i] { fired.push_back(i); }));
   // Cancel all but the last: once tombstones pass 50% of the heap the
   // queue must rebuild and drop them without waiting for pops.
-  for (int i = 0; i < kEvents - 1; ++i) EXPECT_TRUE(q.cancel(ids[i]));
+  for (std::size_t i = 0; i + 1 < ids.size(); ++i)
+    EXPECT_TRUE(q.cancel(ids[i]));
   EXPECT_GE(q.compactions(), 1u);
   // Compaction is amortized: tombstones may linger below the rebuild
   // floor, but never anywhere near the 199 cancelled here.

@@ -23,7 +23,9 @@ TEST(EspTable, EvolvingTypesMatchPaper) {
     const bool expected = t.letter == 'F' || t.letter == 'G' ||
                           t.letter == 'H' || t.letter == 'I' || t.letter == 'J';
     EXPECT_EQ(t.evolving, expected) << t.letter;
-    if (t.evolving) EXPECT_EQ(t.user, "user06");
+    if (t.evolving) {
+      EXPECT_EQ(t.user, "user06");
+    }
   }
 }
 
@@ -137,8 +139,12 @@ TEST(GenerateEsp, SmallerMachineScalesSizes) {
   p.total_cores = 120;  // the paper's 15-node cluster
   const Workload wl = generate_esp(p);
   for (const auto& j : wl.jobs) {
-    if (j.spec.type_tag == "Z") EXPECT_EQ(j.spec.cores, 120);
-    if (j.spec.type_tag == "A") EXPECT_EQ(j.spec.cores, 4);  // round(3.75)
+    if (j.spec.type_tag == "Z") {
+      EXPECT_EQ(j.spec.cores, 120);
+    }
+    if (j.spec.type_tag == "A") {
+      EXPECT_EQ(j.spec.cores, 4);  // round(3.75)
+    }
   }
 }
 

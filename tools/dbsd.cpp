@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -47,6 +48,8 @@
 #include "svc/service_loop.hpp"
 #include "svc/sharded_service.hpp"
 #include "workload/swf/swf_source.hpp"
+
+#include "flag_value.hpp"
 
 using namespace dbs;
 
@@ -78,6 +81,10 @@ int usage(const char* argv0, int code) {
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    std::cerr << "cannot open " << path << "\n";
+    std::exit(1);
+  }
   return std::string(std::istreambuf_iterator<char>(in), {});
 }
 
@@ -132,22 +139,38 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    const auto int_value = [&](std::int64_t min,
+                               std::int64_t max = tools::kNoMax) {
+      const auto v = tools::int_flag(arg, next(), min, max);
+      if (!v) std::exit(usage(argv[0], 2));
+      return *v;
+    };
+    const auto count = [&](std::int64_t min) {
+      return static_cast<std::uint64_t>(int_value(min));
+    };
     if (arg == "--swf") swf_path = next();
     else if (arg == "--state-dir") state_dir = next();
     else if (arg == "--config") config_path = next();
-    else if (arg == "--nodes") nodes = std::stoul(next());
-    else if (arg == "--cores-per-node") cores_per_node = std::stoi(next());
-    else if (arg == "--snapshot-every") snapshot_every = std::stoull(next());
-    else if (arg == "--tick-ms") tick_ms = std::stoll(next());
-    else if (arg == "--throttle-ms") throttle_ms = std::stoll(next());
-    else if (arg == "--max-jobs") max_jobs = std::stoull(next());
-    else if (arg == "--max-ticks") max_ticks = std::stoull(next());
-    else if (arg == "--swf-overlay-dynamic") overlay_pct = std::stod(next());
-    else if (arg == "--swf-seed") overlay_seed = std::stoull(next());
+    else if (arg == "--nodes") nodes = count(0);
+    else if (arg == "--cores-per-node")
+      cores_per_node = static_cast<CoreCount>(
+          int_value(1, std::numeric_limits<CoreCount>::max()));
+    else if (arg == "--snapshot-every") snapshot_every = count(0);
+    // Duration::millis must not overflow its microsecond count.
+    else if (arg == "--tick-ms") tick_ms = int_value(1, tools::kNoMax / 1000);
+    else if (arg == "--throttle-ms") throttle_ms = int_value(0);
+    else if (arg == "--max-jobs") max_jobs = count(0);
+    else if (arg == "--max-ticks") max_ticks = count(0);
+    else if (arg == "--swf-overlay-dynamic") {
+      const auto pct = tools::double_flag(arg, next(), 0, 100);
+      if (!pct) return usage(argv[0], 2);
+      overlay_pct = *pct;
+    }
+    else if (arg == "--swf-seed") overlay_seed = count(0);
     else if (arg == "--summary-json") summary_json = next();
     else if (arg == "--quiet") quiet = true;
-    else if (arg == "--shards") shards = std::stoul(next());
-    else if (arg == "--shard-threads") shard_threads = std::stoul(next());
+    else if (arg == "--shards") shards = count(1);
+    else if (arg == "--shard-threads") shard_threads = count(1);
     else if (arg == "--shard-by") {
       const std::string by = next();
       if (by == "hash" || by == "user") shard_by = core::RoutePolicy::UserHash;
@@ -177,14 +200,6 @@ int main(int argc, char** argv) {
     }
   }
   if (swf_path.empty()) return usage(argv[0], 2);
-  if (tick_ms <= 0) {
-    std::cerr << "--tick-ms must be >= 1\n";
-    return 2;
-  }
-  if (shards < 1 || shard_threads < 1) {
-    std::cerr << "--shards and --shard-threads must be >= 1\n";
-    return 2;
-  }
 
   std::ifstream swf_in(swf_path, std::ios::binary);
   if (!swf_in) {

@@ -5,8 +5,7 @@
 //           [--csv waits.csv]
 //           [--trace-out events.jsonl] [--trace-format jsonl|chrome]
 //           [--metrics-json metrics.json] [--record-out run.dbsr]
-//           [--replications R] [--jobs N]
-//           [--measure-threads M] [--stage-breakdown]
+//           [--replications R] [--jobs N] [--stage-breakdown]
 //           [--shards K] [--shard-by hash|user|partition|least]
 //           [--shard-map range|hash] [--shard-threads T]
 //
@@ -26,9 +25,6 @@
 // independent replications (isolated simulator + registry each) and
 // --jobs N executes them on N threads; the merged metrics snapshot is
 // byte-identical for every N (the trace goes to replication 0 only).
-// --measure-threads M sets the scheduler's internal what-if measurement
-// parallelism (MEASURETHREADS), overriding the config file; decisions are
-// bit-identical at every M.
 //
 // Sharded scheduling: --shards K partitions the cluster's nodes into K
 // shards (--shard-map range|hash), each scheduled by its own independent
@@ -48,6 +44,7 @@
 // per-stage wall time of a scheduler iteration after the run.
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -68,6 +65,8 @@
 #include "workload/swf/swf_source.hpp"
 #include "workload/trace.hpp"
 
+#include "flag_value.hpp"
+
 using namespace dbs;
 
 namespace {
@@ -79,8 +78,7 @@ int usage(const char* argv0, int code) {
                "       [--csv FILE]\n"
                "       [--trace-out FILE] [--trace-format jsonl|chrome]\n"
                "       [--metrics-json FILE|-] [--record-out FILE]\n"
-               "       [--replications R] [--jobs N]\n"
-               "       [--measure-threads M] [--stage-breakdown]\n"
+               "       [--replications R] [--jobs N] [--stage-breakdown]\n"
                "       [--swf-window N] [--swf-overlay-dynamic PCT]\n"
                "       [--swf-seed S] [--swf-policy skip|strict]\n"
                "       [--swf-materialize] [--serve]\n"
@@ -148,7 +146,6 @@ int main(int argc, char** argv) {
   bool stage_breakdown = false;
   std::size_t replications = 1;
   std::size_t run_jobs = 1;
-  std::size_t measure_threads = 0;  // 0: keep the config-file value
   std::size_t shards = 1;
   std::size_t shard_threads = 1;
   core::RoutePolicy shard_by = core::RoutePolicy::UserHash;
@@ -160,12 +157,23 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) std::exit(usage(argv[0], 2));
       return argv[++i];
     };
+    const auto int_value = [&](std::int64_t min,
+                               std::int64_t max = tools::kNoMax) {
+      const auto v = tools::int_flag(arg, next(), min, max);
+      if (!v) std::exit(usage(argv[0], 2));
+      return *v;
+    };
     if (arg == "--trace") trace_path = next();
     else if (arg == "--swf") swf_path = next();
     else if (arg == "--swf-window")
-      swf_window = static_cast<std::size_t>(std::stoul(next()));
-    else if (arg == "--swf-overlay-dynamic") swf_overlay_pct = std::stod(next());
-    else if (arg == "--swf-seed") swf_seed = std::stoull(next());
+      swf_window = static_cast<std::size_t>(int_value(1));
+    else if (arg == "--swf-overlay-dynamic") {
+      const auto pct = tools::double_flag(arg, next(), 0, 100);
+      if (!pct) return usage(argv[0], 2);
+      swf_overlay_pct = *pct;
+    }
+    else if (arg == "--swf-seed")
+      swf_seed = static_cast<std::uint64_t>(int_value(0));
     else if (arg == "--swf-policy") {
       const std::string policy = next();
       if (policy == "strict") swf_strict = true;
@@ -179,8 +187,10 @@ int main(int argc, char** argv) {
     else if (arg == "--swf-materialize") swf_materialize = true;
     else if (arg == "--serve") serve = true;
     else if (arg == "--config") config_path = next();
-    else if (arg == "--nodes") nodes = static_cast<std::size_t>(std::stoul(next()));
-    else if (arg == "--cores-per-node") cores_per_node = std::stoi(next());
+    else if (arg == "--nodes") nodes = static_cast<std::size_t>(int_value(0));
+    else if (arg == "--cores-per-node")
+      cores_per_node = static_cast<CoreCount>(
+          int_value(1, std::numeric_limits<CoreCount>::max()));
     else if (arg == "--qstat") qstat = true;
     else if (arg == "--dry-run-iteration") dry_run_iteration = true;
     else if (arg == "--stage-breakdown") stage_breakdown = true;
@@ -197,15 +207,13 @@ int main(int argc, char** argv) {
     else if (arg == "--metrics-json") metrics_json_path = next();
     else if (arg == "--record-out") record_out_path = next();
     else if (arg == "--replications")
-      replications = static_cast<std::size_t>(std::stoul(next()));
+      replications = static_cast<std::size_t>(int_value(1));
     else if (arg == "--jobs")
-      run_jobs = static_cast<std::size_t>(std::stoul(next()));
-    else if (arg == "--measure-threads")
-      measure_threads = static_cast<std::size_t>(std::stoul(next()));
+      run_jobs = static_cast<std::size_t>(int_value(1));
     else if (arg == "--shards")
-      shards = static_cast<std::size_t>(std::stoul(next()));
+      shards = static_cast<std::size_t>(int_value(1));
     else if (arg == "--shard-threads")
-      shard_threads = static_cast<std::size_t>(std::stoul(next()));
+      shard_threads = static_cast<std::size_t>(int_value(1));
     else if (arg == "--shard-by") {
       const std::string by = next();
       if (by == "hash" || by == "user") shard_by = core::RoutePolicy::UserHash;
@@ -250,14 +258,6 @@ int main(int argc, char** argv) {
                    "streaming path folds finished jobs into aggregates)\n";
       return 2;
     }
-    if (swf_window == 0) {
-      std::cerr << "--swf-window must be >= 1\n";
-      return 2;
-    }
-    if (swf_overlay_pct < 0.0 || swf_overlay_pct > 100.0) {
-      std::cerr << "--swf-overlay-dynamic must be a percentage in [0, 100]\n";
-      return 2;
-    }
     if (serve && swf_materialize) {
       std::cerr << "--serve uses the streaming ingest path; drop "
                    "--swf-materialize\n";
@@ -266,10 +266,6 @@ int main(int argc, char** argv) {
   }
   if (serve && swf_path.empty()) {
     std::cerr << "--serve requires --swf\n";
-    return 2;
-  }
-  if (replications < 1 || run_jobs < 1) {
-    std::cerr << "--replications and --jobs must be >= 1\n";
     return 2;
   }
   // `-` conventionally means stdout; the recorder writes an indexed binary
@@ -284,10 +280,6 @@ int main(int argc, char** argv) {
   if ((qstat || dry_run_iteration) && replications > 1) {
     std::cerr << "--qstat and --dry-run-iteration are only supported with "
                  "--replications 1\n";
-    return 2;
-  }
-  if (shards < 1 || shard_threads < 1) {
-    std::cerr << "--shards and --shard-threads must be >= 1\n";
     return 2;
   }
   if (shards > 1) {
@@ -356,8 +348,6 @@ int main(int argc, char** argv) {
     nodes = static_cast<std::size_t>((total + cores_per_node - 1) /
                                      cores_per_node);
   }
-  if (measure_threads > 0)
-    system_config.scheduler.measure_threads = measure_threads;
   // Operator tooling always records the per-stage breakdown; the span
   // overhead only matters in benchmark hot loops.
   system_config.scheduler.stage_timing = true;

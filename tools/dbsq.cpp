@@ -26,6 +26,8 @@
 #include "obs/recorder/reader.hpp"
 #include "obs/recorder/recorder.hpp"
 
+#include "flag_value.hpp"
+
 using namespace dbs;
 
 namespace {
@@ -108,17 +110,28 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) std::exit(usage(argv[0], 2));
       return argv[++i];
     };
+    const auto int_value = [&](std::int64_t min) {
+      const auto v = tools::int_flag(arg, next(), min);
+      if (!v) std::exit(usage(argv[0], 2));
+      return *v;
+    };
+    // Seconds; the bound keeps them inside int64 microseconds.
+    const auto seconds = [&] {
+      const auto v = tools::double_flag(arg, next(), 0, 9.2e12);
+      if (!v) std::exit(usage(argv[0], 2));
+      return *v;
+    };
     if (arg == "--job") {
-      job = std::stoull(next());
+      job = static_cast<std::uint64_t>(int_value(0));
       have_job = true;
     } else if (arg == "--from") {
-      from_s = std::stod(next());
+      from_s = seconds();
       have_from = true;
     } else if (arg == "--to") {
-      to_s = std::stod(next());
+      to_s = seconds();
       have_to = true;
     } else if (arg == "--metric") metric = next();
-    else if (arg == "--bucket") bucket_s = std::stoll(next());
+    else if (arg == "--bucket") bucket_s = int_value(1);
     else if (arg == "--format") format = next();
     else if (arg == "--trace") trace_path = next();
     else return usage(argv[0], 2);
@@ -165,10 +178,6 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (command == "timeline") {
-    if (bucket_s <= 0) {
-      std::cerr << "--bucket must be positive\n";
-      return 2;
-    }
     if (format != "json" && format != "csv") {
       std::cerr << "unknown format '" << format << "'\n";
       return 2;

@@ -12,13 +12,16 @@
 
 #include "workload/swf/swf_gen.hpp"
 
+#include "flag_value.hpp"
+
 namespace {
 
-void usage() {
+int usage(int code) {
   std::cerr
       << "usage: swfgen [--jobs N] [--seed S] [--max-procs P] [--users U]\n"
          "              [--mean-interarrival SEC] [--min-run SEC]\n"
          "              [--run-spread SEC] [--out FILE]\n";
+  return code;
 }
 
 }  // namespace
@@ -29,35 +32,37 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        usage();
-        std::exit(2);
-      }
+      if (i + 1 >= argc) std::exit(usage(2));
       return argv[++i];
     };
+    // The generator divides by the interarrival mean, the user count and
+    // the runtime spread, and a machine needs a processor: those start at 1.
+    const auto count = [&](std::int64_t min) {
+      const auto v = dbs::tools::int_flag(arg, next(), min);
+      if (!v) std::exit(usage(2));
+      return static_cast<std::uint64_t>(*v);
+    };
     if (arg == "--jobs") {
-      params.jobs = std::stoull(next());
+      params.jobs = count(0);
     } else if (arg == "--seed") {
-      params.seed = std::stoull(next());
+      params.seed = count(0);
     } else if (arg == "--max-procs") {
-      params.max_procs = std::stoull(next());
+      params.max_procs = count(1);
     } else if (arg == "--users") {
-      params.users = std::stoull(next());
+      params.users = count(1);
     } else if (arg == "--mean-interarrival") {
-      params.mean_interarrival_s = std::stoull(next());
+      params.mean_interarrival_s = count(1);
     } else if (arg == "--min-run") {
-      params.min_run_s = std::stoull(next());
+      params.min_run_s = count(0);
     } else if (arg == "--run-spread") {
-      params.run_spread_s = std::stoull(next());
+      params.run_spread_s = count(1);
     } else if (arg == "--out") {
       out_path = next();
     } else if (arg == "--help" || arg == "-h") {
-      usage();
-      return 0;
+      return usage(0);
     } else {
       std::cerr << "unknown argument: " << arg << "\n";
-      usage();
-      return 2;
+      return usage(2);
     }
   }
   if (!out_path.empty()) {
