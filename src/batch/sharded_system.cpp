@@ -1,5 +1,7 @@
 #include "batch/sharded_system.hpp"
 
+#include <algorithm>
+
 #include "common/assert.hpp"
 #include "workload/source.hpp"
 
@@ -21,7 +23,7 @@ ShardedSystem::ShardedSystem(const SystemConfig& base,
     : config_(config),
       map_(make_shard_map(base.cluster, config)),
       router_(map_, config.policy),
-      pool_(config.threads >= 1 ? config.threads : 1) {
+      pool_(std::clamp<std::size_t>(config.threads, 1, map_.shard_count())) {
   const std::size_t count = map_.shard_count();
   registries_.reserve(count);
   systems_.reserve(count);

@@ -35,7 +35,8 @@ struct ShardConfig {
   ShardMapKind map = ShardMapKind::Range;
   core::RoutePolicy policy = core::RoutePolicy::UserHash;
   /// Worker threads driving the per-shard runs (1 = serial; byte-identical
-  /// output either way).
+  /// output either way). More than `shards` would only idle: the pool is
+  /// capped at one worker per shard.
   std::size_t threads = 1;
 };
 

@@ -1,6 +1,7 @@
 #include "cluster/cluster.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -10,10 +11,16 @@ namespace dbs::cluster {
 Cluster::Cluster(const ClusterSpec& spec) : cores_per_node_(spec.cores_per_node) {
   DBS_REQUIRE(spec.node_count > 0, "cluster needs at least one node");
   DBS_REQUIRE(spec.cores_per_node > 0, "nodes need at least one core");
+  // The machine's core count must fit CoreCount; checked before any node
+  // is allocated. Dividing keeps the check itself from overflowing.
+  const auto max_nodes = static_cast<std::size_t>(
+      std::numeric_limits<CoreCount>::max() / spec.cores_per_node);
+  DBS_REQUIRE(spec.node_count <= max_nodes,
+              "nodes x cores per node overflows the core count");
+  total_cores_ = static_cast<CoreCount>(spec.node_count) * spec.cores_per_node;
   nodes_.reserve(spec.node_count);
   for (std::size_t i = 0; i < spec.node_count; ++i)
     nodes_.emplace_back(NodeId{i}, spec.cores_per_node);
-  total_cores_ = static_cast<CoreCount>(spec.node_count) * spec.cores_per_node;
   free_index_.reset(spec.node_count, spec.cores_per_node);
   bind_nodes();
 }

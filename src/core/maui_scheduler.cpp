@@ -90,8 +90,7 @@ void MauiScheduler::advance_cache_base() {
   // so a preempted job requeued under its old id can never fall below it.
   const std::uint64_t floor = server_.jobs().min_live_id();
   ctx_.priority_cache.advance_base(floor);
-  ctx_.classify_cache.advance_base(floor);
-  ctx_.start_cache.advance_base(floor);
+  ctx_.plan_cache.advance_base(floor);
 }
 
 void MauiScheduler::run_pipeline() {
@@ -143,9 +142,8 @@ void MauiScheduler::iterate() {
   IterationStats& stats = ctx_.stats;
   stats.wall_us =
       std::chrono::duration<double, std::micro>(wall_end - wall_begin).count();
-  stats.replanned_jobs =
-      ctx_.classify_cache.replanned + ctx_.start_cache.replanned;
-  stats.cache_hits = ctx_.classify_cache.hits + ctx_.start_cache.hits;
+  stats.replanned_jobs = ctx_.plan_cache.replanned;
+  stats.cache_hits = ctx_.plan_cache.hits;
 
   if (obs::Tracer* tracer = ctx_.sinks.tracer;
       tracer != nullptr && tracer->enabled()) {

@@ -44,7 +44,7 @@ void ClassifyStage::run(PipelineEnv& env, IterationContext& ctx) {
                   env.config.enable_backfill && !ctx.drain, ctx.drain};
   plan_jobs_into(ctx.prioritized, ctx.planning, ctx.measure_opts,
                  ctx.baseline_plan,
-                 env.config.incremental_planning ? &ctx.classify_cache
+                 env.config.incremental_planning ? &ctx.plan_cache
                                                  : nullptr);
   // The protected set (StartNow + first ReservationDelayDepth StartLater,
   // Fig. 5) is fixed by this step-10 classification for the whole

@@ -60,6 +60,7 @@ void DynamicAdmissionStage::run(PipelineEnv& env, IterationContext& ctx) {
     // count, re-plan on the patched profile and re-measure the request.
     // Preempted victims are requeued, so they are re-prioritized too.
     const auto remeasure = [&](CoreCount freed, bool requeued) {
+      ctx.admission_changed_plan = true;
       // Live mode resyncs from the cluster; dry-run simulates the same
       // ledger arithmetically (the victims free exactly `freed` cores).
       ctx.physical_free = ctx.applier.dry_run()
@@ -71,7 +72,7 @@ void DynamicAdmissionStage::run(PipelineEnv& env, IterationContext& ctx) {
             eligible_static_jobs(env.server, env.config), now);
       plan_jobs_into(ctx.prioritized, ctx.planning, ctx.measure_opts,
                      ctx.baseline_plan,
-                     env.config.incremental_planning ? &ctx.classify_cache
+                     env.config.incremental_planning ? &ctx.plan_cache
                                                      : nullptr);
       protected_subset_into(ctx.prioritized, baseline,
                             env.config.reservation_delay_depth,
@@ -184,6 +185,7 @@ void DynamicAdmissionStage::run(PipelineEnv& env, IterationContext& ctx) {
       ctx.physical_free -= hold.extra_cores;
       std::swap(ctx.planning, m.profile_after);
       std::swap(baseline, m.replanned);
+      ctx.admission_changed_plan = true;
       ++ctx.stats.dyn_granted;
     } else {
       DBS_TRACE("dyn request of job " << req.job.value()

@@ -24,8 +24,8 @@ void IterationContext::begin_iteration(Time at, std::uint64_t iteration_number,
   drain = false;
   physical_free = 0;
   prioritized.clear();
-  classify_cache.reset_counters();
-  start_cache.reset_counters();
+  admission_changed_plan = false;
+  plan_cache.reset_counters();
   applier.begin_iteration(dry_run);
 }
 

@@ -101,6 +101,10 @@ struct IterationContext {
   PlanOptions measure_opts{};
   /// Eligible static jobs, highest priority first.
   std::vector<const rms::Job*> prioritized;
+  /// The admission stage replaced `planning`, `prioritized` or
+  /// `baseline_plan` (a grant, a malleable steal, a preemption), so the
+  /// step-10 plan no longer answers for the start stage.
+  bool admission_changed_plan = false;
 
   // --- reusable scratch (persists across iterations) -----------------------
   /// Physical availability: patched incrementally on grant/shrink/preempt
@@ -108,12 +112,13 @@ struct IterationContext {
   AvailabilityProfile physical;
   /// `physical` with the dynamic-partition clamp applied.
   AvailabilityProfile planning;
-  Plan baseline_plan;  ///< step-10 classification (StartNow/StartLater)
-  Plan final_plan;     ///< step-25/26 start plan
-  /// Tail-verdict caches, one per plan slot so the two walks' staircase
-  /// versions never thrash each other; counters reset per iteration.
-  PlanCache classify_cache;
-  PlanCache start_cache;
+  /// Step-10 classification (StartNow/StartLater). Admission re-plans it
+  /// after a state change; the start stage starts and reserves from it,
+  /// re-planning it at ReservationDepth first when its inputs changed.
+  Plan baseline_plan;
+  /// Tail-verdict cache shared by every walk of a pass; counters reset
+  /// per iteration.
+  PlanCache plan_cache;
   /// Previous-iteration priority order, reused by the prioritize stage.
   PriorityOrderCache priority_cache;
   std::vector<const rms::Job*> protected_jobs;

@@ -1,5 +1,6 @@
 #include "core/pipeline/start_backfill_stage.hpp"
 
+#include "common/assert.hpp"
 #include "core/backfill.hpp"
 #include "core/dfs_engine.hpp"
 #include "core/scheduler_config.hpp"
@@ -11,9 +12,24 @@ void StartBackfillStage::run(PipelineEnv& env, IterationContext& ctx) {
   const PlanOptions start_opts{ctx.now, env.config.reservation_depth,
                                env.config.enable_backfill && !ctx.drain,
                                ctx.drain};
-  plan_jobs_into(ctx.prioritized, ctx.planning, start_opts, ctx.final_plan,
-                 env.config.incremental_planning ? &ctx.start_cache : nullptr);
-  for (const Reservation& r : ctx.final_plan.table.items()) {
+  // Step 10 walked the same jobs over the same profile. Unless it planned
+  // deeper (ReservationDelayDepth > ReservationDepth) or admission changed
+  // one of its inputs, its plan is exactly the start plan: reuse it.
+  const bool replan =
+      ctx.admission_changed_plan ||
+      ctx.measure_opts.reservation_limit != start_opts.reservation_limit;
+  if (replan) {
+    plan_jobs_into(ctx.prioritized, ctx.planning, start_opts,
+                   ctx.baseline_plan,
+                   env.config.incremental_planning ? &ctx.plan_cache
+                                                   : nullptr);
+  } else if (env.config.check_invariants) {
+    DBS_REQUIRE(ctx.baseline_plan.table.items() ==
+                    plan_jobs(ctx.prioritized, ctx.planning, start_opts)
+                        .table.items(),
+                "reused step-10 plan diverged from a fresh start walk");
+  }
+  for (const Reservation& r : ctx.baseline_plan.table.items()) {
     if (!r.start_now) {
       ctx.applier.reserve(r.job, r.cores, r.start);
       ++ctx.stats.reservations;

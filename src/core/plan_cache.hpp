@@ -1,4 +1,4 @@
-// Per-plan-slot cache of tail StartNow verdicts.
+// Cache of tail StartNow verdicts for the planning walks.
 //
 // Once a planning walk has used up its reservation budget and somebody
 // waits, every remaining job can only be planned as an immediate backfill
@@ -12,10 +12,11 @@
 // so affected verdicts are recomputed and untouched ones survive — the
 // per-job plan cache keyed by (job, profile-segment version).
 //
-// One instance per plan slot (the classify baseline and the start/backfill
-// final plan), owned by the IterationContext; plan_jobs_into takes it as
-// an optional argument and the walk stays byte-identical to the uncached
-// path (same planned set, same order, same profile mutations).
+// One instance, owned by the IterationContext, serves every walk of a
+// pass (step 10, the admission re-plans, the start stage's re-plan when it
+// needs one); plan_jobs_into takes it as an optional argument and the walk
+// stays byte-identical to the uncached path (same planned set, same order,
+// same profile mutations).
 #pragma once
 
 #include <cstddef>

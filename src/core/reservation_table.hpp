@@ -22,6 +22,8 @@ struct Reservation {
   CoreCount cores = 0;
   bool start_now = false;
   bool backfilled = false;
+
+  [[nodiscard]] bool operator==(const Reservation&) const = default;
 };
 
 class ReservationTable {

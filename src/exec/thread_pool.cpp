@@ -32,11 +32,21 @@ struct ThreadPool::Batch {
 ThreadPool::ThreadPool(std::size_t threads) {
   DBS_REQUIRE(threads >= 1, "thread pool needs at least one worker");
   threads_.reserve(threads - 1);
-  for (std::size_t t = 1; t < threads; ++t)
-    threads_.emplace_back([this] { worker_main(); });
+  try {
+    for (std::size_t t = 1; t < threads; ++t)
+      threads_.emplace_back([this] { worker_main(); });
+  } catch (...) {
+    // A thread failed to start (std::system_error at the process's thread
+    // limit). The destructor will not run, and destroying a joinable
+    // std::thread terminates: stop the workers already started first.
+    stop_workers();
+    throw;
+  }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { stop_workers(); }
+
+void ThreadPool::stop_workers() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stop_ = true;

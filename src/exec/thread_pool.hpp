@@ -69,6 +69,8 @@ class ThreadPool {
 
   void worker_main();
   void run_tasks(Batch& batch);
+  /// Wakes every started worker with stop_ set and joins it.
+  void stop_workers();
 
   std::vector<std::thread> threads_;
   std::mutex mutex_;

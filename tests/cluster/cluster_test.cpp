@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/assert.hpp"
 
 namespace dbs::cluster {
@@ -160,6 +162,17 @@ TEST(Cluster, SharesOfExposesPerJobIndex) {
 TEST(Cluster, UnknownNodeRejected) {
   Cluster c = make(2, 8);
   EXPECT_THROW((void)c.node(NodeId{5}), precondition_error);
+}
+
+TEST(Cluster, RejectsCoreCountOverflow) {
+  // 300,000 nodes of 10,000 cores is 3e9 cores, past CoreCount's range;
+  // the constructor must refuse before allocating any node.
+  EXPECT_THROW(make(300000, 10000), precondition_error);
+  // One node past the largest machine that fits: 2 x 2^30 = 2^31 cores.
+  EXPECT_THROW(make(2, CoreCount{1} << 30), precondition_error);
+  // A node count whose product would overflow 64 bits too.
+  EXPECT_THROW(make(std::numeric_limits<std::size_t>::max(), 8),
+               precondition_error);
 }
 
 }  // namespace

@@ -3,9 +3,15 @@
 // dry-run semantics through the full system façade.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "../testutil.hpp"
+#include "apps/app_model.hpp"
 #include "batch/batch_system.hpp"
+#include "core/backfill.hpp"
 #include "core/maui_scheduler.hpp"
+#include "obs/registry.hpp"
 #include "rms/decision.hpp"
 
 namespace dbs::core {
@@ -20,6 +26,7 @@ struct StageFixture {
   StageFixture() {
     cfg.reservation_depth = 2;
     cfg.reservation_delay_depth = 2;
+    ctx.sinks.registry = &registry;  // the admission stage records into it
   }
 
   void begin(Time now) { ctx.begin_iteration(now, 1, /*dry_run=*/false); }
@@ -30,11 +37,35 @@ struct StageFixture {
                              test::rigid(Duration::minutes(10)));
   }
 
+  /// Starts an evolving job of `cores` that asks for `grow` more cores one
+  /// minute in, and runs the simulation until the request is queued.
+  JobId start_evolver(CoreCount cores, CoreCount grow) {
+    auto app = std::make_unique<apps::ScriptedApp>(
+        Duration::minutes(10),
+        std::vector<apps::ScriptedApp::Step>{
+            {Duration::minutes(1), grow, 0, 1.0, Duration::zero()}});
+    const JobId id = sys.server.submit(
+        test::spec("evo", cores, Duration::minutes(20)), std::move(app));
+    EXPECT_TRUE(sys.server.start_job(id, false));
+    sys.sim.run_until(Time::from_seconds(90));
+    EXPECT_EQ(sys.server.jobs().dyn_requests().size(), 1u);
+    return id;
+  }
+
+  /// Steps 2-24 (statistics skipped: fairshare is off in these tests).
+  void run_through_admission() {
+    GatherStage{}.run(env, ctx);
+    PrioritizeStage{}.run(env, ctx);
+    ClassifyStage{}.run(env, ctx);
+    DynamicAdmissionStage{}.run(env, ctx);
+  }
+
   test::BareSystem sys;  // 4 nodes x 8 cores
   SchedulerConfig cfg;
   Fairshare fairshare{cfg.fairshare};
   PriorityEngine priority{cfg.weights, cfg.cred_priorities, &fairshare};
   DfsEngine dfs{cfg.dfs};
+  obs::Registry registry;
   IterationContext ctx{sys.server};
   PipelineEnv env{sys.server, cfg, fairshare, priority, dfs};
 };
@@ -142,6 +173,154 @@ TEST(PipelineStages, ClassifySplitsStartNowFromStartLater) {
   EXPECT_EQ(f.ctx.measure_opts.reservation_limit, f.cfg.delay_plan_depth());
 }
 
+/// One Start or Reserve decision: "start <job>" or "reserve <job> at <µs>".
+std::string decision_line(bool start, JobId job, Time at) {
+  std::string line = start ? "start " : "reserve ";
+  line += std::to_string(job.value());
+  if (!start) line += " at " + std::to_string(at.as_micros());
+  return line;
+}
+
+/// A plan as the start stage would emit it, in plan order.
+std::vector<std::string> plan_lines(const ReservationTable& table) {
+  std::vector<std::string> lines;
+  for (const Reservation& r : table.items())
+    lines.push_back(decision_line(r.start_now, r.job, r.start));
+  return lines;
+}
+
+/// The Start and Reserve decisions the pass emitted, in order.
+std::vector<std::string> start_lines(const IterationContext& ctx) {
+  std::vector<std::string> lines;
+  for (const rms::Decision& d : ctx.applier.decisions()) {
+    if (d.kind == rms::DecisionKind::StartJob ||
+        d.kind == rms::DecisionKind::Reserve)
+      lines.push_back(decision_line(d.kind == rms::DecisionKind::StartJob,
+                                    d.job, d.start));
+  }
+  return lines;
+}
+
+/// A fresh, uncached walk at ReservationDepth over the context's current
+/// planning profile and priority order: what the start stage must emit.
+std::vector<std::string> fresh_start_plan(const StageFixture& f) {
+  const PlanOptions opts{f.ctx.now, f.cfg.reservation_depth,
+                         f.cfg.enable_backfill && !f.ctx.drain, f.ctx.drain};
+  return plan_lines(plan_jobs(f.ctx.prioritized, f.ctx.planning, opts).table);
+}
+
+TEST(SingleWalk, EqualDepthsStartStep10PlanWithoutWalkingAgain) {
+  StageFixture f;  // ReservationDepth == ReservationDelayDepth == 2
+  f.submit("a", 24);  // StartNow
+  f.submit("b", 16);  // StartLater #1, behind a
+  f.submit("c", 8);   // backfills into a's last 8 cores
+  f.submit("d", 16);  // StartLater #2
+  f.submit("e", 8);   // past the budget: tail verdict, does not fit
+  f.begin(Time::epoch());
+  f.run_through_admission();
+  const std::vector<std::string> step10 = plan_lines(f.ctx.baseline_plan.table);
+  ASSERT_EQ(step10.size(), 4u);
+  // Every prioritized job was judged once, by the step-10 walk.
+  EXPECT_EQ(f.ctx.plan_cache.replanned, f.ctx.prioritized.size());
+
+  StartBackfillStage{}.run(f.env, f.ctx);
+  EXPECT_FALSE(f.ctx.admission_changed_plan);
+  EXPECT_EQ(f.ctx.plan_cache.replanned, f.ctx.prioritized.size());
+  EXPECT_EQ(start_lines(f.ctx), step10);
+  EXPECT_EQ(f.ctx.stats.started, 2u);
+  EXPECT_EQ(f.ctx.stats.backfilled, 1u);
+  EXPECT_EQ(f.ctx.stats.reservations, 2u);
+}
+
+TEST(SingleWalk, GrantForcesReplanOnPostGrantProfile) {
+  StageFixture f;
+  f.start_evolver(8, 8);
+  f.submit("q", 24, "bob");  // fits the 24 idle cores until the grant
+  f.begin(f.sys.sim.now());
+  GatherStage{}.run(f.env, f.ctx);
+  PrioritizeStage{}.run(f.env, f.ctx);
+  ClassifyStage{}.run(f.env, f.ctx);
+  const std::vector<std::string> step10 = plan_lines(f.ctx.baseline_plan.table);
+  DynamicAdmissionStage{}.run(f.env, f.ctx);
+  ASSERT_EQ(f.ctx.stats.dyn_granted, 1u);
+  EXPECT_TRUE(f.ctx.admission_changed_plan);
+  const std::vector<std::string> expected = fresh_start_plan(f);
+  // The grant left 16 idle cores: q now waits, where step 10 started it.
+  EXPECT_NE(expected, step10);
+
+  StartBackfillStage{}.run(f.env, f.ctx);
+  EXPECT_EQ(start_lines(f.ctx), expected);
+  EXPECT_EQ(f.ctx.stats.started, 0u);
+  EXPECT_EQ(f.ctx.stats.start_failed, 0u);
+  EXPECT_EQ(f.ctx.stats.reservations, 1u);
+}
+
+/// A malleable steal or a preemption frees cores for a request that DFS
+/// then rejects: no grant, yet admission changed the start stage's inputs.
+class SingleWalkFreeCores : public ::testing::TestWithParam<bool> {};
+
+TEST_P(SingleWalkFreeCores, StealOrPreemptionWithoutGrantForcesReplan) {
+  const bool preempt = GetParam();
+  StageFixture f;
+  f.cfg.allow_preemption = preempt;
+  f.cfg.allow_malleable_steal = !preempt;
+  // bob's queued jobs may not be delayed by anyone else's dynamic request.
+  f.cfg.dfs.policy = DfsPolicy::SingleJobDelay;
+  f.cfg.dfs.user["bob"].delay_perm = false;
+  f.dfs = DfsEngine(f.cfg.dfs);
+
+  rms::JobSpec victim =
+      test::spec("victim", 24, Duration::minutes(10), "carol");
+  victim.preemptible = true;
+  victim.malleable_min = 8;
+  const JobId victim_id =
+      f.sys.server.submit(victim, test::rigid(Duration::minutes(10)));
+  ASSERT_TRUE(f.sys.server.start_job(victim_id, /*backfilled=*/true));
+  f.start_evolver(8, 16);  // the machine is full: the request needs cores
+  f.submit("waits", 16, "bob");
+  f.begin(f.sys.sim.now());
+  f.run_through_admission();
+  const std::uint64_t walked = f.ctx.plan_cache.replanned;
+
+  EXPECT_EQ(f.ctx.stats.dyn_granted, 0u);
+  EXPECT_EQ(f.ctx.stats.dyn_rejected, 1u);
+  EXPECT_EQ(f.ctx.stats.preempted, preempt ? 1u : 0u);
+  EXPECT_EQ(f.ctx.stats.malleable_shrinks, preempt ? 0u : 1u);
+  EXPECT_TRUE(f.ctx.admission_changed_plan);
+  const std::vector<std::string> expected = fresh_start_plan(f);
+
+  StartBackfillStage{}.run(f.env, f.ctx);
+  EXPECT_GT(f.ctx.plan_cache.replanned, walked);  // the stage re-planned
+  EXPECT_EQ(start_lines(f.ctx), expected);
+  EXPECT_GE(f.ctx.stats.started, 1u);  // the freed cores are used at once
+}
+
+INSTANTIATE_TEST_SUITE_P(StealAndPreempt, SingleWalkFreeCores,
+                         ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& param) {
+                           return param.param ? "Preemption"
+                                              : "MalleableSteal";
+                         });
+
+TEST(SingleWalk, DeeperDelayDepthReplansAtReservationDepth) {
+  StageFixture f;
+  f.cfg.reservation_depth = 1;
+  f.cfg.reservation_delay_depth = 3;
+  f.submit("a", 32);  // fills the machine: every other job waits
+  f.submit("b", 8);
+  f.submit("c", 8);
+  f.submit("d", 8);
+  f.begin(Time::epoch());
+  f.run_through_admission();
+  EXPECT_EQ(f.ctx.baseline_plan.table.start_later_count(), 3u);
+  EXPECT_FALSE(f.ctx.admission_changed_plan);
+  const std::vector<std::string> expected = fresh_start_plan(f);
+
+  StartBackfillStage{}.run(f.env, f.ctx);
+  EXPECT_EQ(f.ctx.stats.reservations, 1u);
+  EXPECT_EQ(start_lines(f.ctx), expected);
+}
+
 SystemConfig small_config() {
   SystemConfig c;
   c.cluster.node_count = 2;
@@ -215,6 +394,26 @@ TEST(PipelineMetrics, StageTimingsCoverEveryStage) {
     ASSERT_NE(h, nullptr) << stage;
     EXPECT_EQ(h->count(), sys.scheduler().iterations()) << stage;
   }
+}
+
+TEST(SingleWalk, IterationCountsEachPrioritizedJobOnce) {
+  SystemConfig c = small_config();
+  c.cluster.node_count = 4;
+  BatchSystem sys(c);
+  // The same queue as EqualDepthsStartStep10PlanWithoutWalkingAgain, all
+  // submitted before the first iteration.
+  for (const CoreCount cores : {24, 16, 8, 16, 8})
+    sys.submit_now(test::spec("j", cores, Duration::minutes(10)),
+                   test::rigid(Duration::minutes(10)));
+  sys.run_until(Time::from_seconds(1));
+
+  ASSERT_GE(sys.scheduler().history().size(), 1u);
+  const IterationStats& first = sys.scheduler().history()[0];
+  EXPECT_EQ(first.eligible_static, 5u);
+  EXPECT_EQ(first.started, 2u);
+  EXPECT_EQ(first.reservations, 2u);
+  // One walk per pass: five jobs, five verdicts.
+  EXPECT_EQ(first.replanned_jobs, 5u);
 }
 
 TEST(PipelineHistory, HistoryIsCappedAtKHistoryCap) {

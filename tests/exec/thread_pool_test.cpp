@@ -1,9 +1,13 @@
 #include "exec/thread_pool.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <fstream>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -124,6 +128,53 @@ TEST(ThreadPool, RejectsZeroThreadsAndNullBody) {
   EXPECT_THROW(ThreadPool(0), precondition_error);
   ThreadPool pool(2);
   EXPECT_THROW(pool.parallel_for(1, nullptr), precondition_error);
+}
+
+// Sanitizer runtimes reserve terabytes of shadow address space, so an
+// address-space cap cannot be used under them.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define DBS_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define DBS_TEST_SANITIZED 1
+#endif
+#endif
+
+#ifndef DBS_TEST_SANITIZED
+/// Death-test body: caps this process's address space at `cap` bytes and
+/// builds a pool far larger than the cap allows. Exits 0 when the
+/// constructor rethrew the thread-start failure.
+[[noreturn]] void build_pool_under_cap(rlim_t cap) {
+  // Unwinding past joinable workers destroys the condition variable they
+  // wait on, which can block forever instead of aborting: the alarm turns
+  // that hang into a failure.
+  alarm(30);
+  const rlimit limit{cap, cap};
+  if (setrlimit(RLIMIT_AS, &limit) != 0) std::_Exit(3);
+  try {
+    ThreadPool pool(100000);
+  } catch (const std::exception&) {
+    std::_Exit(0);
+  }
+  std::_Exit(2);  // every worker started: the cap did not bite
+}
+#endif
+
+TEST(ThreadPoolDeathTest, FailedThreadStartJoinsStartedWorkersAndRethrows) {
+#ifdef DBS_TEST_SANITIZED
+  GTEST_SKIP() << "address-space caps break sanitizer shadow memory";
+#else
+  // This process's address-space size, in pages, from /proc/self/statm.
+  std::ifstream statm("/proc/self/statm");
+  std::size_t pages = 0;
+  if (!(statm >> pages)) GTEST_SKIP() << "no /proc/self/statm";
+  const auto used = static_cast<rlim_t>(pages) *
+                    static_cast<rlim_t>(sysconf(_SC_PAGESIZE));
+  // 256 MiB of headroom runs out of thread stacks a few dozen workers in.
+  // The constructor must join the workers it started before rethrowing.
+  EXPECT_EXIT(build_pool_under_cap(used + (rlim_t{256} << 20)),
+              ::testing::ExitedWithCode(0), "");
+#endif
 }
 
 TEST(ThreadPool, ReusableAcrossManyRegions) {

@@ -153,6 +153,15 @@ TEST(ShardedSystem, ByteIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(ShardedSystem, PoolHasAtMostOneWorkerPerShard) {
+  // Each fan-out has one task per shard: extra workers would only idle,
+  // and a million of them would not even start.
+  ShardedSystem capped(machine_config(), shard_config(1000000));
+  EXPECT_EQ(capped.pool().worker_count(), 4u);
+  ShardedSystem serial(machine_config(), shard_config(1));
+  EXPECT_EQ(serial.pool().worker_count(), 1u);
+}
+
 TEST(ShardedSystem, EveryJobLandsOnExactlyOneShard) {
   const ShardedRun run = run_sharded(2, /*streaming=*/false);
   std::uint64_t routed = 0;

@@ -33,6 +33,7 @@
 #include <atomic>
 #include <csignal>
 #include <cstdint>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -108,9 +109,7 @@ void write_summary_json(std::ostream& os, const metrics::WorkloadSummary& s,
      << "}\n";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   std::string swf_path;
   std::string state_dir;
   std::string config_path;
@@ -380,4 +379,17 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Whatever escapes the tool — a rejected precondition, an allocation or
+  // thread-start failure — is reported and exits 1.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "dbsd: " << e.what() << "\n";
+    return 1;
+  }
 }

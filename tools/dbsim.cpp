@@ -42,6 +42,7 @@
 // stream it would execute (one JSON object per line) without applying any
 // of it, then resumes the simulation. --stage-breakdown prints the mean
 // per-stage wall time of a scheduler iteration after the run.
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -122,9 +123,7 @@ std::string slurp(const std::string& path) {
   return os.str();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   std::string trace_path;
   std::string swf_path;
   std::size_t swf_window = 1024;
@@ -544,18 +543,13 @@ int main(int argc, char** argv) {
           },
           &registry);
     } else {
-      try {
-        results = runner.map_recorded<batch::RunResult>(
-            replications, record_out_path, capacity,
-            [&](std::size_t index, obs::Registry& replication_registry,
-                obs::rec::FlightRecorder& recorder) {
-              return run_one(index, replication_registry, &recorder);
-            },
-            &registry, manifest);
-      } catch (const std::exception& e) {
-        std::cerr << e.what() << "\n";
-        return 1;
-      }
+      results = runner.map_recorded<batch::RunResult>(
+          replications, record_out_path, capacity,
+          [&](std::size_t index, obs::Registry& replication_registry,
+              obs::rec::FlightRecorder& recorder) {
+            return run_one(index, replication_registry, &recorder);
+          },
+          &registry, manifest);
     }
     summary = results.front().summary;
     waits = std::move(results.front().waits);
@@ -645,4 +639,17 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Whatever escapes the tool — a rejected precondition, an allocation or
+  // thread-start failure — is reported and exits 1.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "dbsim: " << e.what() << "\n";
+    return 1;
+  }
 }

@@ -18,6 +18,7 @@
 // and exits nonzero on any mismatch.
 #include <cstdint>
 #include <cstdlib>
+#include <exception>
 #include <iostream>
 #include <string>
 
@@ -89,9 +90,7 @@ int cmd_timeline(obs::rec::RecordReader& reader, const std::string& metric,
   return 2;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   if (argc < 3) return usage(argv[0], argc == 2 ? 2 : 2);
   const std::string command = argv[1];
   const std::string file = argv[2];
@@ -195,4 +194,17 @@ int main(int argc, char** argv) {
     return result.ok() ? 0 : 1;
   }
   return usage(argv[0], 2);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Whatever escapes the tool — a rejected precondition, an allocation or
+  // thread-start failure — is reported and exits 1.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "dbsq: " << e.what() << "\n";
+    return 1;
+  }
 }

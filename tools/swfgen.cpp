@@ -6,6 +6,7 @@
 //          [--out FILE]
 #include <cstdint>
 #include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -24,9 +25,7 @@ int usage(int code) {
   return code;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   dbs::wl::swf::SwfGenParams params;
   std::string out_path;
   for (int i = 1; i < argc; ++i) {
@@ -76,4 +75,17 @@ int main(int argc, char** argv) {
   }
   dbs::wl::swf::generate_swf(std::cout, params);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Whatever escapes the tool — a rejected precondition, an allocation or
+  // thread-start failure — is reported and exits 1.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "swfgen: " << e.what() << "\n";
+    return 1;
+  }
 }
