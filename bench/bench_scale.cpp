@@ -2,7 +2,7 @@
 // nodes over the placement kernels the scheduler hits every iteration —
 // chunked allocate+release, release_all, held_by and the admission stage's
 // can_allocate_chunked what-if probe — plus a full dbsim-style scheduler
-// iteration at each size.
+// iteration and the cluster invariant check at each size.
 //
 // Every kernel runs twice: against the production index-based Cluster
 // (`/indexed`) and against the old scan-based allocator kept verbatim in
@@ -131,6 +131,18 @@ void bm_measure_request(benchmark::State& state) {
   (void)preload(c);
   for (auto _ : state)
     benchmark::DoNotOptimize(c.can_allocate_chunked(64, kCoresPerNode));
+}
+
+/// Cluster::check_invariants on the preloaded cluster. BatchSystem runs it
+/// after every run and run_until: the durable service pays it once per
+/// tick, WAL recovery once per logged decision time. It reads every node
+/// by design, so it has no /scan twin and stays outside the indexed
+/// kernels' flat-scaling gate.
+void bm_check_invariants(benchmark::State& state) {
+  auto c = make_cluster<cluster::Cluster>(
+      static_cast<std::size_t>(state.range(0)));
+  (void)preload(c);
+  for (auto _ : state) c.check_invariants();
 }
 
 rms::JobSpec sized_spec(const char* prefix, int i, CoreCount cores,
@@ -292,6 +304,10 @@ int main(int argc, char** argv) {
                                             bm_sched_iteration);
   for (const std::int64_t n : kNodeCounts) iter->Arg(n);
   iter->Unit(benchmark::kMillisecond);
+  auto* check = benchmark::RegisterBenchmark("bm_scale_check_invariants",
+                                             bm_check_invariants);
+  for (const std::int64_t n : kNodeCounts) check->Arg(n);
+  check->Unit(benchmark::kMicrosecond);
 
   for (const bool inc : {true, false}) {
     const std::string impl = inc ? "incremental" : "rebuild";

@@ -255,72 +255,82 @@ void Cluster::set_node_state(NodeId id, NodeState s) {
   node(id).set_state(s);
 }
 
+namespace {
+/// Whether `n` holds exactly `cores` of `job`.
+bool holds_exactly(const Node& n, JobId job, CoreCount cores) {
+  const auto it = n.held().find(job);
+  return it != n.held().end() && it->second == cores;
+}
+}  // namespace
+
 void Cluster::check_invariants() const {
+  check_cluster_invariants(nodes_, total_cores_, ledger_, free_index_,
+                           job_index_);
+}
+
+void check_cluster_invariants(const std::vector<Node>& nodes,
+                              CoreCount total_cores, const CoreLedger& ledger,
+                              const FreeCoreIndex& free_index,
+                              const JobPlacementIndex& job_index) {
+  // Nodes: bounds, the core total and the two ledger sums, each node's own
+  // free-core bucket and any_free bit, and the number of (job, node) holds.
+  // With those three sums equal, free_cores() = total - used -
+  // unavailable_free equals the nodes' free-core sum too.
+  CoreCount total_scan = 0;
   CoreCount used_scan = 0;
-  CoreCount free_scan = 0;
   CoreCount unavailable_free_scan = 0;
-  std::size_t share_scan = 0;
-  std::size_t jobs_scan = 0;
-  std::size_t index_shares = 0;
-  for (const auto& n : nodes_) {
-    DBS_ASSERT(n.used_cores() >= 0, "negative node usage");
-    DBS_ASSERT(n.used_cores() <= n.total_cores(), "node oversubscribed");
-    used_scan += n.used_cores();
-    free_scan += n.free_cores();
-    if (!n.available()) unavailable_free_scan += n.total_cores() - n.used_cores();
-    // Free-core index: every node sits in exactly the bucket matching its
-    // current free-core count, and in any_free iff it has free cores.
+  std::size_t holds = 0;
+  for (const Node& n : nodes) {
+    const CoreCount used = n.used_cores();
+    DBS_ASSERT(used >= 0 && used <= n.total_cores(),
+               "node usage out of bounds");
+    total_scan += n.total_cores();
+    used_scan += used;
+    if (!n.available()) unavailable_free_scan += n.total_cores() - used;
+    const std::size_t i = n.id().value();
     const CoreCount free = n.free_cores();
-    for (CoreCount b = 0; b <= cores_per_node_; ++b)
-      DBS_ASSERT(free_index_.bucket(b).test(n.id().value()) == (b == free),
-                 "free-core index bucket diverged from node scan");
-    DBS_ASSERT(free_index_.any_free().test(n.id().value()) == (free > 0),
+    DBS_ASSERT(free_index.bucket(free).test(i),
+               "node missing from its free-core bucket");
+    DBS_ASSERT(free_index.any_free().test(i) == (free > 0),
                "free-node set diverged from node scan");
-    // Per-job placement index: each node-level hold appears as exactly the
-    // same share in the owning job's sorted entry.
-    for (const auto& [job, cores] : n.held()) {
-      ++share_scan;
-      const std::vector<NodeShare>* shares = job_index_.find(job);
-      DBS_ASSERT(shares != nullptr, "job missing from placement index");
-      auto it = std::lower_bound(
-          shares->begin(), shares->end(), n.id(),
-          [](const NodeShare& s, NodeId id) { return s.node < id; });
-      DBS_ASSERT(it != shares->end() && it->node == n.id() &&
-                     it->cores == cores,
-                 "placement index share diverged from node scan");
-    }
+    holds += n.job_count();
   }
-  // The index must hold nothing beyond what the nodes back: per-job totals
-  // and sortedness, the global share count, and the job count.
-  for (const auto& n : nodes_) {
-    for (const auto& [job, cores] : n.held()) {
-      const std::vector<NodeShare>* shares = job_index_.find(job);
-      if (shares->front().node != n.id()) continue;  // count each job once
-      ++jobs_scan;
-      DBS_ASSERT(std::is_sorted(shares->begin(), shares->end(),
-                                [](const NodeShare& a, const NodeShare& b) {
-                                  return a.node < b.node;
-                                }),
-                 "placement index shares not sorted by node id");
-      CoreCount total = 0;
-      for (const NodeShare& s : *shares) total += s.cores;
-      DBS_ASSERT(total == job_index_.held_by(job),
-                 "placement index total diverged from its shares");
-      index_shares += shares->size();
-    }
-  }
-  DBS_ASSERT(job_index_.job_count() == jobs_scan,
-             "placement index holds jobs the nodes do not");
-  DBS_ASSERT(index_shares == share_scan,
-             "placement index holds shares the nodes do not");
-  DBS_ASSERT(used_scan == ledger_.used,
+  DBS_ASSERT(total_scan == total_cores,
+             "cluster core total diverged from its nodes");
+  DBS_ASSERT(used_scan == ledger.used,
              "incremental used-core aggregate diverged from node scan");
-  DBS_ASSERT(unavailable_free_scan == ledger_.unavailable_free,
+  DBS_ASSERT(unavailable_free_scan == ledger.unavailable_free,
              "incremental unavailable-free aggregate diverged from node scan");
-  DBS_ASSERT(free_scan == free_cores(),
-             "incremental free-core aggregate diverged from node scan");
-  DBS_ASSERT(used_scan + free_scan <= total_cores_,
-             "cluster accounting mismatch");
+
+  // Every node is in its own bucket, so as many members as nodes leaves
+  // none in a second bucket.
+  std::size_t members = 0;
+  for (CoreCount b = 0; b <= free_index.cores_per_node(); ++b)
+    members += free_index.bucket(b).popcount();
+  DBS_ASSERT(members == nodes.size(), "node in a second free-core bucket");
+
+  // Index: each share is a distinct (job, node) pair (strictly ascending
+  // nodes within an entry) equal to that node's hold, so as many shares as
+  // holds makes the shares exactly the holds.
+  std::size_t shares_seen = 0;
+  job_index.for_each([&](JobId job, CoreCount total,
+                         const std::vector<NodeShare>& shares) {
+    DBS_ASSERT(!shares.empty(), "placement index holds an empty entry");
+    CoreCount sum = 0;
+    for (std::size_t k = 0; k < shares.size(); ++k) {
+      const NodeShare& s = shares[k];
+      DBS_ASSERT(k == 0 || shares[k - 1].node < s.node,
+                 "placement index shares not strictly ascending by node id");
+      DBS_ASSERT(s.node.value() < nodes.size() &&
+                     holds_exactly(nodes[s.node.value()], job, s.cores),
+                 "placement index share diverged from its node's hold");
+      sum += s.cores;
+    }
+    DBS_ASSERT(sum == total, "placement index total diverged from its shares");
+    shares_seen += shares.size();
+  });
+  DBS_ASSERT(shares_seen == holds,
+             "placement index shares diverged from the node holds");
 }
 
 }  // namespace dbs::cluster

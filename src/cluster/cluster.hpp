@@ -88,7 +88,11 @@ class Cluster {
 
   /// Verifies per-node accounting and that the O(1) aggregates, the
   /// free-core bucket index and the per-job placement index all agree with
-  /// a full node scan (throws invariant_error on corruption).
+  /// the nodes (throws invariant_error on corruption). One pass over the
+  /// nodes, one over the bucket words and one over the index: O(nodes +
+  /// shares), ~1 us at 128 nodes of 8 cores. BatchSystem runs it after
+  /// every run and run_until, so the service pays it per tick and WAL
+  /// recovery per logged decision time.
   void check_invariants() const;
 
  private:
@@ -108,5 +112,14 @@ class Cluster {
   FreeCoreIndex free_index_;
   JobPlacementIndex job_index_;
 };
+
+/// The check behind Cluster::check_invariants(), as a function of the
+/// structures it cross-checks: `nodes`, the cluster's `total_cores`, the
+/// `ledger` aggregates, the free-core `free_index` and the per-job
+/// `job_index`. Tests run it on corrupted copies.
+void check_cluster_invariants(const std::vector<Node>& nodes,
+                              CoreCount total_cores, const CoreLedger& ledger,
+                              const FreeCoreIndex& free_index,
+                              const JobPlacementIndex& job_index);
 
 }  // namespace dbs::cluster

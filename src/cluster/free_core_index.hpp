@@ -71,6 +71,9 @@ class FreeCoreIndex {
   [[nodiscard]] const NodeSet& any_free() const { return any_free_; }
 
  private:
+  // The invariant check's differential test corrupts state through it.
+  friend struct StateCorruptor;
+
   CoreCount cores_per_node_ = 0;
   std::vector<NodeSet> buckets_;
   NodeSet any_free_;

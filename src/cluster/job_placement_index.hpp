@@ -57,9 +57,19 @@ class JobPlacementIndex {
 
   [[nodiscard]] std::size_t job_count() const { return entries_.size(); }
 
+  /// Calls `visit(job, total, shares)` once per entry, in unspecified
+  /// order. Read-only: the invariant check walks the index with it.
+  template <class Visit>
+  void for_each(Visit&& visit) const {
+    for (const auto& [job, e] : entries_) visit(job, e.total, e.shares);
+  }
+
   void clear() { entries_.clear(); }
 
  private:
+  // The invariant check's differential test corrupts state through it.
+  friend struct StateCorruptor;
+
   struct Entry {
     CoreCount total = 0;
     std::vector<NodeShare> shares;  ///< sorted by node id

@@ -73,6 +73,9 @@ class Node {
   }
 
  private:
+  // The invariant check's differential test corrupts state through it.
+  friend struct StateCorruptor;
+
   /// Re-buckets this node after a free-core change.
   void reindex(CoreCount old_free);
 

@@ -72,6 +72,16 @@ class NodeSet {
 
   [[nodiscard]] std::size_t first() const { return find_from(0); }
 
+  /// Members counted from the words themselves, O(capacity / 64). Unlike
+  /// count(), which insert/erase maintain, this cannot drift from the bits;
+  /// the cluster's invariant check relies on that.
+  [[nodiscard]] std::size_t popcount() const {
+    std::size_t n = 0;
+    for (const std::uint64_t w : words_)
+      n += static_cast<std::size_t>(std::popcount(w));
+    return n;
+  }
+
  private:
   std::vector<std::uint64_t> words_;
   std::size_t capacity_ = 0;

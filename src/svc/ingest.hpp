@@ -9,13 +9,14 @@
 // the live run (the differential test in tests/svc exercises exactly
 // this). Mutex-sharded MPSC: producers contend only per shard (ticket %
 // shards), the consumer swaps each shard's vector out under its lock and
-// merges by ticket outside any lock.
+// places each record by ticket outside any lock.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "common/time.hpp"
@@ -99,8 +100,9 @@ class IngestQueue {
   std::atomic<std::size_t> depth_{0};
   std::atomic<bool> closed_{false};
   /// Consumer-private: records swept from the shards but not yet
-  /// releasable because an earlier ticket is still in flight.
-  std::vector<IngestRecord> stash_;
+  /// releasable because an earlier ticket is still in flight. Slot k holds
+  /// ticket next_seq_ + k once it has arrived.
+  std::vector<std::optional<IngestRecord>> stash_;
   /// Consumer-private: the next ticket drain() will release.
   std::uint64_t next_seq_ = 0;
 };

@@ -270,10 +270,13 @@ int run(int argc, char** argv) {
     // order (= trace order), so the first `skip` trace records are exactly
     // the ones the shard WALs already hold.
     const std::uint64_t skip = service.wal_ingest_total();
-    std::thread producer([&]() {
+    // A jthread: if the service loop throws, unwinding requests its stop
+    // and joins it, so main can report the error and exit 1.
+    std::jthread producer([&](const std::stop_token& unwinding) {
       wl::SubmitSpec s;
       std::uint64_t yielded = 0;
-      while (!g_stop.load(std::memory_order_acquire)) {
+      while (!g_stop.load(std::memory_order_acquire) &&
+             !unwinding.stop_requested()) {
         if (!source.next(s)) break;
         ++yielded;
         if (yielded <= skip) continue;  // already in a shard WAL
@@ -336,10 +339,13 @@ int run(int argc, char** argv) {
   // The producer: replays the trace through the ingest queue the way qsub
   // shims would, skipping what a previous life already made durable.
   const std::uint64_t skip = service.wal_ingest_total();
-  std::thread producer([&]() {
+  // A jthread: if the service loop throws, unwinding requests its stop and
+  // joins it, so main can report the error and exit 1.
+  std::jthread producer([&](const std::stop_token& unwinding) {
     wl::SubmitSpec s;
     std::uint64_t yielded = 0;
-    while (!g_stop.load(std::memory_order_acquire)) {
+    while (!g_stop.load(std::memory_order_acquire) &&
+           !unwinding.stop_requested()) {
       if (!source.next(s)) break;
       ++yielded;
       if (yielded <= skip) continue;  // already in the WAL

@@ -459,9 +459,11 @@ int run(int argc, char** argv) {
         svc::ServiceConfig service_config;
         service_config.tick = Duration::seconds(3600);
         system.attach_ingest(ingest, service_config);
-        std::thread producer([&]() {
+        // A jthread: if the service loop throws, unwinding requests its
+        // stop and joins it, so main can report the error and exit 1.
+        std::jthread producer([&](const std::stop_token& unwinding) {
           wl::SubmitSpec s;
-          while (swf_source->next(s))
+          while (!unwinding.stop_requested() && swf_source->next(s))
             ingest.submit(s.at, std::move(s.spec), s.behavior);
           ingest.close();
         });
