@@ -1,7 +1,6 @@
 #include "core/pipeline/dynamic_admission_stage.hpp"
 
 #include <optional>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -153,16 +152,20 @@ void DynamicAdmissionStage::run(PipelineEnv& env, IterationContext& ctx) {
     // The decision audit trail: every grant/reject/defer carries the
     // per-protected-job measured delays, the DFS verdict (naming the
     // violated rule) and the non-DFS reason when resources were the issue.
-    std::string_view reason = "granted";
+    rms::RejectReason reason = rms::RejectReason::Granted;
     if (!granted) {
       if (!m.feasible)
-        reason = "no-idle-resources";
+        reason = rms::RejectReason::NoIdleResources;
       else if (!placeable)
-        reason = "node-fragmentation";
-      else if (verdict != DfsVerdict::Allowed)
-        reason = to_string(verdict);
+        reason = rms::RejectReason::NodeFragmentation;
+      else if (verdict == DfsVerdict::DeniedPermission)
+        reason = rms::RejectReason::DeniedPermission;
+      else if (verdict == DfsVerdict::DeniedSingleDelay)
+        reason = rms::RejectReason::DeniedSingleDelay;
+      else if (verdict == DfsVerdict::DeniedTargetDelay)
+        reason = rms::RejectReason::DeniedTargetDelay;
       else
-        reason = "allocation-failed";
+        reason = rms::RejectReason::AllocationFailed;
     }
 
     if (granted) {
@@ -189,7 +192,7 @@ void DynamicAdmissionStage::run(PipelineEnv& env, IterationContext& ctx) {
       ++ctx.stats.dyn_granted;
     } else {
       DBS_TRACE("dyn request of job " << req.job.value()
-                                      << " denied: " << reason);
+                                      << " denied: " << to_string(reason));
       const std::optional<Time> hint =
           estimate_availability(ctx.physical, owner, req.extra_cores, now);
       const bool deferred = ctx.applier.reject_dyn(req, hint, reason);
@@ -201,7 +204,7 @@ void DynamicAdmissionStage::run(PipelineEnv& env, IterationContext& ctx) {
                 .field("job", req.job.value())
                 .field("request", req.id.value())
                 .field("extra_cores", req.extra_cores)
-                .field("reason", reason)
+                .field("reason", to_string(reason))
                 .field("verdict", to_string(verdict))
                 .field_json("delays", ctx.json_scratch));
       }

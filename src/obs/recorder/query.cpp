@@ -96,7 +96,7 @@ std::vector<JobHistoryLine> job_history(RecordReader& reader,
     line.t_us = r.t_us;
     line.is_decision = is_decision(r.type);
     if (line.is_decision)
-      rms::decision_to_json(record_to_decision(r, reader), line.json);
+      rms::decision_to_json(record_to_decision(r), line.json);
     else
       line.json = lifecycle_to_json(r, reader);
     lines.push_back(std::move(line));
@@ -166,7 +166,7 @@ VerifyResult verify_against_trace(RecordReader& reader,
     Expect e;
     e.t_us = r.t_us;
     e.job = r.job;
-    rms::decision_to_json(record_to_decision(r, reader), e.detail);
+    rms::decision_to_json(record_to_decision(r), e.detail);
     switch (r.type) {
       case RecordType::DecStartJob:
         e.trace_name = "job_start";

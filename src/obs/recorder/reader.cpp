@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 
+#include "common/assert.hpp"
+
 namespace dbs::obs::rec {
 
 bool RecordReader::fail(std::string message) {
@@ -11,11 +13,17 @@ bool RecordReader::fail(std::string message) {
   return false;
 }
 
-template <class T>
-T RecordReader::get() {
-  unsigned char tmp[sizeof(T)] = {};
-  in_.read(reinterpret_cast<char*>(tmp), sizeof(T));
-  return load_le<T>(tmp);
+void RecordReader::parse_section(
+    std::uint64_t from, std::uint64_t to, std::string_view what,
+    const std::function<void(codec::ByteReader&)>& fn) {
+  std::vector<unsigned char> bytes(static_cast<std::size_t>(to - from));
+  in_.seekg(static_cast<std::streamoff>(from));
+  in_.read(reinterpret_cast<char*>(bytes.data()),
+           static_cast<std::streamsize>(bytes.size()));
+  DBS_REQUIRE(in_.good(), "read error in the " + std::string(what));
+  codec::ByteReader read(bytes.data(), bytes.size(), what);
+  fn(read);
+  read.finish();
 }
 
 bool RecordReader::open(const std::string& path) {
@@ -26,70 +34,78 @@ bool RecordReader::open(const std::string& path) {
   if (file_size < kHeaderSize + kFooterSize)
     return fail(path + ": truncated (no room for header + footer)");
 
-  in_.seekg(0);
-  if (get<std::uint32_t>() != kMagic)
-    return fail(path + ": not a flight-recorder file (bad magic)");
-  const auto version = get<std::uint32_t>();
-  if (version != kFormatVersion)
-    return fail(path + ": unsupported format version " +
-                std::to_string(version) + " (reader supports " +
-                std::to_string(kFormatVersion) + ")");
-  if (get<std::uint32_t>() != kRecordSize)
-    return fail(path + ": unexpected record size");
-  static_cast<void>(get<std::uint32_t>());  // reserved
-  capacity_ = get<std::int64_t>();
-  bucket_us_ = get<std::int64_t>();
-  if (bucket_us_ <= 0) return fail(path + ": invalid time bucket");
+  // Each section is read whole and parsed by a bounds-checked reader, so
+  // a corrupt count or offset fails here instead of driving an allocation.
+  try {
+    FileHeader header;
+    parse_section(0, kHeaderSize, "header", [&](auto& read) { read(header); });
+    if (header.magic != kMagic)
+      return fail(path + ": not a flight-recorder file (bad magic)");
+    if (header.version != kFormatVersion)
+      return fail(path + ": unsupported format version " +
+                  std::to_string(header.version) + " (reader supports " +
+                  std::to_string(kFormatVersion) + ")");
+    if (header.record_size != kRecordSize)
+      return fail(path + ": unexpected record size");
+    if (header.bucket_us <= 0) return fail(path + ": invalid time bucket");
+    capacity_ = header.capacity;
+    bucket_us_ = header.bucket_us;
 
-  in_.seekg(static_cast<std::streamoff>(file_size - kFooterSize));
-  record_count_ = get<std::uint64_t>();
-  const auto strings_off = get<std::uint64_t>();
-  const auto job_index_off = get<std::uint64_t>();
-  postings_off_ = get<std::uint64_t>();
-  const auto time_index_off = get<std::uint64_t>();
-  const auto job_count = get<std::uint64_t>();
-  static_cast<void>(get<std::uint64_t>());  // total postings
-  if (get<std::uint32_t>() != kFormatVersion ||
-      get<std::uint32_t>() != kMagic)
-    return fail(path + ": corrupt footer (run not finalized?)");
-  if (strings_off != kHeaderSize + record_count_ * kRecordSize ||
-      job_index_off >= file_size || time_index_off >= file_size)
-    return fail(path + ": footer offsets out of range");
+    const std::uint64_t footer_off = file_size - kFooterSize;
+    FileFooter footer;
+    parse_section(footer_off, file_size, "footer",
+                  [&](auto& read) { read(footer); });
+    if (footer.version != kFormatVersion || footer.magic != kMagic)
+      return fail(path + ": corrupt footer (run not finalized?)");
+    // The sections ascend from the end of the records to the footer, and
+    // the postings section holds exactly the footer's total.
+    const std::uint64_t postings_bytes =
+        footer.time_index_off - footer.postings_off;
+    if (footer.record_count > (footer_off - kHeaderSize) / kRecordSize ||
+        footer.strings_off != kHeaderSize + footer.record_count * kRecordSize ||
+        footer.job_index_off < footer.strings_off ||
+        footer.postings_off < footer.job_index_off ||
+        footer.time_index_off < footer.postings_off ||
+        footer.time_index_off > footer_off ||
+        postings_bytes % 8 != 0 || postings_bytes / 8 != footer.total_postings)
+      return fail(path + ": footer offsets out of range");
+    record_count_ = footer.record_count;
+    postings_off_ = footer.postings_off;
 
-  in_.seekg(static_cast<std::streamoff>(strings_off));
-  const auto string_count = get<std::uint32_t>();
-  strings_.clear();
-  strings_.reserve(string_count);
-  for (std::uint32_t i = 0; i < string_count; ++i) {
-    const auto len = get<std::uint16_t>();
-    std::string s(len, '\0');
-    in_.read(s.data(), len);
-    strings_.push_back(std::move(s));
+    parse_section(footer.strings_off, footer.job_index_off, "string table",
+                  [&](codec::ByteReader& read) {
+                    strings_.resize(read.count(2));
+                    for (std::string& s : strings_) {
+                      std::uint16_t len = 0;
+                      read(len);
+                      s = std::string(read.bytes(len));
+                    }
+                  });
+    if (strings_.empty()) strings_.emplace_back();
+
+    std::vector<JobIndexEntry> entries;
+    parse_section(footer.job_index_off, footer.postings_off, "job index",
+                  [&](auto& read) { read(entries); });
+    if (entries.size() != footer.job_count)
+      return fail(path + ": job index count mismatch");
+    // Every job's postings follow the previous job's, so the entries tile
+    // the postings section and no count can reach past it.
+    std::uint64_t postings = 0;
+    job_index_.reserve(entries.size());
+    for (const JobIndexEntry& e : entries) {
+      if (e.postings_start != postings)
+        return fail(path + ": job index postings are not contiguous");
+      postings += e.count;
+      job_index_.emplace(e.job, e);
+    }
+    if (postings != footer.total_postings)
+      return fail(path + ": job index postings do not add up to the total");
+
+    parse_section(footer.time_index_off, footer_off, "time index",
+                  [&](auto& read) { read(first_bucket_, bucket_first_); });
+  } catch (const precondition_error& e) {
+    return fail(path + ": " + e.what());
   }
-  if (strings_.empty()) strings_.emplace_back();
-
-  in_.seekg(static_cast<std::streamoff>(job_index_off));
-  if (get<std::uint32_t>() != job_count)
-    return fail(path + ": job index count mismatch");
-  job_index_.reserve(job_count);
-  for (std::uint64_t i = 0; i < job_count; ++i) {
-    const auto job = get<std::uint64_t>();
-    JobEntry entry;
-    entry.postings_start = get<std::uint64_t>();
-    entry.count = get<std::uint32_t>();
-    static_cast<void>(get<std::uint32_t>());  // pad
-    job_index_.emplace(job, entry);
-  }
-
-  in_.seekg(static_cast<std::streamoff>(time_index_off));
-  first_bucket_ = get<std::int64_t>();
-  const auto bucket_count = get<std::uint32_t>();
-  bucket_first_.resize(bucket_count);
-  for (std::uint32_t i = 0; i < bucket_count; ++i)
-    bucket_first_[i] = get<std::uint64_t>();
-
-  if (!in_.good()) return fail(path + ": read error while loading indexes");
-  in_.clear();
   return true;
 }
 
@@ -106,10 +122,12 @@ std::vector<PackedRecord> RecordReader::for_job(std::uint64_t job) {
   std::vector<PackedRecord> records;
   const auto it = job_index_.find(job);
   if (it == job_index_.end()) return records;
-  std::vector<std::uint64_t> ordinals(it->second.count);
-  in_.seekg(static_cast<std::streamoff>(postings_off_ +
-                                        it->second.postings_start * 8));
-  for (std::uint64_t& ordinal : ordinals) ordinal = get<std::uint64_t>();
+  const JobIndexEntry& entry = it->second;
+  std::vector<std::uint64_t> ordinals(entry.count);
+  const std::uint64_t from = postings_off_ + entry.postings_start * 8;
+  parse_section(from, from + entry.count * 8, "postings", [&](auto& read) {
+    for (std::uint64_t& ordinal : ordinals) read(ordinal);
+  });
   records.reserve(ordinals.size());
   for (const std::uint64_t ordinal : ordinals) records.push_back(at(ordinal));
   return records;

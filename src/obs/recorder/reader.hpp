@@ -2,8 +2,11 @@
 //
 // open() validates magic/version at both ends of the file, then loads the
 // string table, the job-index entry table and the time index into memory —
-// O(jobs + strings + buckets), independent of record count. Records and
-// posting lists stay on disk and are read on demand:
+// O(jobs + strings + buckets), independent of record count. Each section
+// is read whole and parsed with the codec's bounds-checked reader; the
+// footer's offsets must ascend and the job entries must tile the postings,
+// so no corrupt count can drive an allocation past the file's own size.
+// Records and posting lists stay on disk and are read on demand:
 //
 //   for_job(j)        — one hash lookup, one postings seek, k record seeks
 //   scan_range(a, b)  — time index gives the start ordinal; reads forward
@@ -15,6 +18,7 @@
 #include <functional>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -30,7 +34,7 @@ class RecordReader {
   RecordReader& operator=(const RecordReader&) = delete;
 
   /// Opens and validates `path`. On failure returns false and stores a
-  /// human-readable reason in `error()`.
+  /// human-readable reason, naming the corrupt section, in `error()`.
   bool open(const std::string& path);
 
   [[nodiscard]] bool is_open() const { return in_.is_open(); }
@@ -75,14 +79,12 @@ class RecordReader {
   }
 
  private:
-  struct JobEntry {
-    std::uint64_t postings_start = 0;  ///< offset into the postings array
-    std::uint32_t count = 0;
-  };
-
   bool fail(std::string message);
-  template <class T>
-  [[nodiscard]] T get();
+  /// Reads the bytes [from, to) whole and hands them to `fn`, which must
+  /// consume all of them. Throws precondition_error naming `what`.
+  void parse_section(std::uint64_t from, std::uint64_t to,
+                     std::string_view what,
+                     const std::function<void(codec::ByteReader&)>& fn);
 
   std::ifstream in_;
   std::string error_;
@@ -92,7 +94,7 @@ class RecordReader {
   std::uint64_t postings_off_ = 0;
   std::int64_t first_bucket_ = 0;
   std::vector<std::string> strings_{""};
-  std::unordered_map<std::uint64_t, JobEntry> job_index_;
+  std::unordered_map<std::uint64_t, JobIndexEntry> job_index_;
   std::vector<std::uint64_t> bucket_first_;
 };
 

@@ -9,21 +9,25 @@
 // stores bare ordinals and a per-job lookup is "hash the job id, seek the
 // postings, seek each record" — never a full-file scan.
 //
-// All integers are stored little-endian via the explicit store/load
-// helpers below, so files are portable across hosts. Strings (user names,
-// reject reasons) are interned into the string table and referenced by
-// 16-bit id; id 0 is always the empty string.
+// All bytes go through the common codec (common/codec.hpp), so files are
+// portable across hosts. User names are interned into the string table
+// and referenced by 16-bit id; id 0 is always the empty string. A reject
+// reason is stored as its rms::RejectReason value. A decision record is
+// also the WAL's decision frame (svc/state_store.hpp): one 48-byte form
+// of a decision, written by decision_record() (recorder.hpp).
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <string_view>
+#include <vector>
+
+#include "common/codec.hpp"
 
 namespace dbs::obs::rec {
 
 /// File format version; bump on any layout change. Readers reject files
 /// whose major version they do not understand (see DESIGN.md §10).
-inline constexpr std::uint32_t kFormatVersion = 1;
+inline constexpr std::uint32_t kFormatVersion = 2;
 /// "DBSR" little-endian.
 inline constexpr std::uint32_t kMagic = 0x52534244;
 /// Bytes per packed record.
@@ -68,7 +72,8 @@ inline constexpr std::uint8_t kFlagApplied = 2;     ///< decisions
 inline constexpr std::uint8_t kFlagDeferred = 4;    ///< DecRejectDyn
 inline constexpr std::uint8_t kFlagHasHint = 8;     ///< DecRejectDyn: aux valid
 
-/// Sentinel for "no id" in the 32-bit job/other/request fields.
+/// Sentinel for "no id" in the 32-bit job/other/request fields; a real id
+/// must be below it.
 inline constexpr std::uint32_t kNoId = 0xffffffffu;
 
 /// One decoded record. The meaning of `aux_us` depends on `type`:
@@ -84,62 +89,83 @@ struct PackedRecord {
   std::int32_t cores = 0;
   std::uint32_t iteration = 0;    ///< scheduler iteration (decisions only)
   std::uint16_t user = 0;         ///< string-table id (Submit)
-  std::uint16_t reason = 0;       ///< string-table id (DecRejectDyn)
+  std::uint16_t reason = 0;       ///< rms::RejectReason (decisions)
   RecordType type = RecordType::Submit;
   std::uint8_t flags = 0;
 
   [[nodiscard]] bool has(std::uint8_t flag) const {
     return (flags & flag) != 0;
   }
+  [[nodiscard]] bool operator==(const PackedRecord&) const = default;
 };
 
-// --- little-endian scalar helpers -----------------------------------------
-
-template <class T>
-inline void store_le(unsigned char* p, T v) {
-  static_assert(std::is_integral_v<T> || std::is_enum_v<T>);
-  auto u = static_cast<std::uint64_t>(v);
-  for (std::size_t i = 0; i < sizeof(T); ++i)
-    p[i] = static_cast<unsigned char>((u >> (8 * i)) & 0xff);
+/// The record layout: 42 bytes of fields, zero-padded to kRecordSize.
+void fields(auto& io, codec::Of<PackedRecord> auto& r) {
+  std::uint16_t pad16 = 0;
+  std::uint32_t pad32 = 0;
+  io(r.t_us, r.aux_us, r.job, r.other, r.request, r.cores, r.iteration,
+     r.user, r.reason, r.type, r.flags, pad16, pad32);
 }
 
-template <class T>
-inline T load_le(const unsigned char* p) {
-  std::uint64_t u = 0;
-  for (std::size_t i = 0; i < sizeof(T); ++i)
-    u |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return static_cast<T>(u);
+/// The fixed header at offset 0 (kHeaderSize bytes).
+struct FileHeader {
+  std::uint32_t magic = kMagic;
+  std::uint32_t version = kFormatVersion;
+  std::uint32_t record_size = kRecordSize;
+  std::int64_t capacity = 0;   ///< the cluster's total cores
+  std::int64_t bucket_us = 0;  ///< time-index granularity
+};
+
+void fields(auto& io, codec::Of<FileHeader> auto& h) {
+  std::uint32_t reserved = 0;
+  io(h.magic, h.version, h.record_size, reserved, h.capacity, h.bucket_us);
 }
 
-/// Serializes a record into exactly kRecordSize bytes.
-inline void encode_record(const PackedRecord& r, unsigned char out[kRecordSize]) {
-  store_le<std::int64_t>(out + 0, r.t_us);
-  store_le<std::int64_t>(out + 8, r.aux_us);
-  store_le<std::uint32_t>(out + 16, r.job);
-  store_le<std::uint32_t>(out + 20, r.other);
-  store_le<std::uint32_t>(out + 24, r.request);
-  store_le<std::int32_t>(out + 28, r.cores);
-  store_le<std::uint32_t>(out + 32, r.iteration);
-  store_le<std::uint16_t>(out + 36, r.user);
-  store_le<std::uint16_t>(out + 38, r.reason);
-  out[40] = static_cast<unsigned char>(r.type);
-  out[41] = r.flags;
-  std::memset(out + 42, 0, kRecordSize - 42);
+/// The fixed footer at end-of-file (kFooterSize bytes). The index
+/// sections lie in ascending offset order between the records and it:
+/// string table, job index, postings, time index.
+struct FileFooter {
+  std::uint64_t record_count = 0;
+  std::uint64_t strings_off = 0;
+  std::uint64_t job_index_off = 0;
+  std::uint64_t postings_off = 0;
+  std::uint64_t time_index_off = 0;
+  std::uint64_t job_count = 0;
+  std::uint64_t total_postings = 0;
+  std::uint32_t version = kFormatVersion;
+  std::uint32_t magic = kMagic;
+};
+
+void fields(auto& io, codec::Of<FileFooter> auto& f) {
+  io(f.record_count, f.strings_off, f.job_index_off, f.postings_off,
+     f.time_index_off, f.job_count, f.total_postings, f.version, f.magic);
 }
 
-inline PackedRecord decode_record(const unsigned char in[kRecordSize]) {
+/// One job-index entry: the job's postings are `count` record ordinals
+/// starting at `postings_start` in the postings array.
+struct JobIndexEntry {
+  std::uint64_t job = 0;
+  std::uint64_t postings_start = 0;
+  std::uint32_t count = 0;
+};
+
+void fields(auto& io, codec::Of<JobIndexEntry> auto& e) {
+  std::uint32_t pad = 0;  // to 24 bytes per entry
+  io(e.job, e.postings_start, e.count, pad);
+}
+
+/// Appends exactly kRecordSize bytes to `out`.
+inline void encode_record(const PackedRecord& r,
+                          std::vector<unsigned char>& out) {
+  codec::ByteWriter write(out);
+  write(r);
+}
+
+/// Decodes the kRecordSize bytes at `in`.
+[[nodiscard]] inline PackedRecord decode_record(const unsigned char* in) {
   PackedRecord r;
-  r.t_us = load_le<std::int64_t>(in + 0);
-  r.aux_us = load_le<std::int64_t>(in + 8);
-  r.job = load_le<std::uint32_t>(in + 16);
-  r.other = load_le<std::uint32_t>(in + 20);
-  r.request = load_le<std::uint32_t>(in + 24);
-  r.cores = load_le<std::int32_t>(in + 28);
-  r.iteration = load_le<std::uint32_t>(in + 32);
-  r.user = load_le<std::uint16_t>(in + 36);
-  r.reason = load_le<std::uint16_t>(in + 38);
-  r.type = static_cast<RecordType>(in[40]);
-  r.flags = in[41];
+  codec::ByteReader read(in, kRecordSize, "record");
+  read(r);
   return r;
 }
 

@@ -1,7 +1,6 @@
 #include "obs/recorder/recorder.hpp"
 
 #include "common/assert.hpp"
-#include "obs/recorder/reader.hpp"
 
 namespace dbs::obs::rec {
 namespace {
@@ -26,38 +25,42 @@ PackedRecord FlightRecorder::base(RecordType type, JobId job) const {
   return r;
 }
 
+PackedRecord decision_record(Time at, std::uint64_t iteration,
+                             const rms::Decision& d) {
+  PackedRecord r;
+  r.type = static_cast<RecordType>(16 + static_cast<int>(d.kind));
+  r.t_us = at.as_micros();
+  r.iteration = static_cast<std::uint32_t>(iteration);
+  r.job = id32(d.job.value());
+  r.other = id32(d.for_job.value());
+  r.request = id32(d.request.value());
+  r.cores = d.cores;
+  r.reason = static_cast<std::uint16_t>(d.reason);
+  if (d.backfilled) r.flags |= kFlagBackfilled;
+  if (d.applied) r.flags |= kFlagApplied;
+  if (d.deferred) r.flags |= kFlagDeferred;
+  switch (d.kind) {
+    case rms::DecisionKind::Reserve:
+      r.aux_us = d.start.as_micros();
+      break;
+    case rms::DecisionKind::RejectDyn:
+      if (d.hint) {
+        r.flags |= kFlagHasHint;
+        r.aux_us = d.hint->as_micros();
+      }
+      break;
+    default:
+      break;
+  }
+  return r;
+}
+
 void FlightRecorder::record_decisions(
     Time at, std::uint64_t iteration,
     const std::vector<rms::Decision>& decisions) {
   if (!writer_.is_open()) return;
-  for (const rms::Decision& d : decisions) {
-    PackedRecord r;
-    r.type = static_cast<RecordType>(16 + static_cast<int>(d.kind));
-    r.t_us = at.as_micros();
-    r.iteration = static_cast<std::uint32_t>(iteration);
-    r.job = id32(d.job.value());
-    r.other = id32(d.for_job.value());
-    r.request = id32(d.request.value());
-    r.cores = d.cores;
-    if (d.backfilled) r.flags |= kFlagBackfilled;
-    if (d.applied) r.flags |= kFlagApplied;
-    if (d.deferred) r.flags |= kFlagDeferred;
-    switch (d.kind) {
-      case rms::DecisionKind::Reserve:
-        r.aux_us = d.start.as_micros();
-        break;
-      case rms::DecisionKind::RejectDyn:
-        r.reason = writer_.intern(d.reason);
-        if (d.hint) {
-          r.flags |= kFlagHasHint;
-          r.aux_us = d.hint->as_micros();
-        }
-        break;
-      default:
-        break;
-    }
-    writer_.append(r);
-  }
+  for (const rms::Decision& d : decisions)
+    writer_.append(decision_record(at, iteration, d));
 }
 
 void FlightRecorder::on_submit(const rms::Job& job) {
@@ -150,8 +153,7 @@ void FlightRecorder::on_cancel(const rms::Job& job, CoreCount released) {
   writer_.append(r);
 }
 
-rms::Decision record_to_decision(const PackedRecord& r,
-                                 const RecordReader& reader) {
+rms::Decision record_to_decision(const PackedRecord& r) {
   DBS_REQUIRE(is_decision(r.type), "not a decision record");
   rms::Decision d;
   d.kind =
@@ -163,12 +165,12 @@ rms::Decision record_to_decision(const PackedRecord& r,
   d.backfilled = r.has(kFlagBackfilled);
   d.applied = r.has(kFlagApplied);
   d.deferred = r.has(kFlagDeferred);
+  d.reason = static_cast<rms::RejectReason>(r.reason);
   switch (d.kind) {
     case rms::DecisionKind::Reserve:
       d.start = Time::from_micros(r.aux_us);
       break;
     case rms::DecisionKind::RejectDyn:
-      d.reason = reader.string_at(r.reason);
       if (r.has(kFlagHasHint)) d.hint = Time::from_micros(r.aux_us);
       break;
     default:

@@ -6,9 +6,11 @@
 //   * the scheduler's typed decision stream, via record_decisions() called
 //     by MauiScheduler at the end of every applied (non-dry-run) iteration.
 //
-// Decision records round-trip: record_to_decision() reconstructs an
-// rms::Decision whose decision_to_json rendering is byte-identical to what
-// the dry-run printer would have emitted for the original.
+// A decision has one stored form, decision_record(): the recorder appends
+// it and the WAL's decision frames hold it (svc/state_store.hpp). Decision
+// records round-trip: record_to_decision() reconstructs an rms::Decision
+// whose decision_to_json rendering is byte-identical to what the dry-run
+// printer would have emitted for the original.
 //
 // Ownership: one recorder per replication, used only from that
 // replication's simulation thread (ParallelRunner isolates replications,
@@ -23,8 +25,6 @@
 #include "rms/server.hpp"
 
 namespace dbs::obs::rec {
-
-class RecordReader;
 
 class FlightRecorder : public rms::ServerObserver {
  public:
@@ -79,10 +79,15 @@ class FlightRecorder : public rms::ServerObserver {
   std::function<Time()> clock_;
 };
 
+/// The stored form of a decision executed at `at` in scheduler iteration
+/// `iteration` (kept mod 2^32). Ids must fit the record's 32 bits: an
+/// invalid id is stored as kNoId, and an id of kNoId or above throws
+/// precondition_error rather than alias "no id".
+[[nodiscard]] PackedRecord decision_record(Time at, std::uint64_t iteration,
+                                           const rms::Decision& d);
+
 /// Reconstructs the typed decision a decision record was written from.
-/// `reader` supplies the string table backing `Decision::reason`, so the
-/// decision must not outlive it. Precondition: is_decision(r.type).
-[[nodiscard]] rms::Decision record_to_decision(const PackedRecord& r,
-                                               const RecordReader& reader);
+/// Precondition: is_decision(r.type).
+[[nodiscard]] rms::Decision record_to_decision(const PackedRecord& r);
 
 }  // namespace dbs::obs::rec

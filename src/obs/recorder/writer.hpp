@@ -1,7 +1,7 @@
 // Streaming writer for flight-recorder files.
 //
 // append() buffers packed records and tracks, in memory, only what the
-// sidecar indexes need: the string intern table, per-job posting lists
+// sidecar indexes need: the user-name intern table, per-job posting lists
 // (record ordinals) and the first ordinal of each time bucket. finalize()
 // appends the three index sections plus the footer and closes the file.
 // Memory is O(jobs + distinct strings + buckets), never O(records).
@@ -59,8 +59,6 @@ class RecordWriter {
 
  private:
   void flush_buffer();
-  template <class T>
-  void put(T v);
 
   std::ofstream out_;
   std::string path_;

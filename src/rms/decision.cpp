@@ -14,6 +14,19 @@ std::string_view to_string(DecisionKind kind) {
   return "unknown";
 }
 
+std::string_view to_string(RejectReason reason) {
+  switch (reason) {
+    case RejectReason::Granted: return "granted";
+    case RejectReason::NoIdleResources: return "no-idle-resources";
+    case RejectReason::NodeFragmentation: return "node-fragmentation";
+    case RejectReason::DeniedPermission: return "denied-permission";
+    case RejectReason::DeniedSingleDelay: return "denied-single-delay";
+    case RejectReason::DeniedTargetDelay: return "denied-target-delay";
+    case RejectReason::AllocationFailed: return "allocation-failed";
+  }
+  return "unknown";
+}
+
 void decision_to_json(const Decision& d, std::string& out) {
   out += "{\"kind\": \"";
   out += to_string(d.kind);
@@ -42,7 +55,7 @@ void decision_to_json(const Decision& d, std::string& out) {
       break;
     case DecisionKind::RejectDyn:
       out += ", \"reason\": \"";
-      out += d.reason;
+      out += to_string(d.reason);
       out += "\", \"deferred\": ";
       out += d.deferred ? "true" : "false";
       if (d.hint) {

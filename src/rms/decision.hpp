@@ -7,6 +7,7 @@
 // seam for a future distributed decide/commit split.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -27,6 +28,22 @@ enum class DecisionKind {
 };
 
 [[nodiscard]] std::string_view to_string(DecisionKind kind);
+
+/// Why a dynamic request was not granted (the audit reason of a RejectDyn
+/// decision; every other decision carries Granted). The values are stable
+/// on-disk ids: the WAL and the flight recorder store them.
+enum class RejectReason : std::uint16_t {
+  Granted,            ///< "granted": not a rejection
+  NoIdleResources,    ///< "no-idle-resources": the measurement found no fit
+  NodeFragmentation,  ///< "node-fragmentation": no chunked placement fits
+  DeniedPermission,   ///< "denied-permission": DFSDYNDELAYPERM=0
+  DeniedSingleDelay,  ///< "denied-single-delay": a per-job cap
+  DeniedTargetDelay,  ///< "denied-target-delay": a per-interval cap
+  AllocationFailed,   ///< "allocation-failed": the grant failed to apply
+};
+
+/// The reason's audit string; "unknown" for a value outside the enum.
+[[nodiscard]] std::string_view to_string(RejectReason reason);
 
 /// One scheduler decision. Which fields are meaningful depends on `kind`;
 /// unused ids stay invalid() and unused counts stay 0.
@@ -52,8 +69,8 @@ struct Decision {
   bool applied = true;
   /// RejectDyn: the request stayed queued (negotiation deferral).
   bool deferred = false;
-  /// RejectDyn: audit reason (static string; "granted" elsewhere).
-  std::string_view reason = "granted";
+  /// RejectDyn: audit reason (Granted elsewhere).
+  RejectReason reason = RejectReason::Granted;
   /// RejectDyn: availability hint returned to the application, if any.
   std::optional<Time> hint;
 };

@@ -26,7 +26,7 @@ bool DecisionApplier::grant_dyn(const DynRequest& request) {
 
 bool DecisionApplier::reject_dyn(const DynRequest& request,
                                  std::optional<Time> hint,
-                                 std::string_view reason) {
+                                 RejectReason reason) {
   Decision d;
   d.kind = DecisionKind::RejectDyn;
   d.job = request.job;

@@ -59,7 +59,7 @@ class DecisionApplier {
   /// (negotiation deferral) — in dry-run, decided from the request's
   /// deadline, mirroring Server::reject_dyn.
   bool reject_dyn(const DynRequest& request, std::optional<Time> hint,
-                  std::string_view reason);
+                  RejectReason reason);
 
   /// Preempts a running job to free cores for `for_job`'s request.
   void preempt(JobId victim, JobId for_job);

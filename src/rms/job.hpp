@@ -15,7 +15,7 @@ namespace dbs::rms {
 
 /// Server-side job lifecycle. `DynQueued` is the paper's special state a
 /// running job enters while one of its dynamic requests awaits scheduling.
-enum class JobState {
+enum class JobState : std::uint8_t {
   Queued,     ///< submitted, awaiting first allocation
   Running,    ///< processes executing
   DynQueued,  ///< running, with a dynamic request pending at the server

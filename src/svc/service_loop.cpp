@@ -7,6 +7,7 @@
 #include "apps/app_model.hpp"
 #include "batch/batch_system.hpp"
 #include "common/assert.hpp"
+#include "obs/recorder/recorder.hpp"
 #include "obs/registry.hpp"
 
 namespace dbs::svc {
@@ -86,8 +87,8 @@ bool ServiceLoop::open() {
     last_admitted_ = max(last_admitted_, r.admitted);
   }
 
-  // Deterministic re-execution: run the tail forward and byte-compare
-  // every re-made decision against the log before trusting the recovery.
+  // Deterministic re-execution: run the tail forward and compare every
+  // re-made decision record against the log before trusting the recovery.
   // Each horizon is the next logged decision's own timestamp — never a
   // tick-sized overshoot, which would run the clock past the admission
   // watermark and shift the stamps of everything admitted after recovery.
@@ -99,7 +100,7 @@ bool ServiceLoop::open() {
     DBS_REQUIRE(!system_.simulator().idle(),
                 "recovery ran dry before re-making every WAL decision");
     const std::size_t before = expected_next_;
-    system_.run_until(expected_[expected_next_].at);
+    system_.run_until(Time::from_micros(expected_[expected_next_].t_us));
     DBS_REQUIRE(expected_next_ > before,
                 "recovery diverged: no decision re-made at a logged time");
   }
@@ -171,9 +172,9 @@ void ServiceLoop::on_decision(const rms::Decision& d) {
   const Time now = system_.simulator().now();
   const std::uint64_t iteration = system_.scheduler().iterations();
   if (expected_next_ < expected_.size()) {
-    const std::vector<unsigned char> bytes = encode_decision(now, iteration, d);
     DBS_REQUIRE(
-        bytes == expected_[expected_next_].payload,
+        obs::rec::decision_record(now, iteration, d) ==
+            expected_[expected_next_],
         "recovery divergence: a re-made decision differs from the WAL");
     ++expected_next_;
     ++wal_decision_total_;

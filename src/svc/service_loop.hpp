@@ -22,7 +22,7 @@
 // structure) is fixed once the instant fires, never split by a drain
 // boundary. A crash replay that re-feeds the WAL's ingest tail therefore
 // reproduces the admission times the live run chose, and with them the
-// same decisions (verified byte-for-byte against the logged stream).
+// same decisions (verified record against record with the logged stream).
 #pragma once
 
 #include <atomic>
@@ -84,7 +84,7 @@ class ServiceLoop {
   /// Recovers durable state (durable config only; call once, before
   /// run()): restores the newest usable snapshot, re-feeds the WAL's
   /// unfired ingest tail at the recorded admission times, re-runs it while
-  /// byte-comparing every re-made decision against the logged stream, then
+  /// comparing every re-made decision record with the logged one, then
   /// truncates the torn tail (if any) and reopens the WAL for appending.
   /// Returns true when prior state was found (false = cold start).
   bool open();
@@ -174,7 +174,7 @@ class ServiceLoop {
   bool recovered_ = false;
 
   /// Recovery verification window: logged decisions not yet re-made.
-  std::vector<WalDecision> expected_;
+  std::vector<obs::rec::PackedRecord> expected_;
   std::size_t expected_next_ = 0;
 
   std::vector<IngestRecord> drain_buf_;

@@ -13,15 +13,19 @@
 //                    so every input that can influence a decision is
 //                    durable first;
 //   decisions        the typed rms::Decision stream, appended as each is
-//                    executed — a verification trail, not an input.
+//                    executed, each as its 48-byte flight-recorder record
+//                    (obs::rec::decision_record) — a verification trail,
+//                    not an input.
+//
+// Every layout is one field list on the common codec (common/codec.hpp).
 //
 // Recovery = load the newest snapshot consistent with the WAL (its
 // recorded WAL counts must not exceed what the log actually holds — a
 // crash can lose a snapshot's tail but never un-write the log), re-arm
 // pending events, re-schedule the WAL's unfired ingest tail at the
 // RECORDED admitted times, then re-run. Determinism makes the re-made
-// decisions byte-identical to the logged ones, which the service loop
-// verifies record by record before switching the WAL back to append mode.
+// decisions identical to the logged ones, which the service loop verifies
+// record against record before switching the WAL back to append mode.
 // Format details: DESIGN.md §13.
 #pragma once
 
@@ -34,6 +38,7 @@
 
 #include "core/maui_scheduler.hpp"
 #include "metrics/recorder.hpp"
+#include "obs/recorder/record.hpp"
 #include "rms/decision.hpp"
 #include "rms/job.hpp"
 #include "rms/mom.hpp"
@@ -49,8 +54,8 @@ namespace dbs::svc {
 inline constexpr std::uint32_t kSnapshotVersion = 1;
 /// "DBSS" little-endian.
 inline constexpr std::uint32_t kSnapshotMagic = 0x53534244;
-/// WAL file format version.
-inline constexpr std::uint32_t kWalVersion = 1;
+/// WAL file format version; bump on any layout change.
+inline constexpr std::uint32_t kWalVersion = 2;
 /// "DBSW" little-endian.
 inline constexpr std::uint32_t kWalMagic = 0x57534244;
 /// Bytes of the WAL header (magic + version).
@@ -128,10 +133,6 @@ void restore_state(batch::BatchSystem& system, const SystemState& s);
 inline constexpr std::uint8_t kWalIngest = 1;
 inline constexpr std::uint8_t kWalDecision = 2;
 
-/// Encodes one decision (with its execution time and iteration) into the
-/// WAL payload form; byte-compared during recovery verification.
-[[nodiscard]] std::vector<unsigned char> encode_decision(
-    Time at, std::uint64_t iteration, const rms::Decision& d);
 [[nodiscard]] std::vector<unsigned char> encode_ingest(const IngestRecord& r);
 [[nodiscard]] IngestRecord decode_ingest(const unsigned char* data,
                                          std::size_t size);
@@ -149,6 +150,7 @@ class WalWriter {
   WalWriter& operator=(const WalWriter&) = delete;
 
   void append_ingest(const IngestRecord& r);
+  /// Appends decision_record(at, iteration, d).
   void append_decision(Time at, std::uint64_t iteration,
                        const rms::Decision& d);
   /// Flushes buffered records and fsyncs the file.
@@ -161,8 +163,9 @@ class WalWriter {
   }
 
  private:
-  void append_record(std::uint8_t type,
-                     const std::vector<unsigned char>& payload);
+  /// Buffers one [type][len][payload] frame.
+  template <class Payload>
+  void append_frame(std::uint8_t type, const Payload& payload);
 
   int fd_ = -1;
   std::string path_;
@@ -171,25 +174,18 @@ class WalWriter {
   std::uint64_t decisions_ = 0;
 };
 
-/// One decision as read back from the WAL: the raw payload (for the
-/// byte-identical recovery check) plus the decoded execution time.
-struct WalDecision {
-  Time at;
-  std::uint64_t iteration = 0;
-  std::vector<unsigned char> payload;
-};
-
 /// A fully parsed WAL. `valid_bytes` is the offset just past the last
 /// complete record — a torn tail (partial record after a crash mid-write)
 /// is tolerated and cut there on reopen.
 struct WalContents {
   std::vector<IngestRecord> ingest;
-  std::vector<WalDecision> decisions;
+  std::vector<obs::rec::PackedRecord> decisions;
   std::uint64_t valid_bytes = kWalHeaderSize;
 };
 
 /// Reads `path`; a missing file yields empty contents with valid_bytes 0
-/// (recovery then cold-starts). Throws on bad magic/version.
+/// (recovery then cold-starts). Throws on bad magic or a version other
+/// than kWalVersion (a v1 log is rejected, naming its version).
 [[nodiscard]] WalContents read_wal(const std::string& path);
 
 // --- state directory layout ------------------------------------------------

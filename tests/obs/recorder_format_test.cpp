@@ -7,9 +7,12 @@
 #include <string>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "obs/recorder/manifest.hpp"
 #include "obs/recorder/reader.hpp"
+#include "obs/recorder/recorder.hpp"
 #include "obs/recorder/writer.hpp"
+#include "rms/decision.hpp"
 
 namespace dbs::obs::rec {
 namespace {
@@ -41,9 +44,10 @@ TEST(RecordCodec, RoundTripsEveryField) {
   r.type = RecordType::DecRejectDyn;
   r.flags = kFlagApplied | kFlagDeferred | kFlagHasHint;
 
-  unsigned char buf[kRecordSize];
+  std::vector<unsigned char> buf;
   encode_record(r, buf);
-  const PackedRecord d = decode_record(buf);
+  ASSERT_EQ(buf.size(), kRecordSize);
+  const PackedRecord d = decode_record(buf.data());
   EXPECT_EQ(d.t_us, r.t_us);
   EXPECT_EQ(d.aux_us, r.aux_us);
   EXPECT_EQ(d.job, r.job);
@@ -62,8 +66,9 @@ TEST(RecordCodec, RoundTripsEveryField) {
 TEST(RecordCodec, EncodingIsLittleEndianAndPadded) {
   PackedRecord r;
   r.t_us = 0x0102030405060708;
-  unsigned char buf[kRecordSize];
+  std::vector<unsigned char> buf;
   encode_record(r, buf);
+  ASSERT_EQ(buf.size(), kRecordSize);
   EXPECT_EQ(buf[0], 0x08);  // least-significant byte first
   EXPECT_EQ(buf[7], 0x01);
   for (std::size_t i = 42; i < kRecordSize; ++i) EXPECT_EQ(buf[i], 0);
@@ -81,7 +86,8 @@ TEST(RecordWriter, RoundTripsRecordsStringsAndHeader) {
   writer.append(submit);
 
   PackedRecord reject = make_record(2000, RecordType::DecRejectDyn, 1);
-  reject.reason = writer.intern("denied-target-delay");
+  reject.reason =
+      static_cast<std::uint16_t>(rms::RejectReason::DeniedTargetDelay);
   reject.request = 5;
   reject.flags = kFlagApplied;
   writer.append(reject);
@@ -104,7 +110,8 @@ TEST(RecordWriter, RoundTripsRecordsStringsAndHeader) {
   EXPECT_EQ(reader.string_at(r0.user), "alice");
   const PackedRecord r1 = reader.at(1);
   EXPECT_EQ(r1.type, RecordType::DecRejectDyn);
-  EXPECT_EQ(reader.string_at(r1.reason), "denied-target-delay");
+  EXPECT_EQ(record_to_decision(r1).reason,
+            rms::RejectReason::DeniedTargetDelay);
   EXPECT_EQ(r1.request, 5u);
   std::remove(path.c_str());
 }
@@ -244,9 +251,90 @@ TEST(RecordReader, RejectsCorruptFiles) {
   EXPECT_NE(magic_reader.error().find("magic"), std::string::npos)
       << magic_reader.error();
 
+  // A version-1 file is rejected, naming its version.
+  bytes[0] = 'D';
+  bytes[4] = 1;
+  const std::string old_version = temp_path("v1");
+  std::ofstream(old_version, std::ios::binary) << bytes;
+  RecordReader version_reader;
+  EXPECT_FALSE(version_reader.open(old_version));
+  EXPECT_NE(version_reader.error().find("unsupported format version 1"),
+            std::string::npos)
+      << version_reader.error();
+  bytes[4] = static_cast<char>(kFormatVersion);
+
+  // A count of 0xFFFFFFFF in an index section fails open() and names the
+  // section, before anything is allocated for it.
+  const auto footer_u64 = [&](std::size_t field) {
+    return codec::load_le<std::uint64_t>(
+        reinterpret_cast<const unsigned char*>(bytes.data()) + bytes.size() -
+        kFooterSize + 8 * field);
+  };
+  const std::uint64_t strings_off = footer_u64(1);
+  const std::uint64_t job_index_off = footer_u64(2);
+  const std::uint64_t time_index_off = footer_u64(4);
+  const struct {
+    const char* section;
+    std::uint64_t offset;
+  } counts[] = {
+      {"string table", strings_off},
+      {"time index", time_index_off + 8},      // after the first bucket
+      {"job index", job_index_off + 4 + 16},  // the first job's postings
+  };
+  const std::string bad_count = temp_path("badcount");
+  for (const auto& c : counts) {
+    std::string corrupt = bytes;
+    corrupt.replace(c.offset, 4, 4, '\xff');
+    std::ofstream(bad_count, std::ios::binary | std::ios::trunc) << corrupt;
+    RecordReader reader;
+    EXPECT_FALSE(reader.open(bad_count)) << c.section;
+    EXPECT_NE(reader.error().find(c.section), std::string::npos)
+        << reader.error();
+  }
+
   std::remove(good.c_str());
   std::remove(truncated.c_str());
   std::remove(bad_magic.c_str());
+  std::remove(old_version.c_str());
+  std::remove(bad_count.c_str());
+}
+
+TEST(DecisionRecord, IdsMustFitThirtyTwoBits) {
+  rms::Decision d;
+  d.kind = rms::DecisionKind::GrantDyn;
+  d.job = JobId{0xfffffffeu};  // the largest id a record holds
+  d.request = RequestId{7};
+  const PackedRecord r = decision_record(Time::from_micros(5), 1, d);
+  EXPECT_EQ(r.job, 0xfffffffeu);
+  EXPECT_EQ(r.other, kNoId);  // an invalid id stays "no id"
+  const rms::Decision back = record_to_decision(r);
+  EXPECT_EQ(back.job, d.job);
+  EXPECT_EQ(back.request, d.request);
+  EXPECT_FALSE(back.for_job.valid());
+
+  // 2^32 - 1 would alias "no id"; anything wider does not fit.
+  d.job = JobId{0xffffffffu};
+  EXPECT_THROW((void)decision_record(Time::epoch(), 0, d),
+               precondition_error);
+  d.job = JobId{std::uint64_t{1} << 40};
+  EXPECT_THROW((void)decision_record(Time::epoch(), 0, d),
+               precondition_error);
+
+  // The iteration is kept mod 2^32.
+  d.job = JobId{1};
+  EXPECT_EQ(decision_record(Time::epoch(), (std::uint64_t{1} << 32) + 3, d)
+                .iteration,
+            3u);
+}
+
+TEST(DecisionRecord, UnknownReasonRendersAsUnknown) {
+  PackedRecord r = make_record(0, RecordType::DecRejectDyn, 3);
+  r.request = 4;
+  r.reason = 999;
+  r.flags = kFlagApplied;
+  std::string json;
+  rms::decision_to_json(record_to_decision(r), json);
+  EXPECT_NE(json.find("\"reason\": \"unknown\""), std::string::npos) << json;
 }
 
 TEST(Manifest, ShardPathsAndJson) {

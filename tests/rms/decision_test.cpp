@@ -18,6 +18,20 @@ TEST(Decision, KindNamesAreStable) {
   EXPECT_EQ(to_string(DecisionKind::Reserve), "reserve");
 }
 
+TEST(Decision, RejectReasonNamesAreStable) {
+  EXPECT_EQ(to_string(RejectReason::Granted), "granted");
+  EXPECT_EQ(to_string(RejectReason::NoIdleResources), "no-idle-resources");
+  EXPECT_EQ(to_string(RejectReason::NodeFragmentation), "node-fragmentation");
+  EXPECT_EQ(to_string(RejectReason::DeniedPermission), "denied-permission");
+  EXPECT_EQ(to_string(RejectReason::DeniedSingleDelay),
+            "denied-single-delay");
+  EXPECT_EQ(to_string(RejectReason::DeniedTargetDelay),
+            "denied-target-delay");
+  EXPECT_EQ(to_string(RejectReason::AllocationFailed), "allocation-failed");
+  // A value read from a corrupt or newer file renders, never crashes.
+  EXPECT_EQ(to_string(static_cast<RejectReason>(999)), "unknown");
+}
+
 TEST(Decision, StartJobJsonHasStableKeyOrder) {
   Decision d;
   d.kind = DecisionKind::StartJob;
@@ -38,14 +52,14 @@ TEST(Decision, RejectJsonCarriesReasonDeferralAndHint) {
   d.cores = 4;
   d.applied = true;
   d.deferred = true;
-  d.reason = "dfs_denied";
+  d.reason = RejectReason::DeniedTargetDelay;
   d.hint = Time::from_seconds(2);
   std::string out;
   decision_to_json(d, out);
   EXPECT_EQ(out,
             "{\"kind\": \"reject_dyn\", \"job\": 3, \"request\": 12, "
-            "\"cores\": 4, \"reason\": \"dfs_denied\", \"deferred\": true, "
-            "\"hint_us\": 2000000, \"applied\": true}");
+            "\"cores\": 4, \"reason\": \"denied-target-delay\", "
+            "\"deferred\": true, \"hint_us\": 2000000, \"applied\": true}");
 }
 
 TEST(Decision, ReserveJsonCarriesPlannedStart) {

@@ -185,13 +185,9 @@ class TempDir {
   fs::path dir_;
 };
 
-std::vector<std::vector<unsigned char>> decision_stream(
+std::vector<obs::rec::PackedRecord> decision_stream(
     const std::string& state_dir) {
-  WalContents wal = read_wal(wal_path(state_dir));
-  std::vector<std::vector<unsigned char>> out;
-  out.reserve(wal.decisions.size());
-  for (auto& d : wal.decisions) out.push_back(std::move(d.payload));
-  return out;
+  return read_wal(wal_path(state_dir)).decisions;
 }
 
 std::vector<unsigned char> read_file(const std::string& path) {
@@ -391,7 +387,7 @@ TEST(ServiceLoop, ConcurrentIngestReplaysByteIdentical) {
   }
   ASSERT_EQ(replay_wal.decisions.size(), live_wal.decisions.size());
   for (std::size_t i = 0; i < live_wal.decisions.size(); ++i)
-    ASSERT_EQ(replay_wal.decisions[i].payload, live_wal.decisions[i].payload)
+    ASSERT_TRUE(replay_wal.decisions[i] == live_wal.decisions[i])
         << "decision " << i << " diverged";
 }
 

@@ -201,7 +201,7 @@ TEST(ShardedService, StopAndReopenContinuesToTheSameResult) {
         read_wal(wal_path(shard_state_dir(dir.sub("split"), k)));
     ASSERT_EQ(split_wal.decisions.size(), base_wal.decisions.size()) << k;
     for (std::size_t i = 0; i < base_wal.decisions.size(); ++i)
-      ASSERT_EQ(split_wal.decisions[i].payload, base_wal.decisions[i].payload)
+      ASSERT_TRUE(split_wal.decisions[i] == base_wal.decisions[i])
           << "shard " << k << " decision " << i
           << " diverged across the shutdown";
   }

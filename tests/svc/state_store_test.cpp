@@ -15,6 +15,7 @@
 #include "batch/batch_system.hpp"
 #include "common/assert.hpp"
 #include "metrics/report.hpp"
+#include "obs/recorder/recorder.hpp"
 #include "svc/state_store.hpp"
 #include "../testutil.hpp"
 #include "workload/swf/swf_gen.hpp"
@@ -155,6 +156,25 @@ TEST(StateCodec, RejectsBadMagicBadVersionAndTruncation) {
   }
 }
 
+std::uint64_t fnv1a(const std::vector<unsigned char>& bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const unsigned char b : bytes) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// The snapshot layout is pinned to version 1: the size and hash of a
+// fixed mid-run image. A change here must bump kSnapshotVersion.
+TEST(StateCodec, LayoutIsPinnedToVersionOne) {
+  ASSERT_EQ(kSnapshotVersion, 1u);
+  const std::vector<unsigned char> bytes =
+      encode_state(capture_mid_run().state);
+  EXPECT_EQ(bytes.size(), 14897u);
+  EXPECT_EQ(fnv1a(bytes), 0x6470d9f06d8051d8ull);
+}
+
 // --- capture/restore fidelity ----------------------------------------------
 
 TEST(StateRestore, RestoredSystemRecapturesIdentically) {
@@ -252,6 +272,13 @@ rms::Decision sample_decision(std::uint64_t i) {
   return d;
 }
 
+// The ingest payload is pinned like the snapshot layout above.
+TEST(IngestCodec, LayoutIsPinned) {
+  const std::vector<unsigned char> bytes = encode_ingest(sample_submit(3));
+  EXPECT_EQ(bytes.size(), 143u);
+  EXPECT_EQ(fnv1a(bytes), 0xb6161af40adbdde5ull);
+}
+
 TEST(IngestCodec, RoundTripsSubmitAndCancel) {
   for (const IngestRecord& r : {sample_submit(3), sample_cancel(9)}) {
     const std::vector<unsigned char> bytes = encode_ingest(r);
@@ -268,7 +295,7 @@ TEST(Wal, WriterReaderRoundTrip) {
   const std::string path = wal_path(dir.path());
 
   std::vector<IngestRecord> ingests;
-  std::vector<std::vector<unsigned char>> decision_payloads;
+  std::vector<obs::rec::PackedRecord> decision_records;
   {
     WalWriter writer(path);
     for (std::uint64_t i = 0; i < 4; ++i) {
@@ -278,7 +305,7 @@ TEST(Wal, WriterReaderRoundTrip) {
       const Time at = Time::from_micros(static_cast<std::int64_t>(10 * i));
       const rms::Decision d = sample_decision(i);
       writer.append_decision(at, /*iteration=*/i, d);
-      decision_payloads.push_back(encode_decision(at, i, d));
+      decision_records.push_back(obs::rec::decision_record(at, i, d));
     }
     writer.sync();
     EXPECT_EQ(writer.appended_ingest(), 4u);
@@ -290,10 +317,9 @@ TEST(Wal, WriterReaderRoundTrip) {
   ASSERT_EQ(wal.decisions.size(), 4u);
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_TRUE(wal.ingest[i] == ingests[i]);
-    EXPECT_EQ(wal.decisions[i].payload, decision_payloads[i]);
+    EXPECT_TRUE(wal.decisions[i] == decision_records[i]);
     EXPECT_EQ(wal.decisions[i].iteration, i);
-    EXPECT_EQ(wal.decisions[i].at.as_micros(),
-              static_cast<std::int64_t>(10 * i));
+    EXPECT_EQ(wal.decisions[i].t_us, static_cast<std::int64_t>(10 * i));
   }
   EXPECT_EQ(wal.valid_bytes, fs::file_size(path));
 
@@ -319,6 +345,25 @@ TEST(Wal, MissingFileIsEmptyAndForeignFilesAreRejected) {
   const std::string foreign = dir.path() + "/foreign.bin";
   std::ofstream(foreign, std::ios::binary) << "NOTAWALFILE_____";
   EXPECT_THROW((void)read_wal(foreign), precondition_error);
+
+  // A version-1 log is rejected, and the error names the version.
+  const std::string v1 = wal_path(dir.path());
+  {
+    WalWriter writer(v1);
+    writer.append_ingest(sample_submit(1));
+  }
+  std::fstream patch(v1, std::ios::binary | std::ios::in | std::ios::out);
+  patch.seekp(4);
+  patch.put(1);
+  patch.close();
+  try {
+    (void)read_wal(v1);
+    ADD_FAILURE() << "a version-1 WAL was accepted";
+  } catch (const precondition_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported WAL version 1"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // Torn-tail tolerance, exhaustively: for EVERY byte prefix of a real WAL,
@@ -343,8 +388,7 @@ TEST(Wal, ToleratesTruncationAtEveryByteOffset) {
       const Time at = Time::from_micros(static_cast<std::int64_t>(i));
       const rms::Decision d = sample_decision(i);
       writer.append_decision(at, i, d);
-      boundaries.push_back(boundaries.back() + 5 +
-                           encode_decision(at, i, d).size());
+      boundaries.push_back(boundaries.back() + 5 + obs::rec::kRecordSize);
       ++records;
     }
     writer.sync();

@@ -14,9 +14,9 @@
 // drains, appends to the write-ahead log, schedules and snapshots. Kill it
 // at any moment (SIGKILL included) and restart with the same --state-dir:
 // it recovers from the newest snapshot, replays the WAL tail, verifies the
-// re-made decisions byte-for-byte against the log, skips the trace records
-// it already ingested, and continues. SIGTERM/SIGINT stop cleanly (final
-// snapshot written).
+// re-made decisions record against record with the log, skips the trace
+// records it already ingested, and continues. SIGTERM/SIGINT stop cleanly
+// (final snapshot written).
 //
 // --state-dir "" runs the service without durability (ingest path only).
 // --throttle-ms paces the producer (gives a crash window to CI);
@@ -43,7 +43,6 @@
 
 #include "batch/batch_system.hpp"
 #include "batch/sharded_system.hpp"
-#include "config/maui_config.hpp"
 #include "metrics/report.hpp"
 #include "svc/ingest.hpp"
 #include "svc/service_loop.hpp"
@@ -51,6 +50,7 @@
 #include "workload/swf/swf_source.hpp"
 
 #include "flag_value.hpp"
+#include "run_options.hpp"
 
 using namespace dbs;
 
@@ -67,6 +67,9 @@ void handle_signal(int) {
   if (g_sharded != nullptr) g_sharded->stop();
 }
 
+void watch(svc::ServiceLoop& service) { g_service = &service; }
+void watch(svc::ShardedService& service) { g_sharded = &service; }
+
 int usage(const char* argv0, int code) {
   std::cerr
       << "usage: " << argv0
@@ -78,15 +81,6 @@ int usage(const char* argv0, int code) {
          "       [--shards K] [--shard-by hash|user|partition|least]\n"
          "       [--shard-map range|hash] [--shard-threads T]\n";
   return code;
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::cerr << "cannot open " << path << "\n";
-    std::exit(1);
-  }
-  return std::string(std::istreambuf_iterator<char>(in), {});
 }
 
 void write_summary_json(std::ostream& os, const metrics::WorkloadSummary& s,
@@ -109,22 +103,101 @@ void write_summary_json(std::ostream& os, const metrics::WorkloadSummary& s,
      << "}\n";
 }
 
-int run(int argc, char** argv) {
-  std::string swf_path;
+/// What the service run needs besides the system it drives.
+struct Options {
   std::string state_dir;
-  std::string config_path;
   std::string summary_json;
+  std::int64_t throttle_ms = 0;
+  std::uint64_t max_jobs = 0;
+  std::size_t shards = 1;
+  bool quiet = false;
+};
+
+/// Recovers `service` (a svc::ServiceLoop or a svc::ShardedService), feeds
+/// it the trace from a producer thread the way qsub shims would, runs it to
+/// the end and reports. `summarize` yields the final workload summary.
+template <class Service, class Summarize>
+int serve(Service& service, svc::IngestQueue& ingest,
+          wl::swf::SwfSource& source, const Options& opt,
+          const Summarize& summarize) {
+  const char* shard_dirs = opt.shards > 1 ? "/shard-*" : "";
+  bool recovered = false;
+  if (!opt.state_dir.empty()) {
+    recovered = service.open();
+    if (!opt.quiet && recovered)
+      std::cerr << "dbsd: recovered state from " << opt.state_dir
+                << shard_dirs << " (" << service.wal_ingest_total()
+                << " ingested, " << service.wal_decision_total()
+                << " decisions)\n";
+  }
+
+  watch(service);
+  std::signal(SIGINT, handle_signal);
+  std::signal(SIGTERM, handle_signal);
+
+  // Skip what a previous life already made durable. Sharded routing is
+  // deterministic and in global ticket (= trace) order, so the first
+  // `skip` trace records are exactly the ones the shard WALs hold.
+  const std::uint64_t skip = service.wal_ingest_total();
+  // A jthread: if the service loop throws, unwinding requests its stop and
+  // joins it, so main can report the error and exit 1.
+  std::jthread producer([&](const std::stop_token& unwinding) {
+    wl::SubmitSpec s;
+    std::uint64_t yielded = 0;
+    while (!g_stop.load(std::memory_order_acquire) &&
+           !unwinding.stop_requested()) {
+      if (!source.next(s)) break;
+      ++yielded;
+      if (yielded <= skip) continue;  // already in the WAL
+      if (opt.max_jobs != 0 && yielded > opt.max_jobs) break;
+      ingest.submit(s.at, std::move(s.spec), s.behavior);
+      if (opt.throttle_ms > 0)
+        std::this_thread::sleep_for(std::chrono::milliseconds(opt.throttle_ms));
+    }
+    ingest.close();
+  });
+
+  const std::uint64_t ticks = service.run();
+  g_stop.store(true);
+  producer.join();
+
+  const metrics::WorkloadSummary summary = summarize();
+  if (!opt.quiet) {
+    std::cerr << "dbsd: " << summary.jobs_submitted << " submitted, "
+              << summary.jobs_completed << " completed, "
+              << service.wal_decision_total() << " decisions, "
+              << service.snapshots_written() << " snapshots, " << ticks
+              << " ticks";
+    if (opt.shards > 1) std::cerr << " across " << opt.shards << " shards";
+    std::cerr << (service.drained() ? "" : " (stopped before drain)") << "\n";
+  }
+  if (opt.summary_json.empty()) return 0;
+  const bool to_stdout = opt.summary_json == "-";
+  std::ofstream file;
+  if (!to_stdout) {
+    file.open(opt.summary_json);
+    if (!file) {
+      std::cerr << "cannot open " << opt.summary_json << "\n";
+      return 1;
+    }
+  }
+  write_summary_json(to_stdout ? std::cout : file, summary,
+                     service.wal_ingest_total(), service.wal_decision_total(),
+                     recovered);
+  return 0;
+}
+
+int run(int argc, char** argv) {
+  Options opt;
+  std::string swf_path;
+  std::string config_path;
   std::size_t nodes = 0;
   CoreCount cores_per_node = 8;
   std::uint64_t snapshot_every = 256;
   std::int64_t tick_ms = 3'600'000;  // accelerated replay: 1 h per cycle
-  std::int64_t throttle_ms = 0;
-  std::uint64_t max_jobs = 0;
   std::uint64_t max_ticks = 0;
   double overlay_pct = 0.0;
   std::uint64_t overlay_seed = 2014;
-  bool quiet = false;
-  std::size_t shards = 1;
   std::size_t shard_threads = 1;
   core::RoutePolicy shard_by = core::RoutePolicy::UserHash;
   batch::ShardMapKind shard_map = batch::ShardMapKind::Range;
@@ -148,7 +221,7 @@ int run(int argc, char** argv) {
       return static_cast<std::uint64_t>(int_value(min));
     };
     if (arg == "--swf") swf_path = next();
-    else if (arg == "--state-dir") state_dir = next();
+    else if (arg == "--state-dir") opt.state_dir = next();
     else if (arg == "--config") config_path = next();
     else if (arg == "--nodes") nodes = count(0);
     else if (arg == "--cores-per-node")
@@ -157,8 +230,8 @@ int run(int argc, char** argv) {
     else if (arg == "--snapshot-every") snapshot_every = count(0);
     // Duration::millis must not overflow its microsecond count.
     else if (arg == "--tick-ms") tick_ms = int_value(1, tools::kNoMax / 1000);
-    else if (arg == "--throttle-ms") throttle_ms = int_value(0);
-    else if (arg == "--max-jobs") max_jobs = count(0);
+    else if (arg == "--throttle-ms") opt.throttle_ms = int_value(0);
+    else if (arg == "--max-jobs") opt.max_jobs = count(0);
     else if (arg == "--max-ticks") max_ticks = count(0);
     else if (arg == "--swf-overlay-dynamic") {
       const auto pct = tools::double_flag(arg, next(), 0, 100);
@@ -166,31 +239,19 @@ int run(int argc, char** argv) {
       overlay_pct = *pct;
     }
     else if (arg == "--swf-seed") overlay_seed = count(0);
-    else if (arg == "--summary-json") summary_json = next();
-    else if (arg == "--quiet") quiet = true;
-    else if (arg == "--shards") shards = count(1);
+    else if (arg == "--summary-json") opt.summary_json = next();
+    else if (arg == "--quiet") opt.quiet = true;
+    else if (arg == "--shards") opt.shards = count(1);
     else if (arg == "--shard-threads") shard_threads = count(1);
     else if (arg == "--shard-by") {
-      const std::string by = next();
-      if (by == "hash" || by == "user") shard_by = core::RoutePolicy::UserHash;
-      else if (by == "partition") shard_by = core::RoutePolicy::Partition;
-      else if (by == "least" || by == "least-loaded")
-        shard_by = core::RoutePolicy::LeastLoaded;
-      else {
-        std::cerr << "unknown --shard-by '" << by
-                  << "' (expected hash, user, partition or least)\n";
-        return 2;
-      }
+      const auto by = tools::shard_by_flag(next());
+      if (!by) return 2;
+      shard_by = *by;
     }
     else if (arg == "--shard-map") {
-      const std::string kind = next();
-      if (kind == "range") shard_map = batch::ShardMapKind::Range;
-      else if (kind == "hash") shard_map = batch::ShardMapKind::Hash;
-      else {
-        std::cerr << "unknown --shard-map '" << kind
-                  << "' (expected range or hash)\n";
-        return 2;
-      }
+      const auto map = tools::shard_map_flag(next());
+      if (!map) return 2;
+      shard_map = *map;
     }
     else if (arg == "--help" || arg == "-h") return usage(argv[0], 0);
     else {
@@ -209,25 +270,12 @@ int run(int argc, char** argv) {
   swf_config.overlay_dynamic_fraction = overlay_pct / 100.0;
   swf_config.overlay_seed = overlay_seed;
   wl::swf::SwfSource source(swf_in, swf_config);
-  const wl::swf::SwfHeader& header = source.header();
-  if (nodes == 0) {
-    const CoreCount total =
-        header.max_procs > 0 ? static_cast<CoreCount>(header.max_procs) : 128;
-    nodes = static_cast<std::size_t>((total + cores_per_node - 1) /
-                                     cores_per_node);
-  }
-  source.set_max_cores(static_cast<CoreCount>(
-      static_cast<std::int64_t>(nodes) * cores_per_node));
+  tools::size_cluster_for_swf(source, nodes, cores_per_node);
 
   batch::SystemConfig system_config;
-  if (!config_path.empty()) {
-    const cfg::ParseResult parsed = cfg::parse_maui_config(slurp(config_path));
-    for (const cfg::ParseIssue& issue : parsed.issues)
-      std::cerr << config_path << ":" << issue.line << ": " << issue.message
-                << "\n";
-    if (!parsed.ok()) return 1;
-    system_config.scheduler = parsed.config;
-  }
+  if (!config_path.empty() &&
+      !tools::load_maui_config(config_path, system_config.scheduler))
+    return 1;
   system_config.cluster.node_count = nodes;
   system_config.cluster.cores_per_node = cores_per_node;
   // The durable service requires both: snapshots are taken at quiescent
@@ -237,154 +285,28 @@ int run(int argc, char** argv) {
   system_config.retire_finished_jobs = true;
 
   svc::ServiceConfig service_config;
-  service_config.state_dir = state_dir;
+  service_config.state_dir = opt.state_dir;
   service_config.snapshot_every = snapshot_every;
   service_config.tick = Duration::millis(tick_ms);
   service_config.wall_sleep = std::chrono::microseconds(100);
   service_config.max_ticks = max_ticks;
 
-  if (shards > 1) {
+  svc::IngestQueue ingest;
+  if (opt.shards > 1) {
     batch::ShardConfig shard_config;
-    shard_config.shards = shards;
+    shard_config.shards = opt.shards;
     shard_config.map = shard_map;
     shard_config.policy = shard_by;
     shard_config.threads = shard_threads;
     batch::ShardedSystem sharded(system_config, shard_config);
-    svc::IngestQueue ingest;
     svc::ShardedService service(sharded, ingest, service_config);
-
-    bool recovered = false;
-    if (!state_dir.empty()) {
-      recovered = service.open();
-      if (!quiet && recovered)
-        std::cerr << "dbsd: recovered state from " << state_dir << "/shard-* ("
-                  << service.wal_ingest_total() << " ingested, "
-                  << service.wal_decision_total() << " decisions)\n";
-    }
-
-    g_sharded = &service;
-    std::signal(SIGINT, handle_signal);
-    std::signal(SIGTERM, handle_signal);
-
-    // Routing is deterministic and the driver routes in global ticket
-    // order (= trace order), so the first `skip` trace records are exactly
-    // the ones the shard WALs already hold.
-    const std::uint64_t skip = service.wal_ingest_total();
-    // A jthread: if the service loop throws, unwinding requests its stop
-    // and joins it, so main can report the error and exit 1.
-    std::jthread producer([&](const std::stop_token& unwinding) {
-      wl::SubmitSpec s;
-      std::uint64_t yielded = 0;
-      while (!g_stop.load(std::memory_order_acquire) &&
-             !unwinding.stop_requested()) {
-        if (!source.next(s)) break;
-        ++yielded;
-        if (yielded <= skip) continue;  // already in a shard WAL
-        if (max_jobs != 0 && yielded > max_jobs) break;
-        ingest.submit(s.at, std::move(s.spec), s.behavior);
-        if (throttle_ms > 0)
-          std::this_thread::sleep_for(std::chrono::milliseconds(throttle_ms));
-      }
-      ingest.close();
-    });
-
-    const std::uint64_t ticks = service.run();
-    g_stop.store(true);
-    producer.join();
-
-    const metrics::WorkloadSummary summary = sharded.summary();
-    if (!quiet) {
-      std::cerr << "dbsd: " << summary.jobs_submitted << " submitted, "
-                << summary.jobs_completed << " completed, "
-                << service.wal_decision_total() << " decisions, "
-                << service.snapshots_written() << " snapshots, " << ticks
-                << " ticks across " << shards << " shards"
-                << (service.drained() ? "" : " (stopped before drain)")
-                << "\n";
-    }
-    if (!summary_json.empty()) {
-      if (summary_json == "-") {
-        write_summary_json(std::cout, summary, service.wal_ingest_total(),
-                           service.wal_decision_total(), recovered);
-      } else {
-        std::ofstream out(summary_json);
-        if (!out) {
-          std::cerr << "cannot open " << summary_json << "\n";
-          return 1;
-        }
-        write_summary_json(out, summary, service.wal_ingest_total(),
-                           service.wal_decision_total(), recovered);
-      }
-    }
-    return 0;
+    return serve(service, ingest, source, opt,
+                 [&] { return sharded.summary(); });
   }
-
   batch::BatchSystem system(system_config);
-  svc::IngestQueue ingest;
   svc::ServiceLoop& service = system.attach_ingest(ingest, service_config);
-
-  bool recovered = false;
-  if (!state_dir.empty()) {
-    recovered = system.open_state();
-    if (!quiet && recovered)
-      std::cerr << "dbsd: recovered state from " << state_dir << " ("
-                << service.wal_ingest_total() << " ingested, "
-                << service.wal_decision_total() << " decisions)\n";
-  }
-
-  g_service = &service;
-  std::signal(SIGINT, handle_signal);
-  std::signal(SIGTERM, handle_signal);
-
-  // The producer: replays the trace through the ingest queue the way qsub
-  // shims would, skipping what a previous life already made durable.
-  const std::uint64_t skip = service.wal_ingest_total();
-  // A jthread: if the service loop throws, unwinding requests its stop and
-  // joins it, so main can report the error and exit 1.
-  std::jthread producer([&](const std::stop_token& unwinding) {
-    wl::SubmitSpec s;
-    std::uint64_t yielded = 0;
-    while (!g_stop.load(std::memory_order_acquire) &&
-           !unwinding.stop_requested()) {
-      if (!source.next(s)) break;
-      ++yielded;
-      if (yielded <= skip) continue;  // already in the WAL
-      if (max_jobs != 0 && yielded > max_jobs) break;
-      ingest.submit(s.at, std::move(s.spec), s.behavior);
-      if (throttle_ms > 0)
-        std::this_thread::sleep_for(std::chrono::milliseconds(throttle_ms));
-    }
-    ingest.close();
-  });
-
-  const std::uint64_t ticks = system.run_service();
-  g_stop.store(true);
-  producer.join();
-
-  const metrics::WorkloadSummary summary = metrics::summarize(system.recorder());
-  if (!quiet) {
-    std::cerr << "dbsd: " << summary.jobs_submitted << " submitted, "
-              << summary.jobs_completed << " completed, "
-              << service.wal_decision_total() << " decisions, "
-              << service.snapshots_written() << " snapshots, " << ticks
-              << " ticks"
-              << (service.drained() ? "" : " (stopped before drain)") << "\n";
-  }
-  if (!summary_json.empty()) {
-    if (summary_json == "-") {
-      write_summary_json(std::cout, summary, service.wal_ingest_total(),
-                         service.wal_decision_total(), recovered);
-    } else {
-      std::ofstream out(summary_json);
-      if (!out) {
-        std::cerr << "cannot open " << summary_json << "\n";
-        return 1;
-      }
-      write_summary_json(out, summary, service.wal_ingest_total(),
-                         service.wal_decision_total(), recovered);
-    }
-  }
-  return 0;
+  return serve(service, ingest, source, opt,
+               [&] { return metrics::summarize(system.recorder()); });
 }
 
 }  // namespace

@@ -46,14 +46,12 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <thread>
 
 #include "batch/experiment.hpp"
 #include "batch/parallel_runner.hpp"
 #include "batch/sharded_system.hpp"
-#include "config/maui_config.hpp"
 #include "core/pipeline/iteration_context.hpp"
 #include "obs/recorder/manifest.hpp"
 #include "obs/recorder/recorder.hpp"
@@ -67,6 +65,7 @@
 #include "workload/trace.hpp"
 
 #include "flag_value.hpp"
+#include "run_options.hpp"
 
 using namespace dbs;
 
@@ -110,17 +109,6 @@ void print_stage_breakdown(const obs::Registry& registry) {
             << (replanned == nullptr ? 0 : replanned->value())
             << " cache_hits=" << (hits == nullptr ? 0 : hits->value());
   std::cout << "\n";
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "cannot open " << path << "\n";
-    std::exit(1);
-  }
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
 }
 
 int run(int argc, char** argv) {
@@ -214,26 +202,14 @@ int run(int argc, char** argv) {
     else if (arg == "--shard-threads")
       shard_threads = static_cast<std::size_t>(int_value(1));
     else if (arg == "--shard-by") {
-      const std::string by = next();
-      if (by == "hash" || by == "user") shard_by = core::RoutePolicy::UserHash;
-      else if (by == "partition") shard_by = core::RoutePolicy::Partition;
-      else if (by == "least" || by == "least-loaded")
-        shard_by = core::RoutePolicy::LeastLoaded;
-      else {
-        std::cerr << "unknown --shard-by '" << by
-                  << "' (expected hash, user, partition or least)\n";
-        return 2;
-      }
+      const auto by = tools::shard_by_flag(next());
+      if (!by) return 2;
+      shard_by = *by;
     }
     else if (arg == "--shard-map") {
-      const std::string kind = next();
-      if (kind == "range") shard_map = batch::ShardMapKind::Range;
-      else if (kind == "hash") shard_map = batch::ShardMapKind::Hash;
-      else {
-        std::cerr << "unknown --shard-map '" << kind
-                  << "' (expected range or hash)\n";
-        return 2;
-      }
+      const auto map = tools::shard_map_flag(next());
+      if (!map) return 2;
+      shard_map = *map;
     }
     else if (arg == "--help" || arg == "-h") return usage(argv[0], 0);
     else return usage(argv[0], 2);
@@ -294,7 +270,7 @@ int run(int argc, char** argv) {
 
   wl::Workload workload;
   if (!trace_path.empty()) {
-    workload = wl::trace_from_string(slurp(trace_path));
+    workload = wl::trace_from_string(tools::slurp(trace_path));
     if (workload.jobs.empty()) {
       std::cerr << "trace contains no jobs\n";
       return 1;
@@ -302,14 +278,9 @@ int run(int argc, char** argv) {
   }
 
   batch::SystemConfig system_config;
-  if (!config_path.empty()) {
-    const cfg::ParseResult parsed = cfg::parse_maui_config(slurp(config_path));
-    for (const cfg::ParseIssue& issue : parsed.issues)
-      std::cerr << config_path << ":" << issue.line << ": " << issue.message
-                << "\n";
-    if (!parsed.ok()) return 1;
-    system_config.scheduler = parsed.config;
-  }
+  if (!config_path.empty() &&
+      !tools::load_maui_config(config_path, system_config.scheduler))
+    return 1;
   // Streaming SWF replay: open the trace and read its header directives
   // now, so --nodes 0 can size the cluster from MaxProcs.
   std::ifstream swf_in;
@@ -326,16 +297,7 @@ int run(int argc, char** argv) {
     swf_config.overlay_dynamic_fraction = swf_overlay_pct / 100.0;
     swf_config.overlay_seed = swf_seed;
     swf_source = std::make_unique<wl::swf::SwfSource>(swf_in, swf_config);
-    const wl::swf::SwfHeader& header = swf_source->header();
-    if (nodes == 0) {
-      const CoreCount total =
-          header.max_procs > 0 ? static_cast<CoreCount>(header.max_procs)
-                               : 128;
-      nodes = static_cast<std::size_t>((total + cores_per_node - 1) /
-                                       cores_per_node);
-    }
-    swf_source->set_max_cores(static_cast<CoreCount>(
-        static_cast<std::int64_t>(nodes) * cores_per_node));
+    tools::size_cluster_for_swf(*swf_source, nodes, cores_per_node);
     // Multi-month traces only fit if finished jobs release their storage
     // and metrics fold into aggregates as the replay advances.
     system_config.retire_finished_jobs = !swf_materialize;

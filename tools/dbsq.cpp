@@ -167,8 +167,7 @@ int run(int argc, char** argv) {
         [&](const obs::rec::PackedRecord& r) {
           if (obs::rec::is_decision(r.type)) {
             std::string out;
-            rms::decision_to_json(obs::rec::record_to_decision(r, reader),
-                                  out);
+            rms::decision_to_json(obs::rec::record_to_decision(r), out);
             std::cout << out << "\n";
           } else {
             std::cout << obs::rec::lifecycle_to_json(r, reader) << "\n";
