@@ -13,13 +13,9 @@
 
 #include <cstddef>
 #include <memory>
-#include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "exec/thread_pool.hpp"
-#include "obs/recorder/manifest.hpp"
-#include "obs/recorder/recorder.hpp"
 #include "obs/registry.hpp"
 
 namespace dbs::batch {
@@ -59,50 +55,6 @@ class ParallelRunner {
         });
     if (merge_into != nullptr)
       for (const auto& registry : registries) merge_into->merge_from(*registry);
-    return out;
-  }
-
-  /// map() with per-replication flight recording. Each replication gets a
-  /// private recorder writing obs::rec::shard_path(record_base, index)
-  /// (concurrent replications must never share a record file);
-  /// `fn(index, registry, recorder)` wires it into that replication's
-  /// system. After the run every shard is finalized in index order and
-  /// `manifest` describes them — the caller decides where (or whether) to
-  /// write it. Throws std::runtime_error if any shard file cannot be
-  /// created or finalized.
-  template <class R, class F>
-  std::vector<R> map_recorded(std::size_t count,
-                              const std::string& record_base,
-                              std::int64_t capacity, F&& fn,
-                              obs::Registry* merge_into,
-                              obs::rec::Manifest& manifest) {
-    std::vector<std::unique_ptr<obs::rec::FlightRecorder>> recorders;
-    recorders.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      recorders.push_back(std::make_unique<obs::rec::FlightRecorder>());
-      const std::string path = obs::rec::shard_path(record_base, i);
-      if (!recorders.back()->open(path, capacity))
-        throw std::runtime_error("cannot create record file " + path);
-    }
-    std::vector<R> out =
-        map<R>(count,
-               [&](std::size_t index, obs::Registry& registry) {
-                 return fn(index, registry, *recorders[index]);
-               },
-               merge_into);
-    manifest.shards.clear();
-    for (std::size_t i = 0; i < count; ++i) {
-      obs::rec::FlightRecorder& recorder = *recorders[i];
-      obs::rec::ManifestShard shard;
-      shard.path = recorder.path();
-      shard.replication = i;
-      shard.records = recorder.records_written();
-      shard.first_t_us = recorder.first_t_us();
-      shard.last_t_us = recorder.last_t_us();
-      if (!recorder.finalize())
-        throw std::runtime_error("cannot finalize record file " + shard.path);
-      manifest.shards.push_back(std::move(shard));
-    }
     return out;
   }
 

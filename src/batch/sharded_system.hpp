@@ -63,9 +63,6 @@ class ShardedSystem {
   [[nodiscard]] core::ShardRouter& router() { return router_; }
   [[nodiscard]] const core::ShardMap& map() const { return map_; }
   [[nodiscard]] const ShardConfig& shard_config() const { return config_; }
-  [[nodiscard]] obs::Registry& shard_registry(std::size_t k) {
-    return *registries_.at(k);
-  }
   /// The `threads`-wide pool the shard fan-outs run on; a ShardedService
   /// driving this system runs its per-shard fan-outs on it too.
   [[nodiscard]] exec::ThreadPool& pool() { return pool_; }

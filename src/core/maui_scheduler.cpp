@@ -70,19 +70,6 @@ void MauiScheduler::attach() {
   server_.set_scheduler_trigger([this] { iterate(); });
 }
 
-AvailabilityProfile MauiScheduler::physical_profile(Time now) const {
-  const cluster::Cluster& cl = server_.cluster();
-  AvailabilityProfile profile(now, cl.total_cores());
-  for (const rms::Job* job : server_.jobs().running())
-    profile.subtract(now, hold_end_for(*job, now), job->allocated_cores());
-  // Down/offline nodes: their unused cores are unavailable indefinitely.
-  for (const cluster::Node& node : cl.nodes())
-    if (!node.available())
-      profile.subtract(now, Time::far_future(),
-                       node.total_cores() - node.used_cores());
-  return profile;
-}
-
 void MauiScheduler::advance_cache_base() {
   // With job retirement the server forgets ids below min_live_id; the
   // dense per-id caches can shed those slots. The floor is the minimum
@@ -201,11 +188,6 @@ void MauiScheduler::record_iteration(const IterationStats& stats) {
     instruments_.iterations = &registry.counter("scheduler.iterations");
     instruments_.backfilled = &registry.counter("scheduler.backfilled");
     instruments_.start_failed = &registry.counter("scheduler.start_failed");
-    instruments_.dyn_rejected = &registry.counter("scheduler.dyn_rejected");
-    instruments_.dyn_deferred = &registry.counter("scheduler.dyn_deferred");
-    instruments_.preemptions = &registry.counter("scheduler.preemptions");
-    instruments_.malleable_shrinks =
-        &registry.counter("scheduler.malleable_shrinks");
     instruments_.replanned_jobs =
         &registry.counter("scheduler.replanned_jobs");
     instruments_.plan_cache_hits =
@@ -227,10 +209,6 @@ void MauiScheduler::record_iteration(const IterationStats& stats) {
   instruments_.iterations->add();
   instruments_.backfilled->add(stats.backfilled);
   instruments_.start_failed->add(stats.start_failed);
-  instruments_.dyn_rejected->add(stats.dyn_rejected);
-  instruments_.dyn_deferred->add(stats.dyn_deferred);
-  instruments_.preemptions->add(stats.preempted);
-  instruments_.malleable_shrinks->add(stats.malleable_shrinks);
   instruments_.replanned_jobs->add(stats.replanned_jobs);
   instruments_.plan_cache_hits->add(stats.cache_hits);
   instruments_.iteration_us->observe(stats.wall_us);

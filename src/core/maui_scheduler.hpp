@@ -120,10 +120,6 @@ class MauiScheduler {
   /// Iterations retained in history().
   static constexpr std::size_t kHistoryCap = 4096;
 
-  /// Physical availability: capacity minus running jobs (to each job's
-  /// walltime end) minus down-node capacity. Public for tests/benches.
-  [[nodiscard]] AvailabilityProfile physical_profile(Time now) const;
-
   // --- durable-state surface (svc::StateStore) ----------------------------
   /// Scheduler-side service state: everything an iteration builds on that
   /// is not derivable from the server. Per-iteration planning artifacts
@@ -197,10 +193,6 @@ class MauiScheduler {
     obs::Counter* iterations = nullptr;  ///< null == not yet resolved
     obs::Counter* backfilled = nullptr;
     obs::Counter* start_failed = nullptr;
-    obs::Counter* dyn_rejected = nullptr;
-    obs::Counter* dyn_deferred = nullptr;
-    obs::Counter* preemptions = nullptr;
-    obs::Counter* malleable_shrinks = nullptr;
     obs::Counter* replanned_jobs = nullptr;
     obs::Counter* plan_cache_hits = nullptr;
     obs::Histogram* iteration_us = nullptr;

@@ -1,11 +1,11 @@
-// Manifest for multi-replication recordings.
+// Manifest for sharded recordings.
 //
-// ParallelRunner gives every replication its own recorder (concurrent
-// writers to one file would interleave records); the manifest is the
-// index-merge artifact tying them back together: a small JSON file next
-// to the per-replication record files listing each shard's path, record
-// count and time range, written in replication order so tooling can
-// iterate shards deterministically.
+// A sharded run gives every shard its own recorder (concurrent writers to
+// one file would interleave records); the manifest is the index-merge
+// artifact tying them back together: a small JSON file next to the
+// per-shard record files listing each shard's path, record count and time
+// range, written in shard order so tooling can iterate shards
+// deterministically.
 #pragma once
 
 #include <cstdint>
@@ -16,7 +16,7 @@ namespace dbs::obs::rec {
 
 struct ManifestShard {
   std::string path;  ///< record file, relative to the manifest
-  std::size_t replication = 0;
+  std::size_t replication = 0;  ///< shard index
   std::uint64_t records = 0;
   std::int64_t first_t_us = 0;
   std::int64_t last_t_us = 0;
@@ -32,9 +32,9 @@ struct Manifest {
   bool write(const std::string& path) const;
 };
 
-/// Shard path for replication `index` of a run recording to `base`:
-/// base itself for index 0, "<base>.repN" otherwise — a single-replication
-/// run records exactly the file the user asked for.
+/// Record file of shard `index` of a run recording to `base`: base itself
+/// for index 0, "<base>.repN" otherwise — an unsharded run records exactly
+/// the file the user asked for.
 [[nodiscard]] std::string shard_path(const std::string& base,
                                      std::size_t index);
 

@@ -12,9 +12,8 @@
 // whose decision_to_json rendering is byte-identical to what the dry-run
 // printer would have emitted for the original.
 //
-// Ownership: one recorder per replication, used only from that
-// replication's simulation thread (ParallelRunner isolates replications,
-// and the scheduler's what-if measurement threads never record).
+// Ownership: one recorder per simulation (per shard in a sharded run),
+// used only from that simulation's thread.
 #pragma once
 
 #include <functional>

@@ -120,11 +120,10 @@ void append_field_value(std::string& out, const TraceField& f) {
 }  // namespace
 
 void Tracer::emit(const TraceEvent& ev) {
-  // Serializes concurrent emitters (parallel replications sharing one
-  // sink): each event is written as one atomic line, never interleaved.
-  // Cross-thread event *order* is whatever the interleaving produced —
-  // deterministic traces additionally require the callers' ordered
-  // reduction (see MauiScheduler's speculative measurement).
+  // Serializes concurrent emitters sharing one sink: each event is written
+  // as one atomic line, never interleaved. Cross-thread event *order* is
+  // whatever the interleaving produced, so a deterministic trace comes from
+  // one simulation thread (a sharded dbsim run traces shard 0 only).
   std::lock_guard<std::mutex> lock(emit_mutex_);
   if (out_ == nullptr) return;
   if (format_ == TraceFormat::Jsonl)

@@ -168,10 +168,6 @@ class Server {
       const;
   void restore_availability_hint(JobId id, Time at);
 
-  [[nodiscard]] std::optional<Duration> retirement_grace() const {
-    return retire_grace_;
-  }
-
   /// Re-inserts a restored job record. Unlike submit() this neither
   /// notifies observers nor wakes the scheduler: a restore reconstructs a
   /// state every observer had already seen when the snapshot was taken.

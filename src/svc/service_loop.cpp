@@ -63,8 +63,6 @@ bool ServiceLoop::open() {
     last_admitted_ = snap->last_admitted;
     done_ingest = snap->wal_ingest;
     done_decisions = snap->wal_decisions;
-    if (rng_ && snap->rng != std::array<std::uint64_t, 4>{})
-      rng_->set_state(snap->rng);
   }
 
   // Reopen the WAL for appending, cut to the last complete record (a
@@ -236,7 +234,6 @@ SystemState ServiceLoop::capture_full() const {
   s.last_admitted = last_admitted_;
   s.wal_ingest = ingest_fired_total_;
   s.wal_decisions = wal_decision_total_;
-  if (rng_) s.rng = rng_->state();
   return s;
 }
 

@@ -33,7 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "common/time.hpp"
 #include "svc/ingest.hpp"
 #include "svc/state_store.hpp"
@@ -76,10 +75,6 @@ class ServiceLoop {
 
   ServiceLoop(const ServiceLoop&) = delete;
   ServiceLoop& operator=(const ServiceLoop&) = delete;
-
-  /// Registers a generator whose state rides in every snapshot (e.g. a
-  /// synthetic feeder's Rng). Call before open().
-  void attach_rng(Rng* rng) { rng_ = rng; }
 
   /// Recovers durable state (durable config only; call once, before
   /// run()): restores the newest usable snapshot, re-feeds the WAL's
@@ -154,7 +149,6 @@ class ServiceLoop {
   IngestQueue& ingest_;
   ServiceConfig config_;
   bool durable_ = false;
-  Rng* rng_ = nullptr;
 
   std::unique_ptr<WalWriter> wal_;
   Time last_admitted_;

@@ -69,9 +69,6 @@ class ShardedService {
   [[nodiscard]] bool drained() const;
   [[nodiscard]] std::size_t shard_count() const { return loops_.size(); }
   [[nodiscard]] ServiceLoop& loop(std::size_t k) { return *loops_.at(k); }
-  [[nodiscard]] IngestQueue& shard_queue(std::size_t k) {
-    return *queues_.at(k);
-  }
   /// Sum of per-shard WAL ingest records (the feeder-resume skip count).
   [[nodiscard]] std::uint64_t wal_ingest_total() const;
   [[nodiscard]] std::uint64_t wal_decision_total() const;

@@ -102,14 +102,14 @@ struct SystemState {
   Time last_admitted;
   std::uint64_t wal_ingest = 0;     ///< WAL ingest records at capture
   std::uint64_t wal_decisions = 0;  ///< WAL decision records at capture
-  /// Attached service RNG (e.g. a synthetic feeder's); all-zero = none.
+  /// Kept for the v1 layout; the service loop writes it as all-zero.
   std::array<std::uint64_t, 4> rng{};
 
   [[nodiscard]] bool operator==(const SystemState&) const = default;
 };
 
 /// Captures the component state of `system` (the service-loop fields —
-/// last_admitted, WAL counts, rng — are the caller's to fill). Requires a
+/// last_admitted, WAL counts — are the caller's to fill). Requires a
 /// quiescent zero-latency system with streaming metrics.
 [[nodiscard]] SystemState capture_state(batch::BatchSystem& system);
 

@@ -1,9 +1,9 @@
 // Flight-recorder end-to-end: a recorded run round-trips through the
 // binary store — per-job index lookups return the full decision history,
 // the decision stream verifies byte-for-byte against the JSONL trace of
-// the same run, summary totals agree with the metrics registry, the
-// ParallelRunner writes one indexed shard per replication, and the
-// time-series fold produces the utilization and per-user delay curves.
+// the same run, summary totals agree with the metrics registry, a sharded
+// run writes one indexed file per shard, and the time-series fold produces
+// the utilization and per-user delay curves.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -14,7 +14,7 @@
 #include "../testutil.hpp"
 #include "apps/app_model.hpp"
 #include "batch/batch_system.hpp"
-#include "batch/parallel_runner.hpp"
+#include "batch/sharded_system.hpp"
 #include "metrics/timeseries.hpp"
 #include "obs/recorder/manifest.hpp"
 #include "obs/recorder/query.hpp"
@@ -167,54 +167,68 @@ TEST(FlightRecorder, JobIndexMatchesFullScanAndCarriesDecisions) {
   std::remove(run->trace_path.c_str());
 }
 
-TEST(FlightRecorder, ParallelRunnerWritesOneIndexedShardPerReplication) {
+TEST(FlightRecorder, ShardedRunWritesOneIndexedFilePerShard) {
   const std::string base = temp_path("shards.dbsr");
-  constexpr std::size_t kReplications = 3;
+  constexpr std::size_t kShards = 3;
 
-  ParallelRunner runner(2);
+  // Each shard records its own file, wired the way `dbsim --shards
+  // --record-out` wires it.
+  SystemConfig cfg = base_config();
+  cfg.cluster.node_count = 6;  // 2 nodes x 8 cores per shard
+  ShardConfig shard_config;
+  shard_config.shards = kShards;
+  shard_config.policy = core::RoutePolicy::LeastLoaded;  // every shard works
+  shard_config.threads = 2;
+  ShardedSystem sharded(cfg, shard_config);
+  std::vector<std::unique_ptr<rec::FlightRecorder>> recorders;
+  std::vector<std::string> paths;
+  for (std::size_t k = 0; k < kShards; ++k) {
+    recorders.push_back(std::make_unique<rec::FlightRecorder>());
+    paths.push_back(rec::shard_path(base, k));
+    ASSERT_TRUE(recorders.back()->open(paths.back(), 48));
+    sharded.set_shard_sinks(k, nullptr, recorders.back().get());
+  }
+  wl::Workload workload;
+  for (int i = 0; i < 36; ++i) {
+    wl::SubmitSpec s;
+    s.at = Time::from_seconds(i * 30);
+    s.spec = test::spec("job" + std::to_string(i), 4 + 4 * (i % 3),
+                        Duration::minutes(20), "user" + std::to_string(i % 9));
+    s.behavior.static_runtime = Duration::minutes(5 + i % 7);
+    workload.jobs.push_back(std::move(s));
+  }
+  sharded.submit_workload(workload);
+  sharded.run();
   obs::Registry merged;
-  rec::Manifest manifest;
-  const std::vector<int> results = runner.map_recorded<int>(
-      kReplications, base, 32,
-      [&](std::size_t index, obs::Registry& registry,
-          rec::FlightRecorder& recorder) {
-        BatchSystem sys(base_config());
-        sys.set_sinks({nullptr, &registry, &recorder});
-        submit_scenario(sys);
-        // Replications differ: later ones add extra rigid load.
-        for (std::size_t j = 0; j < index; ++j)
-          sys.submit_now(test::spec("extra", 4, Duration::minutes(3), "carl"),
-                         test::rigid(Duration::minutes(3)));
-        sys.run();
-        return static_cast<int>(index);
-      },
-      &merged, manifest);
+  sharded.merge_registries(merged);
 
-  EXPECT_EQ(results, (std::vector<int>{0, 1, 2}));
-  ASSERT_EQ(manifest.shards.size(), kReplications);
-  EXPECT_EQ(manifest.shards[0].path, base);
-  EXPECT_EQ(manifest.shards[1].path, base + ".rep1");
+  EXPECT_EQ(paths[0], base);
+  EXPECT_EQ(paths[1], base + ".rep1");
+  EXPECT_EQ(paths[2], base + ".rep2");
 
-  // Every shard is a valid, indexed file; summary totals across shards
-  // match the merged registry exactly.
-  std::uint64_t submits = 0, starts = 0, finishes = 0, records = 0;
-  for (const rec::ManifestShard& shard : manifest.shards) {
+  // Every shard is a valid, indexed file holding its own shard's jobs;
+  // summary totals across shards match the merged registry exactly.
+  std::uint64_t submits = 0, starts = 0, finishes = 0;
+  for (std::size_t k = 0; k < kShards; ++k) {
+    const std::uint64_t written = recorders[k]->records_written();
+    ASSERT_TRUE(recorders[k]->finalize());
     rec::RecordReader reader;
-    ASSERT_TRUE(reader.open(shard.path)) << reader.error();
-    EXPECT_EQ(reader.record_count(), shard.records);
+    ASSERT_TRUE(reader.open(paths[k])) << reader.error();
+    EXPECT_EQ(reader.record_count(), written);
+    EXPECT_EQ(reader.jobs().size(), sharded.router().routed_jobs(k));
     const rec::Summary s = rec::summarize(reader);
+    EXPECT_EQ(s.count(rec::RecordType::Submit),
+              sharded.router().routed_jobs(k));
     submits += s.count(rec::RecordType::Submit);
     starts += s.count(rec::RecordType::Start);
     finishes += s.count(rec::RecordType::Finish);
-    records += s.record_count;
   }
-  EXPECT_EQ(records, manifest.total_records());
+  EXPECT_EQ(submits, workload.jobs.size());
   EXPECT_EQ(submits, merged.find_counter("server.jobs_submitted")->value());
   EXPECT_EQ(starts, merged.find_counter("server.jobs_started")->value());
   EXPECT_EQ(finishes, merged.find_counter("server.jobs_finished")->value());
 
-  for (const rec::ManifestShard& shard : manifest.shards)
-    std::remove(shard.path.c_str());
+  for (const std::string& path : paths) std::remove(path.c_str());
 }
 
 TEST(FlightRecorder, TimeseriesCurvesFromRecordedRun) {

@@ -6,6 +6,7 @@
 #include "apps/app_model.hpp"
 #include "apps/resilient.hpp"
 #include "batch/batch_system.hpp"
+#include "obs/registry.hpp"
 
 namespace dbs::batch {
 namespace {
@@ -23,6 +24,8 @@ SystemConfig config(bool steal) {
 
 TEST(MalleableIntegration, StealServesDynamicRequest) {
   BatchSystem sys(config(true));
+  obs::Registry registry;
+  sys.set_sinks({nullptr, &registry});
   // The evolver (8 cores) asks +4 at t=60 on a full machine.
   auto evolver_app = std::make_unique<apps::ScriptedApp>(
       Duration::minutes(10),
@@ -40,6 +43,8 @@ TEST(MalleableIntegration, StealServesDynamicRequest) {
   EXPECT_EQ(sys.recorder().record(evolver).dyn_grants, 1);
   const auto& victim_rec = sys.recorder().record(victim);
   EXPECT_EQ(victim_rec.malleable_shrinks, 1);
+  ASSERT_NE(registry.find_counter("server.malleable_shrinks"), nullptr);
+  EXPECT_EQ(registry.find_counter("server.malleable_shrinks")->value(), 1u);
   EXPECT_EQ(victim_rec.requeues, 0);  // no progress lost
   ASSERT_TRUE(victim_rec.completed());
   // The victim carried 10x8=80 core-minutes of work: 1 min at 8 cores,

@@ -133,8 +133,8 @@ TEST(Observability, DynRejectAuditNamesViolatedRuleAndDelays) {
   EXPECT_GT(iter_us->count(), 0u);
   ASSERT_NE(registry.find_counter("dfs.denied_target_delay"), nullptr);
   EXPECT_GT(registry.find_counter("dfs.denied_target_delay")->value(), 0u);
-  ASSERT_NE(registry.find_counter("scheduler.dyn_rejected"), nullptr);
-  EXPECT_GT(registry.find_counter("scheduler.dyn_rejected")->value(), 0u);
+  ASSERT_NE(registry.find_counter("dyn.rejects"), nullptr);
+  EXPECT_GT(registry.find_counter("dyn.rejects")->value(), 0u);
 
   // The per-iteration history retained by the scheduler matches the
   // iteration counter.

@@ -5,6 +5,7 @@
 #include "../testutil.hpp"
 #include "apps/app_model.hpp"
 #include "batch/batch_system.hpp"
+#include "obs/registry.hpp"
 
 namespace dbs::batch {
 namespace {
@@ -23,6 +24,8 @@ SystemConfig config(bool preemption, CoreCount partition = 0) {
 
 TEST(PreemptionIntegration, BackfilledJobSacrificedForDynRequest) {
   BatchSystem sys(config(/*preemption=*/true));
+  obs::Registry registry;
+  sys.set_sinks({nullptr, &registry});
   // Evolver: 8 cores, asks +8 at t=60.
   auto app = std::make_unique<apps::ScriptedApp>(
       Duration::minutes(10),
@@ -42,6 +45,8 @@ TEST(PreemptionIntegration, BackfilledJobSacrificedForDynRequest) {
   const auto& victim_rec = sys.recorder().record(victim);
   EXPECT_EQ(victim_rec.requeues, 1);
   ASSERT_TRUE(victim_rec.completed());  // eventually restarted and finished
+  ASSERT_NE(registry.find_counter("server.preemptions"), nullptr);
+  EXPECT_EQ(registry.find_counter("server.preemptions")->value(), 1u);
 }
 
 TEST(PreemptionIntegration, DisabledMeansRejection) {

@@ -1,12 +1,5 @@
-// `dbsd`: the always-on batch service daemon.
-//
-//   dbsd --swf FILE --state-dir DIR [--config FILE] [--nodes N]
-//        [--cores-per-node N] [--snapshot-every N] [--tick-ms MS]
-//        [--throttle-ms MS] [--max-jobs N] [--max-ticks N]
-//        [--swf-overlay-dynamic PCT] [--swf-seed S]
-//        [--summary-json FILE|-] [--quiet]
-//        [--shards K] [--shard-by hash|user|partition|least]
-//        [--shard-map range|hash] [--shard-threads T]
+// `dbsd`: the always-on batch service daemon (`dbsd --help` lists the
+// flags).
 //
 // Unlike dbsim (one-shot: submit a workload, run, report) dbsd runs a
 // service: a producer thread feeds the SWF trace through the concurrent
@@ -38,6 +31,7 @@
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -49,7 +43,7 @@
 #include "svc/sharded_service.hpp"
 #include "workload/swf/swf_source.hpp"
 
-#include "flag_value.hpp"
+#include "flags.hpp"
 #include "run_options.hpp"
 
 using namespace dbs;
@@ -69,19 +63,6 @@ void handle_signal(int) {
 
 void watch(svc::ServiceLoop& service) { g_service = &service; }
 void watch(svc::ShardedService& service) { g_sharded = &service; }
-
-int usage(const char* argv0, int code) {
-  std::cerr
-      << "usage: " << argv0
-      << " --swf FILE [--state-dir DIR] [--config FILE] [--nodes N]\n"
-         "       [--cores-per-node N] [--snapshot-every N] [--tick-ms MS]\n"
-         "       [--throttle-ms MS] [--max-jobs N] [--max-ticks N]\n"
-         "       [--swf-overlay-dynamic PCT] [--swf-seed S]\n"
-         "       [--summary-json FILE|-] [--quiet]\n"
-         "       [--shards K] [--shard-by hash|user|partition|least]\n"
-         "       [--shard-map range|hash] [--shard-threads T]\n";
-  return code;
-}
 
 void write_summary_json(std::ostream& os, const metrics::WorkloadSummary& s,
                         std::uint64_t wal_ingest, std::uint64_t wal_decisions,
@@ -103,13 +84,13 @@ void write_summary_json(std::ostream& os, const metrics::WorkloadSummary& s,
      << "}\n";
 }
 
-/// What the service run needs besides the system it drives.
+/// What the command line sets for the service run, besides the system.
 struct Options {
-  std::string state_dir;
+  svc::ServiceConfig service;
+  batch::ShardConfig shards;
   std::string summary_json;
   std::int64_t throttle_ms = 0;
   std::uint64_t max_jobs = 0;
-  std::size_t shards = 1;
   bool quiet = false;
 };
 
@@ -120,12 +101,13 @@ template <class Service, class Summarize>
 int serve(Service& service, svc::IngestQueue& ingest,
           wl::swf::SwfSource& source, const Options& opt,
           const Summarize& summarize) {
-  const char* shard_dirs = opt.shards > 1 ? "/shard-*" : "";
+  const std::size_t shards = opt.shards.shards;
+  const char* shard_dirs = shards > 1 ? "/shard-*" : "";
   bool recovered = false;
-  if (!opt.state_dir.empty()) {
+  if (!opt.service.state_dir.empty()) {
     recovered = service.open();
     if (!opt.quiet && recovered)
-      std::cerr << "dbsd: recovered state from " << opt.state_dir
+      std::cerr << "dbsd: recovered state from " << opt.service.state_dir
                 << shard_dirs << " (" << service.wal_ingest_total()
                 << " ingested, " << service.wal_decision_total()
                 << " decisions)\n";
@@ -168,7 +150,7 @@ int serve(Service& service, svc::IngestQueue& ingest,
               << service.wal_decision_total() << " decisions, "
               << service.snapshots_written() << " snapshots, " << ticks
               << " ticks";
-    if (opt.shards > 1) std::cerr << " across " << opt.shards << " shards";
+    if (shards > 1) std::cerr << " across " << shards << " shards";
     std::cerr << (service.drained() ? "" : " (stopped before drain)") << "\n";
   }
   if (opt.summary_json.empty()) return 0;
@@ -193,82 +175,51 @@ int run(int argc, char** argv) {
   std::string config_path;
   std::size_t nodes = 0;
   CoreCount cores_per_node = 8;
-  std::uint64_t snapshot_every = 256;
+  opt.service.snapshot_every = 256;
   std::int64_t tick_ms = 3'600'000;  // accelerated replay: 1 h per cycle
-  std::uint64_t max_ticks = 0;
   double overlay_pct = 0.0;
-  std::uint64_t overlay_seed = 2014;
-  std::size_t shard_threads = 1;
-  core::RoutePolicy shard_by = core::RoutePolicy::UserHash;
-  batch::ShardMapKind shard_map = batch::ShardMapKind::Range;
+  wl::swf::SwfSourceConfig swf_config;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << arg << " needs a value\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    const auto int_value = [&](std::int64_t min,
-                               std::int64_t max = tools::kNoMax) {
-      const auto v = tools::int_flag(arg, next(), min, max);
-      if (!v) std::exit(usage(argv[0], 2));
-      return *v;
-    };
-    const auto count = [&](std::int64_t min) {
-      return static_cast<std::uint64_t>(int_value(min));
-    };
-    if (arg == "--swf") swf_path = next();
-    else if (arg == "--state-dir") opt.state_dir = next();
-    else if (arg == "--config") config_path = next();
-    else if (arg == "--nodes") nodes = count(0);
-    else if (arg == "--cores-per-node")
-      cores_per_node = static_cast<CoreCount>(
-          int_value(1, std::numeric_limits<CoreCount>::max()));
-    else if (arg == "--snapshot-every") snapshot_every = count(0);
-    // Duration::millis must not overflow its microsecond count.
-    else if (arg == "--tick-ms") tick_ms = int_value(1, tools::kNoMax / 1000);
-    else if (arg == "--throttle-ms") opt.throttle_ms = int_value(0);
-    else if (arg == "--max-jobs") opt.max_jobs = count(0);
-    else if (arg == "--max-ticks") max_ticks = count(0);
-    else if (arg == "--swf-overlay-dynamic") {
-      const auto pct = tools::double_flag(arg, next(), 0, 100);
-      if (!pct) return usage(argv[0], 2);
-      overlay_pct = *pct;
-    }
-    else if (arg == "--swf-seed") overlay_seed = count(0);
-    else if (arg == "--summary-json") opt.summary_json = next();
-    else if (arg == "--quiet") opt.quiet = true;
-    else if (arg == "--shards") opt.shards = count(1);
-    else if (arg == "--shard-threads") shard_threads = count(1);
-    else if (arg == "--shard-by") {
-      const auto by = tools::shard_by_flag(next());
-      if (!by) return 2;
-      shard_by = *by;
-    }
-    else if (arg == "--shard-map") {
-      const auto map = tools::shard_map_flag(next());
-      if (!map) return 2;
-      shard_map = *map;
-    }
-    else if (arg == "--help" || arg == "-h") return usage(argv[0], 0);
-    else {
-      std::cerr << "unknown argument '" << arg << "'\n";
-      return usage(argv[0], 2);
-    }
-  }
-  if (swf_path.empty()) return usage(argv[0], 2);
+  tools::Flags flags("dbsd", "Serves the --swf trace (required).");
+  flags.text("--swf", swf_path, "FILE",
+             "SWF trace the producer feeds through the ingest queue");
+  flags.text("--state-dir", opt.service.state_dir, "DIR",
+             "WAL and snapshots; resumes from them; \"\" runs without "
+             "durability");
+  flags.text("--config", config_path, "FILE",
+             "Maui-style scheduler config (src/config/maui_config.hpp)");
+  flags.integer("--nodes", nodes, 0, "N",
+                "cluster nodes; 0 sizes the cluster for the trace");
+  flags.integer("--cores-per-node", cores_per_node, 1, "N", "cores per node");
+  flags.integer("--snapshot-every", opt.service.snapshot_every, 0, "N",
+                "snapshot after N decisions; 0 only at shutdown");
+  // Duration::millis must not overflow its microsecond count.
+  flags.integer("--tick-ms", tick_ms, 1, "MS",
+                "simulated time per drain cycle, milliseconds",
+                std::numeric_limits<std::int64_t>::max() / 1000);
+  flags.integer("--throttle-ms", opt.throttle_ms, 0, "MS",
+                "producer pause after each job, milliseconds");
+  flags.integer("--max-jobs", opt.max_jobs, 0, "N",
+                "feed at most the first N jobs; 0 feeds all");
+  flags.integer("--max-ticks", opt.service.max_ticks, 0, "N",
+                "stop after N drain cycles; 0 runs to the end");
+  flags.number("--swf-overlay-dynamic", overlay_pct, 0, 100, "PCT",
+               "percent of SWF jobs replayed as evolving");
+  flags.integer("--swf-seed", swf_config.overlay_seed, 0, "S",
+                "seed of the evolving overlay");
+  flags.text("--summary-json", opt.summary_json, "FILE|-",
+             "write the final workload summary as JSON");
+  flags.flag("--quiet", opt.quiet, "print no progress to stderr");
+  tools::shard_flags(flags, opt.shards);
+  if (const std::optional<int> stop = flags.parse(argc, argv)) return *stop;
+  if (swf_path.empty()) return flags.fail("--swf is required");
 
   std::ifstream swf_in(swf_path, std::ios::binary);
   if (!swf_in) {
     std::cerr << "cannot open " << swf_path << "\n";
     return 1;
   }
-  wl::swf::SwfSourceConfig swf_config;
   swf_config.overlay_dynamic_fraction = overlay_pct / 100.0;
-  swf_config.overlay_seed = overlay_seed;
   wl::swf::SwfSource source(swf_in, swf_config);
   tools::size_cluster_for_swf(source, nodes, cores_per_node);
 
@@ -284,27 +235,18 @@ int run(int argc, char** argv) {
   system_config.streaming_metrics = true;
   system_config.retire_finished_jobs = true;
 
-  svc::ServiceConfig service_config;
-  service_config.state_dir = opt.state_dir;
-  service_config.snapshot_every = snapshot_every;
-  service_config.tick = Duration::millis(tick_ms);
-  service_config.wall_sleep = std::chrono::microseconds(100);
-  service_config.max_ticks = max_ticks;
+  opt.service.tick = Duration::millis(tick_ms);
+  opt.service.wall_sleep = std::chrono::microseconds(100);
 
   svc::IngestQueue ingest;
-  if (opt.shards > 1) {
-    batch::ShardConfig shard_config;
-    shard_config.shards = opt.shards;
-    shard_config.map = shard_map;
-    shard_config.policy = shard_by;
-    shard_config.threads = shard_threads;
-    batch::ShardedSystem sharded(system_config, shard_config);
-    svc::ShardedService service(sharded, ingest, service_config);
+  if (opt.shards.shards > 1) {
+    batch::ShardedSystem sharded(system_config, opt.shards);
+    svc::ShardedService service(sharded, ingest, opt.service);
     return serve(service, ingest, source, opt,
                  [&] { return sharded.summary(); });
   }
   batch::BatchSystem system(system_config);
-  svc::ServiceLoop& service = system.attach_ingest(ingest, service_config);
+  svc::ServiceLoop& service = system.attach_ingest(ingest, opt.service);
   return serve(service, ingest, source, opt,
                [&] { return metrics::summarize(system.recorder()); });
 }

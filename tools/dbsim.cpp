@@ -1,13 +1,5 @@
-// dbsim — run a workload trace through the dynamic batch system.
-//
-//   dbsim --trace workload.trace [--config maui.cfg] [--nodes 16]
-//           [--cores-per-node 8] [--qstat] [--dry-run-iteration]
-//           [--csv waits.csv]
-//           [--trace-out events.jsonl] [--trace-format jsonl|chrome]
-//           [--metrics-json metrics.json] [--record-out run.dbsr]
-//           [--replications R] [--jobs N] [--stage-breakdown]
-//           [--shards K] [--shard-by hash|user|partition|least]
-//           [--shard-map range|hash] [--shard-threads T]
+// dbsim — run a workload trace through the dynamic batch system
+// (`dbsim --help` lists the flags).
 //
 // The trace format is documented in src/workload/trace.hpp (write one with
 // `esp_campaign --trace`). The config file uses the Maui-style syntax of
@@ -17,14 +9,7 @@
 // snapshots the run's metrics registry on exit (`-` writes it to stdout).
 // --record-out captures the run as a binary flight-recorder file (every
 // lifecycle event + every applied scheduler decision, indexed by job and
-// time; query it with dbsq). With --replications R > 1 each replication
-// records its own shard (<file>, <file>.rep1, ...) and an index-ordered
-// manifest lands in <file>.manifest.json.
-//
-// Parallel execution: --replications R re-runs the trace R times as
-// independent replications (isolated simulator + registry each) and
-// --jobs N executes them on N threads; the merged metrics snapshot is
-// byte-identical for every N (the trace goes to replication 0 only).
+// time; query it with dbsq).
 //
 // Sharded scheduling: --shards K partitions the cluster's nodes into K
 // shards (--shard-map range|hash), each scheduled by its own independent
@@ -34,8 +19,8 @@
 // least-loaded). --shard-threads T runs the K shard simulations on T
 // threads; the output (summary, metrics, per-shard records) is
 // byte-identical for every T. With --record-out each shard records its own
-// file (<file>, <file>.rep1, ...) plus a manifest, exactly like
-// --replications.
+// file (<file>, <file>.rep1, ...) and an index-ordered manifest lands in
+// <file>.manifest.json.
 //
 // --dry-run-iteration pauses mid-run (same snapshot point as --qstat),
 // runs the scheduler pipeline once in dry-run mode and prints the decision
@@ -45,47 +30,30 @@
 #include <exception>
 #include <fstream>
 #include <iostream>
-#include <limits>
+#include <memory>
+#include <optional>
 #include <string>
-#include <thread>
+#include <vector>
 
-#include "batch/experiment.hpp"
-#include "batch/parallel_runner.hpp"
+#include "batch/batch_system.hpp"
 #include "batch/sharded_system.hpp"
 #include "core/pipeline/iteration_context.hpp"
+#include "metrics/report.hpp"
 #include "obs/recorder/manifest.hpp"
 #include "obs/recorder/recorder.hpp"
 #include "obs/registry.hpp"
 #include "obs/tracer.hpp"
 #include "rms/decision.hpp"
 #include "rms/status.hpp"
-#include "svc/ingest.hpp"
-#include "svc/service_loop.hpp"
 #include "workload/swf/swf_source.hpp"
 #include "workload/trace.hpp"
 
-#include "flag_value.hpp"
+#include "flags.hpp"
 #include "run_options.hpp"
 
 using namespace dbs;
 
 namespace {
-
-int usage(const char* argv0, int code) {
-  std::cerr << "usage: " << argv0
-            << " (--trace FILE | --swf FILE) [--config FILE] [--nodes N]\n"
-               "       [--cores-per-node N] [--qstat] [--dry-run-iteration]\n"
-               "       [--csv FILE]\n"
-               "       [--trace-out FILE] [--trace-format jsonl|chrome]\n"
-               "       [--metrics-json FILE|-] [--record-out FILE]\n"
-               "       [--replications R] [--jobs N] [--stage-breakdown]\n"
-               "       [--swf-window N] [--swf-overlay-dynamic PCT]\n"
-               "       [--swf-seed S] [--swf-policy skip|strict]\n"
-               "       [--swf-materialize] [--serve]\n"
-               "       [--shards K] [--shard-by hash|user|partition|least]\n"
-               "       [--shard-map range|hash] [--shard-threads T]\n";
-  return code;
-}
 
 /// Mean per-stage wall time from the run's merged registry, one line,
 /// plus the plan-cache effectiveness counters of the incremental planner:
@@ -116,10 +84,8 @@ int run(int argc, char** argv) {
   std::string swf_path;
   std::size_t swf_window = 1024;
   double swf_overlay_pct = 0.0;
-  std::uint64_t swf_seed = 2014;
-  bool swf_strict = false;
+  wl::swf::SwfSourceConfig swf_config;
   bool swf_materialize = false;
-  bool serve = false;
   std::string config_path;
   std::string csv_path;
   std::string trace_out_path;
@@ -131,142 +97,74 @@ int run(int argc, char** argv) {
   bool qstat = false;
   bool dry_run_iteration = false;
   bool stage_breakdown = false;
-  std::size_t replications = 1;
-  std::size_t run_jobs = 1;
-  std::size_t shards = 1;
-  std::size_t shard_threads = 1;
-  core::RoutePolicy shard_by = core::RoutePolicy::UserHash;
-  batch::ShardMapKind shard_map = batch::ShardMapKind::Range;
+  batch::ShardConfig shard_config;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> std::string {
-      if (i + 1 >= argc) std::exit(usage(argv[0], 2));
-      return argv[++i];
-    };
-    const auto int_value = [&](std::int64_t min,
-                               std::int64_t max = tools::kNoMax) {
-      const auto v = tools::int_flag(arg, next(), min, max);
-      if (!v) std::exit(usage(argv[0], 2));
-      return *v;
-    };
-    if (arg == "--trace") trace_path = next();
-    else if (arg == "--swf") swf_path = next();
-    else if (arg == "--swf-window")
-      swf_window = static_cast<std::size_t>(int_value(1));
-    else if (arg == "--swf-overlay-dynamic") {
-      const auto pct = tools::double_flag(arg, next(), 0, 100);
-      if (!pct) return usage(argv[0], 2);
-      swf_overlay_pct = *pct;
-    }
-    else if (arg == "--swf-seed")
-      swf_seed = static_cast<std::uint64_t>(int_value(0));
-    else if (arg == "--swf-policy") {
-      const std::string policy = next();
-      if (policy == "strict") swf_strict = true;
-      else if (policy == "skip") swf_strict = false;
-      else {
-        std::cerr << "unknown --swf-policy '" << policy
-                  << "' (expected skip or strict)\n";
-        return 2;
-      }
-    }
-    else if (arg == "--swf-materialize") swf_materialize = true;
-    else if (arg == "--serve") serve = true;
-    else if (arg == "--config") config_path = next();
-    else if (arg == "--nodes") nodes = static_cast<std::size_t>(int_value(0));
-    else if (arg == "--cores-per-node")
-      cores_per_node = static_cast<CoreCount>(
-          int_value(1, std::numeric_limits<CoreCount>::max()));
-    else if (arg == "--qstat") qstat = true;
-    else if (arg == "--dry-run-iteration") dry_run_iteration = true;
-    else if (arg == "--stage-breakdown") stage_breakdown = true;
-    else if (arg == "--csv") csv_path = next();
-    else if (arg == "--trace-out") trace_out_path = next();
-    else if (arg == "--trace-format") {
-      const std::string fmt = next();
-      if (!obs::parse_trace_format(fmt, trace_format)) {
-        std::cerr << "unknown trace format '" << fmt
-                  << "' (expected jsonl or chrome)\n";
-        return 2;
-      }
-    }
-    else if (arg == "--metrics-json") metrics_json_path = next();
-    else if (arg == "--record-out") record_out_path = next();
-    else if (arg == "--replications")
-      replications = static_cast<std::size_t>(int_value(1));
-    else if (arg == "--jobs")
-      run_jobs = static_cast<std::size_t>(int_value(1));
-    else if (arg == "--shards")
-      shards = static_cast<std::size_t>(int_value(1));
-    else if (arg == "--shard-threads")
-      shard_threads = static_cast<std::size_t>(int_value(1));
-    else if (arg == "--shard-by") {
-      const auto by = tools::shard_by_flag(next());
-      if (!by) return 2;
-      shard_by = *by;
-    }
-    else if (arg == "--shard-map") {
-      const auto map = tools::shard_map_flag(next());
-      if (!map) return 2;
-      shard_map = *map;
-    }
-    else if (arg == "--help" || arg == "-h") return usage(argv[0], 0);
-    else return usage(argv[0], 2);
-  }
-  if (trace_path.empty() == swf_path.empty()) {
-    std::cerr << "exactly one of --trace and --swf is required\n";
-    return usage(argv[0], 2);
-  }
+  tools::Flags flags("dbsim", "Replays exactly one of --trace and --swf.");
+  flags.text("--trace", trace_path, "FILE",
+             "workload trace (src/workload/trace.hpp)");
+  flags.text("--swf", swf_path, "FILE",
+             "Standard Workload Format trace, streamed");
+  flags.integer("--swf-window", swf_window, 1, "N",
+                "SWF jobs read ahead of the simulation");
+  flags.number("--swf-overlay-dynamic", swf_overlay_pct, 0, 100, "PCT",
+               "percent of SWF jobs replayed as evolving");
+  flags.integer("--swf-seed", swf_config.overlay_seed, 0, "S",
+                "seed of the evolving overlay");
+  flags.choice("--swf-policy", swf_config.policy,
+               {{"skip", wl::swf::MalformedPolicy::Skip},
+                {"strict", wl::swf::MalformedPolicy::Strict}},
+               "skip malformed SWF records or stop at the first");
+  flags.flag("--swf-materialize", swf_materialize,
+             "read the whole SWF trace before the run and keep per-job "
+             "records");
+  flags.text("--config", config_path, "FILE",
+             "Maui-style scheduler config (src/config/maui_config.hpp)");
+  flags.integer("--nodes", nodes, 0, "N",
+                "cluster nodes; 0 sizes the cluster for the trace");
+  flags.integer("--cores-per-node", cores_per_node, 1, "N", "cores per node");
+  flags.flag("--qstat", qstat, "print qstat and pbsnodes mid-run");
+  flags.flag("--dry-run-iteration", dry_run_iteration,
+             "print the decisions of one unapplied iteration mid-run");
+  flags.flag("--stage-breakdown", stage_breakdown,
+             "print the mean wall time of each scheduler stage");
+  flags.text("--csv", csv_path, "FILE", "write per-job waits as CSV");
+  flags.text("--trace-out", trace_out_path, "FILE",
+             "write the scheduler event trace");
+  flags.choice("--trace-format", trace_format,
+               {{"jsonl", obs::TraceFormat::Jsonl},
+                {"chrome", obs::TraceFormat::Chrome}},
+               "event trace format");
+  flags.text("--metrics-json", metrics_json_path, "FILE|-",
+             "write the metrics registry as JSON");
+  flags.text("--record-out", record_out_path, "FILE",
+             "write a flight-recorder file (query it with dbsq)");
+  tools::shard_flags(flags, shard_config);
+  if (const std::optional<int> stop = flags.parse(argc, argv)) return *stop;
+
+  if (trace_path.empty() == swf_path.empty())
+    return flags.fail("exactly one of --trace and --swf is required");
   if (!swf_path.empty()) {
-    if (replications > 1) {
-      std::cerr << "--swf streams from one file and supports --replications 1 "
-                   "only\n";
-      return 2;
-    }
-    if (qstat || dry_run_iteration) {
-      std::cerr << "--qstat/--dry-run-iteration are not supported with --swf\n";
-      return 2;
-    }
-    if (!csv_path.empty() && !swf_materialize) {
-      std::cerr << "--csv needs per-job records; use --swf-materialize (the "
-                   "streaming path folds finished jobs into aggregates)\n";
-      return 2;
-    }
-    if (serve && swf_materialize) {
-      std::cerr << "--serve uses the streaming ingest path; drop "
-                   "--swf-materialize\n";
-      return 2;
-    }
-  }
-  if (serve && swf_path.empty()) {
-    std::cerr << "--serve requires --swf\n";
-    return 2;
+    if (qstat || dry_run_iteration)
+      return flags.fail(
+          "--qstat/--dry-run-iteration are not supported with --swf");
+    if (!csv_path.empty() && !swf_materialize)
+      return flags.fail(
+          "--csv needs per-job records; use --swf-materialize (the "
+          "streaming path folds finished jobs into aggregates)");
   }
   // `-` conventionally means stdout; the recorder writes an indexed binary
   // file and cannot stream, so reject it instead of creating a file
   // literally named "-". (--trace-out stays file-only: its formats are
   // stream-shaped but the tracer owns the file lifecycle.)
-  if (record_out_path == "-") {
-    std::cerr << "--record-out cannot write to stdout (`-`): the recorder "
-                 "emits an indexed binary file; give it a path\n";
-    return 2;
-  }
-  if ((qstat || dry_run_iteration) && replications > 1) {
-    std::cerr << "--qstat and --dry-run-iteration are only supported with "
-                 "--replications 1\n";
-    return 2;
-  }
-  if (shards > 1) {
-    if (qstat || dry_run_iteration || serve || replications > 1 ||
-        !csv_path.empty()) {
-      std::cerr << "--shards is incompatible with --qstat, "
-                   "--dry-run-iteration, --serve, --replications > 1 and "
-                   "--csv (per-shard job indices are not comparable; use "
-                   "dbsd for a sharded service)\n";
-      return 2;
-    }
-  }
+  if (record_out_path == "-")
+    return flags.fail(
+        "--record-out cannot write to stdout (`-`): the recorder emits an "
+        "indexed binary file; give it a path");
+  const std::size_t shards = shard_config.shards;
+  if (shards > 1 && (qstat || dry_run_iteration || !csv_path.empty()))
+    return flags.fail(
+        "--shards is incompatible with --qstat, --dry-run-iteration and "
+        "--csv (per-shard job indices are not comparable)");
 
   wl::Workload workload;
   if (!trace_path.empty()) {
@@ -291,18 +189,21 @@ int run(int argc, char** argv) {
       std::cerr << "cannot open " << swf_path << "\n";
       return 1;
     }
-    wl::swf::SwfSourceConfig swf_config;
-    swf_config.policy = swf_strict ? wl::swf::MalformedPolicy::Strict
-                                   : wl::swf::MalformedPolicy::Skip;
     swf_config.overlay_dynamic_fraction = swf_overlay_pct / 100.0;
-    swf_config.overlay_seed = swf_seed;
     swf_source = std::make_unique<wl::swf::SwfSource>(swf_in, swf_config);
     tools::size_cluster_for_swf(*swf_source, nodes, cores_per_node);
     // Multi-month traces only fit if finished jobs release their storage
     // and metrics fold into aggregates as the replay advances.
     system_config.retire_finished_jobs = !swf_materialize;
     system_config.streaming_metrics = !swf_materialize;
+    if (swf_materialize) {
+      // Debug/equivalence path: drain the source into a Workload and
+      // submit it the classic way (per-job records retained).
+      wl::SubmitSpec s;
+      while (swf_source->next(s)) workload.jobs.push_back(s);
+    }
   }
+  const bool stream = swf_source != nullptr && !swf_materialize;
   if (nodes == 0) {
     const CoreCount total =
         workload.total_cores > 0 ? workload.total_cores : 128;
@@ -324,55 +225,41 @@ int run(int argc, char** argv) {
     }
   }
 
-  // Every replication (even a single one) owns an isolated system +
-  // registry; registries merge into `registry` in replication order, so
-  // the metrics snapshot is byte-identical for every --jobs value. The
-  // event trace is attached to replication 0 only: other replications are
-  // identical re-runs and concurrent writers would interleave events.
+  // One recorder per shard (an unsharded run is shard 0): concurrent
+  // shards never share a record file.
   const auto capacity =
       static_cast<std::int64_t>(nodes) * static_cast<std::int64_t>(cores_per_node);
-  obs::rec::Manifest manifest;
+  std::vector<std::unique_ptr<obs::rec::FlightRecorder>> recorders;
+  for (std::size_t k = 0; !record_out_path.empty() && k < shards; ++k) {
+    recorders.push_back(std::make_unique<obs::rec::FlightRecorder>());
+    const std::string path = obs::rec::shard_path(record_out_path, k);
+    if (!recorders.back()->open(path, capacity)) {
+      std::cerr << "cannot open " << path << "\n";
+      return 1;
+    }
+  }
+  const auto recorder_of = [&](std::size_t k) {
+    return recorders.empty() ? nullptr : recorders[k].get();
+  };
+  // The event trace attaches to shard 0 only — concurrent shard writers
+  // would interleave events nondeterministically.
+  obs::Tracer* const trace_sink = trace_out_path.empty() ? nullptr : &tracer;
+
   metrics::WorkloadSummary summary;
   std::vector<metrics::WaitPoint> waits;
   std::vector<metrics::WorkloadSummary> shard_summaries;
   std::vector<std::uint64_t> shard_routed_jobs;
   if (shards > 1) {
-    batch::ShardConfig shard_config;
-    shard_config.shards = shards;
-    shard_config.map = shard_map;
-    shard_config.policy = shard_by;
-    shard_config.threads = shard_threads;
     batch::ShardedSystem sharded(system_config, shard_config);
-    std::vector<std::unique_ptr<obs::rec::FlightRecorder>> recorders;
-    if (!record_out_path.empty()) {
-      for (std::size_t k = 0; k < shards; ++k) {
-        recorders.push_back(std::make_unique<obs::rec::FlightRecorder>());
-        const std::string path = obs::rec::shard_path(record_out_path, k);
-        if (!recorders.back()->open(path, capacity)) {
-          std::cerr << "cannot open " << path << "\n";
-          return 1;
-        }
-      }
-    }
-    // The event trace attaches to shard 0 only — concurrent shard writers
-    // would interleave events nondeterministically.
     for (std::size_t k = 0; k < shards; ++k) {
-      obs::Tracer* shard_tracer =
-          k == 0 && !trace_out_path.empty() ? &tracer : nullptr;
-      obs::rec::FlightRecorder* shard_recorder =
-          recorders.empty() ? nullptr : recorders[k].get();
-      if (shard_tracer != nullptr || shard_recorder != nullptr)
-        sharded.set_shard_sinks(k, shard_tracer, shard_recorder);
+      obs::Tracer* shard_tracer = k == 0 ? trace_sink : nullptr;
+      if (shard_tracer != nullptr || recorder_of(k) != nullptr)
+        sharded.set_shard_sinks(k, shard_tracer, recorder_of(k));
     }
-    if (swf_source != nullptr && !swf_materialize) {
+    if (stream)
       sharded.submit_stream(*swf_source, swf_window);
-    } else {
-      if (swf_source != nullptr) {
-        wl::SubmitSpec s;
-        while (swf_source->next(s)) workload.jobs.push_back(s);
-      }
+    else
       sharded.submit_workload(workload);
-    }
     sharded.run();
     summary = sharded.summary();
     sharded.merge_registries(registry);
@@ -380,63 +267,13 @@ int run(int argc, char** argv) {
       shard_summaries.push_back(sharded.shard_summary(k));
       shard_routed_jobs.push_back(sharded.router().routed_jobs(k));
     }
-    for (std::size_t k = 0; k < recorders.size(); ++k) {
-      obs::rec::FlightRecorder& recorder = *recorders[k];
-      obs::rec::ManifestShard shard;
-      shard.path = recorder.path();
-      shard.replication = k;
-      shard.records = recorder.records_written();
-      shard.first_t_us = recorder.first_t_us();
-      shard.last_t_us = recorder.last_t_us();
-      if (!recorder.finalize()) {
-        std::cerr << "cannot finalize " << shard.path << "\n";
-        return 1;
-      }
-      manifest.shards.push_back(std::move(shard));
-    }
-  } else if (qstat || dry_run_iteration || swf_source != nullptr) {
-    obs::rec::FlightRecorder recorder;
-    if (!record_out_path.empty() &&
-        !recorder.open(record_out_path, capacity)) {
-      std::cerr << "cannot open " << record_out_path << "\n";
-      return 1;
-    }
-    svc::IngestQueue ingest;  // --serve only; declared first to outlive
-                              // the system's service loop
+  } else {
     batch::BatchSystem system(system_config);
-    system.set_sinks({trace_out_path.empty() ? nullptr : &tracer, &registry,
-                      recorder.is_open() ? &recorder : nullptr});
-    if (swf_source != nullptr) {
-      if (swf_materialize) {
-        // Debug/equivalence path: drain the source into a Workload and
-        // submit it the classic way (per-job records retained).
-        wl::SubmitSpec s;
-        while (swf_source->next(s)) workload.jobs.push_back(s);
-        system.submit_workload(workload);
-      } else if (serve) {
-        // Service-mode smoke path: the same jobs flow through the
-        // concurrent ingest queue + service loop (in-memory, no state
-        // dir) instead of submit_stream, proving the service core
-        // reproduces the one-shot replay.
-        svc::ServiceConfig service_config;
-        service_config.tick = Duration::seconds(3600);
-        system.attach_ingest(ingest, service_config);
-        // A jthread: if the service loop throws, unwinding requests its
-        // stop and joins it, so main can report the error and exit 1.
-        std::jthread producer([&](const std::stop_token& unwinding) {
-          wl::SubmitSpec s;
-          while (!unwinding.stop_requested() && swf_source->next(s))
-            ingest.submit(s.at, std::move(s.spec), s.behavior);
-          ingest.close();
-        });
-        system.run_service();
-        producer.join();
-      } else {
-        system.submit_stream(*swf_source, swf_window);
-      }
-    } else {
+    system.set_sinks({trace_sink, &registry, recorder_of(0)});
+    if (stream)
+      system.submit_stream(*swf_source, swf_window);
+    else
       system.submit_workload(workload);
-    }
     // Pause mid-run (after the first quarter of the submission window) for
     // the status snapshot / what-if pass before finishing the simulation.
     const Time snapshot =
@@ -467,56 +304,21 @@ int run(int argc, char** argv) {
     summary = metrics::summarize(system.recorder());
     if (!system.recorder().streaming())
       waits = metrics::wait_series(system.recorder());
-    if (recorder.is_open()) {
-      obs::rec::ManifestShard shard;
-      shard.path = recorder.path();
-      shard.records = recorder.records_written();
-      shard.first_t_us = recorder.first_t_us();
-      shard.last_t_us = recorder.last_t_us();
-      if (!recorder.finalize()) {
-        std::cerr << "cannot finalize " << record_out_path << "\n";
-        return 1;
-      }
-      manifest.shards.push_back(std::move(shard));
+  }
+  obs::rec::Manifest manifest;
+  for (std::size_t k = 0; k < recorders.size(); ++k) {
+    obs::rec::FlightRecorder& recorder = *recorders[k];
+    obs::rec::ManifestShard shard;
+    shard.path = recorder.path();
+    shard.replication = k;
+    shard.records = recorder.records_written();
+    shard.first_t_us = recorder.first_t_us();
+    shard.last_t_us = recorder.last_t_us();
+    if (!recorder.finalize()) {
+      std::cerr << "cannot finalize " << shard.path << "\n";
+      return 1;
     }
-  } else {
-    batch::ParallelRunner runner(run_jobs);
-    const auto run_one = [&](std::size_t index,
-                             obs::Registry& replication_registry,
-                             obs::rec::FlightRecorder* recorder) {
-      batch::BatchSystem system(system_config);
-      system.set_sinks({index == 0 && !trace_out_path.empty() ? &tracer
-                                                              : nullptr,
-                        &replication_registry, recorder});
-      system.submit_workload(workload);
-      system.run();
-      batch::RunResult result;
-      result.label = trace_path;
-      result.summary = metrics::summarize(system.recorder());
-      result.waits = metrics::wait_series(system.recorder());
-      result.scheduler_iterations = system.scheduler().iterations();
-      result.events = system.simulator().events_fired();
-      return result;
-    };
-    std::vector<batch::RunResult> results;
-    if (record_out_path.empty()) {
-      results = runner.map<batch::RunResult>(
-          replications,
-          [&](std::size_t index, obs::Registry& replication_registry) {
-            return run_one(index, replication_registry, nullptr);
-          },
-          &registry);
-    } else {
-      results = runner.map_recorded<batch::RunResult>(
-          replications, record_out_path, capacity,
-          [&](std::size_t index, obs::Registry& replication_registry,
-              obs::rec::FlightRecorder& recorder) {
-            return run_one(index, replication_registry, &recorder);
-          },
-          &registry, manifest);
-    }
-    summary = results.front().summary;
-    waits = std::move(results.front().waits);
+    manifest.shards.push_back(std::move(shard));
   }
 
   const std::string& workload_label =
@@ -550,14 +352,11 @@ int run(int argc, char** argv) {
       shard_table.add_row(metrics::performance_row(
           "part" + std::to_string(k), shard_summaries[k], 0.0));
     std::cout << shard_table.to_string();
-    std::cout << "shard routing (" << core::to_string(shard_by) << "):";
+    std::cout << "shard routing (" << core::to_string(shard_config.policy) << "):";
     for (std::size_t k = 0; k < shard_routed_jobs.size(); ++k)
       std::cout << " part" << k << "=" << shard_routed_jobs[k];
     std::cout << "; metrics merged across " << shards << " shards\n";
   }
-  if (replications > 1)
-    std::cout << replications << " replications on " << run_jobs
-              << " thread(s); metrics merged across replications\n";
   if (stage_breakdown) print_stage_breakdown(registry);
 
   if (!csv_path.empty()) {

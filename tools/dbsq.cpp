@@ -1,10 +1,5 @@
-// dbsq — query a flight-recorder file written by `dbsim --record-out`.
-//
-//   dbsq summary  run.dbsr
-//   dbsq jobs     run.dbsr [--job ID]
-//   dbsq range    run.dbsr --from S --to S
-//   dbsq timeline run.dbsr [--metric M] [--bucket S] [--format json|csv]
-//   dbsq verify   run.dbsr --trace events.jsonl
+// dbsq — query a flight-recorder file written by `dbsim --record-out`
+// (`dbsq --help` lists the commands and flags).
 //
 // summary prints whole-file totals (one scan). jobs prints every record
 // touching a job — an O(1) index lookup, not a file scan — as JSON lines;
@@ -16,37 +11,28 @@
 // used_core_s, user_usage, user_delay for a compact table. verify
 // cross-checks the recorded decision stream against the run's JSONL trace
 // and exits nonzero on any mismatch.
+#include <algorithm>
+#include <array>
 #include <cstdint>
-#include <cstdlib>
 #include <exception>
 #include <iostream>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "metrics/timeseries.hpp"
 #include "obs/recorder/query.hpp"
 #include "obs/recorder/reader.hpp"
 #include "obs/recorder/recorder.hpp"
 
-#include "flag_value.hpp"
+#include "flags.hpp"
 
 using namespace dbs;
 
 namespace {
 
-int usage(const char* argv0, int code) {
-  std::cerr
-      << "usage: " << argv0 << " COMMAND FILE [options]\n"
-         "  summary  FILE                     whole-file totals as JSON\n"
-         "  jobs     FILE [--job ID]          one job's records (or the id list)\n"
-         "  range    FILE --from S --to S     records in a time window\n"
-         "  timeline FILE [--metric all|utilization|queue_depth|used_core_s|\n"
-         "                 user_usage|user_delay] [--bucket S] [--format json|csv]\n"
-         "  verify   FILE --trace JSONL       diff decisions vs a run trace\n";
-  return code;
-}
-
-int cmd_timeline(obs::rec::RecordReader& reader, const std::string& metric,
-                 std::int64_t bucket_s, const std::string& format) {
+void cmd_timeline(obs::rec::RecordReader& reader, const std::string& metric,
+                  std::int64_t bucket_s, const std::string& format) {
   metrics::TimeseriesOptions options;
   options.bucket_s = bucket_s;
   const metrics::Timeseries ts = metrics::fold_timeseries(reader, options);
@@ -55,7 +41,7 @@ int cmd_timeline(obs::rec::RecordReader& reader, const std::string& metric,
       metrics::write_timeseries_csv(ts, std::cout);
     else
       metrics::write_timeseries_json(ts, std::cout);
-    return 0;
+    return;
   }
   // Single-metric table: CSV-shaped either way (grep/plot-friendly).
   if (metric == "utilization" || metric == "queue_depth" ||
@@ -68,73 +54,70 @@ int cmd_timeline(obs::rec::RecordReader& reader, const std::string& metric,
                         : metric == "queue_depth" ? b.avg_queue_depth
                                                   : b.used_core_s)
                 << "\n";
-    return 0;
+    return;
   }
-  if (metric == "user_usage" || metric == "user_delay") {
-    std::cout << "start_us";
-    for (const auto& user : ts.users) std::cout << "," << user;
-    std::cout << "\n";
-    for (const auto& b : ts.buckets) {
-      std::cout << b.start_us;
-      const auto& per_user = metric == "user_usage" ? b.user_usage_core_s
-                                                    : b.user_cum_delay_s;
-      for (const auto& user : ts.users) {
-        const auto it = per_user.find(user);
-        std::cout << "," << (it == per_user.end() ? 0.0 : it->second);
-      }
-      std::cout << "\n";
+  // user_usage or user_delay: one column per user.
+  std::cout << "start_us";
+  for (const auto& user : ts.users) std::cout << "," << user;
+  std::cout << "\n";
+  for (const auto& b : ts.buckets) {
+    std::cout << b.start_us;
+    const auto& per_user =
+        metric == "user_usage" ? b.user_usage_core_s : b.user_cum_delay_s;
+    for (const auto& user : ts.users) {
+      const auto it = per_user.find(user);
+      std::cout << "," << (it == per_user.end() ? 0.0 : it->second);
     }
-    return 0;
+    std::cout << "\n";
   }
-  std::cerr << "unknown metric '" << metric << "'\n";
-  return 2;
 }
 
 int run(int argc, char** argv) {
-  if (argc < 3) return usage(argv[0], argc == 2 ? 2 : 2);
-  const std::string command = argv[1];
-  const std::string file = argv[2];
-
-  std::uint64_t job = ~std::uint64_t{0};
-  bool have_job = false;
-  double from_s = 0.0, to_s = 0.0;
-  bool have_from = false, have_to = false;
+  std::string command;
+  std::string file;
+  std::optional<std::uint64_t> job;
+  std::optional<double> from_s;
+  std::optional<double> to_s;
   std::string metric = "all";
   std::int64_t bucket_s = 60;
   std::string format = "json";
   std::string trace_path;
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> std::string {
-      if (i + 1 >= argc) std::exit(usage(argv[0], 2));
-      return argv[++i];
-    };
-    const auto int_value = [&](std::int64_t min) {
-      const auto v = tools::int_flag(arg, next(), min);
-      if (!v) std::exit(usage(argv[0], 2));
-      return *v;
-    };
-    // Seconds; the bound keeps them inside int64 microseconds.
-    const auto seconds = [&] {
-      const auto v = tools::double_flag(arg, next(), 0, 9.2e12);
-      if (!v) std::exit(usage(argv[0], 2));
-      return *v;
-    };
-    if (arg == "--job") {
-      job = static_cast<std::uint64_t>(int_value(0));
-      have_job = true;
-    } else if (arg == "--from") {
-      from_s = seconds();
-      have_from = true;
-    } else if (arg == "--to") {
-      to_s = seconds();
-      have_to = true;
-    } else if (arg == "--metric") metric = next();
-    else if (arg == "--bucket") bucket_s = int_value(1);
-    else if (arg == "--format") format = next();
-    else if (arg == "--trace") trace_path = next();
-    else return usage(argv[0], 2);
-  }
+
+  tools::Flags flags(
+      "dbsq",
+      "commands:\n"
+      "  summary   whole-file totals as JSON\n"
+      "  jobs      one job's records (--job), or the indexed job ids\n"
+      "  range     records in [--from, --to)\n"
+      "  timeline  per-bucket curves\n"
+      "  verify    diff the recorded decisions against --trace");
+  flags.operand("COMMAND", command);
+  flags.operand("FILE", file);
+  flags.integer("--job", job, 0, "ID", "jobs: the job to show");
+  // Seconds; the bound keeps them inside int64 microseconds.
+  flags.number("--from", from_s, 0, 9.2e12, "S",
+               "range: window start, seconds");
+  flags.number("--to", to_s, 0, 9.2e12, "S", "range: window end, seconds");
+  flags.choice("--metric", metric,
+               {"all", "utilization", "queue_depth", "used_core_s",
+                "user_usage", "user_delay"},
+               "timeline: the whole time series or one curve");
+  flags.integer("--bucket", bucket_s, 1, "S",
+                "timeline: bucket width, seconds");
+  flags.choice("--format", format, {"json", "csv"},
+               "timeline: format of the whole time series");
+  flags.text("--trace", trace_path, "JSONL", "verify: the run's JSONL trace");
+  if (const std::optional<int> stop = flags.parse(argc, argv)) return *stop;
+
+  constexpr std::array<std::string_view, 5> kCommands = {
+      "summary", "jobs", "range", "timeline", "verify"};
+  if (std::find(kCommands.begin(), kCommands.end(), command) ==
+      kCommands.end())
+    return flags.fail("unknown command '" + command + "'");
+  if (command == "range" && (!from_s || !to_s))
+    return flags.fail("range needs --from and --to");
+  if (command == "verify" && trace_path.empty())
+    return flags.fail("verify needs --trace");
 
   obs::rec::RecordReader reader;
   if (!reader.open(file)) {
@@ -147,23 +130,22 @@ int run(int argc, char** argv) {
     return 0;
   }
   if (command == "jobs") {
-    if (!have_job) {
+    if (!job) {
       for (const std::uint64_t id : reader.jobs()) std::cout << id << "\n";
       return 0;
     }
-    if (!reader.has_job(job)) {
-      std::cerr << "job " << job << " not in the index\n";
+    if (!reader.has_job(*job)) {
+      std::cerr << "job " << *job << " not in the index\n";
       return 1;
     }
-    for (const auto& line : obs::rec::job_history(reader, job))
+    for (const auto& line : obs::rec::job_history(reader, *job))
       std::cout << line.json << "\n";
     return 0;
   }
   if (command == "range") {
-    if (!have_from || !have_to) return usage(argv[0], 2);
     reader.scan_range(
-        static_cast<std::int64_t>(from_s * 1e6),
-        static_cast<std::int64_t>(to_s * 1e6),
+        static_cast<std::int64_t>(*from_s * 1e6),
+        static_cast<std::int64_t>(*to_s * 1e6),
         [&](const obs::rec::PackedRecord& r) {
           if (obs::rec::is_decision(r.type)) {
             std::string out;
@@ -176,23 +158,16 @@ int run(int argc, char** argv) {
     return 0;
   }
   if (command == "timeline") {
-    if (format != "json" && format != "csv") {
-      std::cerr << "unknown format '" << format << "'\n";
-      return 2;
-    }
-    return cmd_timeline(reader, metric, bucket_s, format);
+    cmd_timeline(reader, metric, bucket_s, format);
+    return 0;
   }
-  if (command == "verify") {
-    if (trace_path.empty()) return usage(argv[0], 2);
-    const obs::rec::VerifyResult result =
-        obs::rec::verify_against_trace(reader, trace_path);
-    std::cout << "compared " << result.compared
-              << " decision/event pairs, " << result.mismatches.size()
-              << " mismatches\n";
-    for (const std::string& m : result.mismatches) std::cout << m << "\n";
-    return result.ok() ? 0 : 1;
-  }
-  return usage(argv[0], 2);
+  // verify
+  const obs::rec::VerifyResult result =
+      obs::rec::verify_against_trace(reader, trace_path);
+  std::cout << "compared " << result.compared << " decision/event pairs, "
+            << result.mismatches.size() << " mismatches\n";
+  for (const std::string& m : result.mismatches) std::cout << m << "\n";
+  return result.ok() ? 0 : 1;
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // Options dbsim and dbsd share: the shard flags, the Maui config file and
-// cluster sizing from an SWF header. Each helper prints its own error. A
-// bad flag value is a usage error (the tool exits 2); a config file that
-// cannot be read or parsed exits 1.
+// cluster sizing from an SWF header. A config file that cannot be read or
+// parsed prints its error and exits 1.
 #pragma once
 
 #include <cstdint>
@@ -9,36 +8,36 @@
 #include <fstream>
 #include <iostream>
 #include <iterator>
-#include <optional>
 #include <string>
-#include <string_view>
 
 #include "batch/sharded_system.hpp"
 #include "config/maui_config.hpp"
 #include "core/shard_map.hpp"
 #include "workload/swf/swf_source.hpp"
 
+#include "flags.hpp"
+
 namespace dbs::tools {
 
-/// `--shard-by` as a routing policy, or nullopt (reported) when unknown.
-inline std::optional<core::RoutePolicy> shard_by_flag(std::string_view by) {
-  if (by == "hash" || by == "user") return core::RoutePolicy::UserHash;
-  if (by == "partition") return core::RoutePolicy::Partition;
-  if (by == "least" || by == "least-loaded")
-    return core::RoutePolicy::LeastLoaded;
-  std::cerr << "unknown --shard-by '" << by
-            << "' (expected hash, user, partition or least)\n";
-  return std::nullopt;
-}
-
-/// `--shard-map` as a node map, or nullopt (reported) when unknown.
-inline std::optional<batch::ShardMapKind> shard_map_flag(
-    std::string_view kind) {
-  if (kind == "range") return batch::ShardMapKind::Range;
-  if (kind == "hash") return batch::ShardMapKind::Hash;
-  std::cerr << "unknown --shard-map '" << kind
-            << "' (expected range or hash)\n";
-  return std::nullopt;
+/// The sharding flags dbsim and dbsd share, parsed into `config`.
+inline void shard_flags(Flags& flags, batch::ShardConfig& config) {
+  flags.integer("--shards", config.shards, 1, "K",
+                "split the cluster's nodes into K shards, each scheduled by "
+                "its own scheduler");
+  flags.choice("--shard-by", config.policy,
+               {{"hash", core::RoutePolicy::UserHash},
+                {"user", core::RoutePolicy::UserHash},
+                {"partition", core::RoutePolicy::Partition},
+                {"least", core::RoutePolicy::LeastLoaded},
+                {"least-loaded", core::RoutePolicy::LeastLoaded}},
+               "route each job to a shard: fnv1a(user) % K, its class name "
+               "(part0..partK-1) or the least-loaded shard");
+  flags.choice("--shard-map", config.map,
+               {{"range", batch::ShardMapKind::Range},
+                {"hash", batch::ShardMapKind::Hash}},
+               "split the nodes into contiguous ranges or by node-id hash");
+  flags.integer("--shard-threads", config.threads, 1, "T",
+                "run the shards on T threads (same output for every T)");
 }
 
 /// The whole file at `path`; exits 1 when it cannot be opened.

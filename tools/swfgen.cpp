@@ -1,69 +1,38 @@
 // swfgen: emit a deterministic synthetic SWF trace on stdout (or to a
-// file), for bench scales and CI parity checks against tools/gen_swf.py.
-//
-//   swfgen --jobs N [--seed S] [--max-procs P] [--users U]
-//          [--mean-interarrival SEC] [--min-run SEC] [--run-spread SEC]
-//          [--out FILE]
-#include <cstdint>
-#include <cstdlib>
+// file), for bench scales and CI parity checks against tools/gen_swf.py
+// (`swfgen --help` lists the flags).
 #include <exception>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "workload/swf/swf_gen.hpp"
 
-#include "flag_value.hpp"
+#include "flags.hpp"
 
 namespace {
-
-int usage(int code) {
-  std::cerr
-      << "usage: swfgen [--jobs N] [--seed S] [--max-procs P] [--users U]\n"
-         "              [--mean-interarrival SEC] [--min-run SEC]\n"
-         "              [--run-spread SEC] [--out FILE]\n";
-  return code;
-}
 
 int run(int argc, char** argv) {
   dbs::wl::swf::SwfGenParams params;
   std::string out_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) std::exit(usage(2));
-      return argv[++i];
-    };
-    // The generator divides by the interarrival mean, the user count and
-    // the runtime spread, and a machine needs a processor: those start at 1.
-    const auto count = [&](std::int64_t min) {
-      const auto v = dbs::tools::int_flag(arg, next(), min);
-      if (!v) std::exit(usage(2));
-      return static_cast<std::uint64_t>(*v);
-    };
-    if (arg == "--jobs") {
-      params.jobs = count(0);
-    } else if (arg == "--seed") {
-      params.seed = count(0);
-    } else if (arg == "--max-procs") {
-      params.max_procs = count(1);
-    } else if (arg == "--users") {
-      params.users = count(1);
-    } else if (arg == "--mean-interarrival") {
-      params.mean_interarrival_s = count(1);
-    } else if (arg == "--min-run") {
-      params.min_run_s = count(0);
-    } else if (arg == "--run-spread") {
-      params.run_spread_s = count(1);
-    } else if (arg == "--out") {
-      out_path = next();
-    } else if (arg == "--help" || arg == "-h") {
-      return usage(0);
-    } else {
-      std::cerr << "unknown argument: " << arg << "\n";
-      return usage(2);
-    }
-  }
+  dbs::tools::Flags flags("swfgen");
+  // The generator divides by the interarrival mean, the user count and the
+  // runtime spread, and a machine needs a processor: those start at 1.
+  flags.integer("--jobs", params.jobs, 0, "N", "jobs in the trace");
+  flags.integer("--seed", params.seed, 0, "S", "generator seed");
+  flags.integer("--max-procs", params.max_procs, 1, "P",
+                "processors of the machine in the header");
+  flags.integer("--users", params.users, 1, "U", "distinct users");
+  flags.integer("--mean-interarrival", params.mean_interarrival_s, 1, "SEC",
+                "mean seconds between submissions");
+  flags.integer("--min-run", params.min_run_s, 0, "SEC",
+                "shortest runtime, seconds");
+  flags.integer("--run-spread", params.run_spread_s, 1, "SEC",
+                "runtimes span [min-run, min-run + run-spread) seconds");
+  flags.text("--out", out_path, "FILE", "write the trace here, not stdout");
+  if (const std::optional<int> stop = flags.parse(argc, argv)) return *stop;
+
   if (!out_path.empty()) {
     std::ofstream out(out_path, std::ios::binary);
     if (!out) {
