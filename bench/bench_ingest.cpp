@@ -104,7 +104,8 @@ void bm_ingest(benchmark::State& state) {
         if (wal) wal->append_ingest(r);
       }
       if (wal) {
-        wal->sync();
+        wal->flush();
+        wal->fsync();
         ++batches_synced;
       }
       consumed += n;

@@ -1,6 +1,7 @@
 #include "core/shard_map.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/assert.hpp"
 
@@ -109,6 +110,12 @@ std::size_t ShardMap::shard_named(std::string_view name) const {
   return npos;
 }
 
+std::uint64_t ShardMap::shard_cores(std::size_t k) const {
+  const cluster::ClusterSpec& c = shard(k).cluster;
+  return static_cast<std::uint64_t>(c.node_count) *
+         static_cast<std::uint64_t>(c.cores_per_node);
+}
+
 CoreCount ShardMap::total_cores() const {
   CoreCount total = 0;
   for (const ShardSpec& s : shards_)
@@ -152,9 +159,7 @@ std::size_t ShardRouter::route(const rms::JobSpec& spec) {
       // unequal partitions fill proportionally.
       for (std::size_t cand = 1; cand < count; ++cand) {
         const auto cap = [&](std::size_t s) {
-          const cluster::ClusterSpec& c = map_->shard(s).cluster;
-          return static_cast<u128>(c.node_count) *
-                 static_cast<u128>(c.cores_per_node);
+          return static_cast<u128>(map_->shard_cores(s));
         };
         const u128 lhs = static_cast<u128>(routed_cores_[cand]) * cap(k);
         const u128 rhs = static_cast<u128>(routed_cores_[k]) * cap(cand);
@@ -163,6 +168,11 @@ std::size_t ShardRouter::route(const rms::JobSpec& spec) {
       break;
     }
   }
+  const std::uint64_t shard_cores = map_->shard_cores(k);
+  DBS_REQUIRE(std::cmp_less_equal(spec.cores, shard_cores),
+              "job " + spec.name + " asks for " + std::to_string(spec.cores) +
+                  " cores but its shard " + map_->shard(k).name + " has " +
+                  std::to_string(shard_cores) + ": it could never start");
   routed_cores_[k] +=
       static_cast<std::uint64_t>(std::max<CoreCount>(spec.cores, 1));
   ++routed_jobs_[k];

@@ -76,6 +76,8 @@ class ShardMap {
   [[nodiscard]] std::size_t total_nodes() const {
     return node_to_shard_.size();
   }
+  /// Cores of shard k: its nodes times their cores per node.
+  [[nodiscard]] std::uint64_t shard_cores(std::size_t k) const;
   [[nodiscard]] CoreCount total_cores() const;
 
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
@@ -114,7 +116,9 @@ class ShardRouter {
   ShardRouter(const ShardMap& map, RoutePolicy policy);
 
   /// Shard for `spec`; LeastLoaded also charges the job's cores to the
-  /// chosen shard's ledger.
+  /// chosen shard's ledger. Throws precondition_error, naming the job, its
+  /// cores and the shard's, when the job is wider than the chosen shard:
+  /// it could never start there, and the run would never end.
   std::size_t route(const rms::JobSpec& spec);
 
   [[nodiscard]] RoutePolicy policy() const { return policy_; }

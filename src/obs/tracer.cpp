@@ -40,18 +40,6 @@ TraceEvent& TraceEvent::duration(Duration d) & {
   return *this;
 }
 
-bool parse_trace_format(std::string_view text, TraceFormat& out) {
-  if (text == "jsonl") {
-    out = TraceFormat::Jsonl;
-    return true;
-  }
-  if (text == "chrome") {
-    out = TraceFormat::Chrome;
-    return true;
-  }
-  return false;
-}
-
 Tracer::~Tracer() { close(); }
 
 bool Tracer::open(const std::string& path, TraceFormat format) {

@@ -90,9 +90,6 @@ struct TraceEvent {
 
 enum class TraceFormat { Jsonl, Chrome };
 
-/// Parses "jsonl"/"chrome"; returns false on anything else.
-bool parse_trace_format(std::string_view text, TraceFormat& out);
-
 class Tracer {
  public:
   Tracer() = default;

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <filesystem>
 #include <thread>
+#include <utility>
 
 #include "apps/app_model.hpp"
 #include "batch/batch_system.hpp"
 #include "common/assert.hpp"
+#include "common/log.hpp"
 #include "obs/recorder/recorder.hpp"
 #include "obs/registry.hpp"
 
@@ -40,7 +42,21 @@ ServiceLoop::ServiceLoop(batch::BatchSystem& system, IngestQueue& ingest,
   }
 }
 
-ServiceLoop::~ServiceLoop() = default;
+ServiceLoop::~ServiceLoop() {
+  // A loop that never reached finalize() (its run threw, or a driver
+  // stopped early) still waits for its writer before the WAL closes. A
+  // destructor cannot rethrow the writer's error, so it logs it; the state
+  // dir still holds every snapshot published before.
+  if (writer_.joinable()) writer_.join();
+  if (!writer_error_) return;
+  try {
+    std::rethrow_exception(writer_error_);
+  } catch (const std::exception& e) {
+    DBS_WARN("snapshot not published: " << e.what());
+  } catch (...) {
+    DBS_WARN("snapshot not published");
+  }
+}
 
 bool ServiceLoop::open() {
   DBS_REQUIRE(durable_, "open() is only meaningful with a state_dir");
@@ -127,7 +143,10 @@ std::size_t ServiceLoop::admit_pending() {
     last_admitted_ = admitted;
     if (wal_) wal_->append_ingest(r);
   }
-  if (wal_) wal_->sync();  // durable BEFORE any of them can fire
+  if (wal_) {  // durable BEFORE any of them can fire
+    wal_->flush();
+    wal_->fsync();
+  }
 
   for (const auto& r : drain_buf_) {
     schedule_record(r);
@@ -185,6 +204,7 @@ void ServiceLoop::on_decision(const rms::Decision& d) {
 void ServiceLoop::tick() {
   DBS_REQUIRE(!durable_ || opened_,
               "durable service must open() before ticking");
+  if (writer_done_.load(std::memory_order_acquire)) join_writer();
   admit_pending();
 
   sim::Simulator& sim = system_.simulator();
@@ -225,7 +245,7 @@ std::uint64_t ServiceLoop::run() {
     if (config_.wall_sleep.count() > 0 && !ingest_.closed())
       std::this_thread::sleep_for(config_.wall_sleep);
   }
-  maybe_snapshot(true);
+  finalize();
   return ticks_ - start_ticks;
 }
 
@@ -242,10 +262,12 @@ void ServiceLoop::maybe_snapshot(bool force) {
   const std::uint64_t since = wal_decision_total_ - decisions_at_snapshot_;
   if (!force && (config_.snapshot_every == 0 || since < config_.snapshot_every))
     return;
-  // Push buffered decision records out first: a snapshot must never claim
-  // WAL counts the file does not yet durably hold, or recovery would
-  // (correctly, but wastefully) refuse to use it.
-  wal_->sync();
+  join_writer();  // at most one snapshot in flight
+  // Hand the buffered decision records to the kernel here; the writer
+  // fsyncs them before it publishes the snapshot that counts them. A
+  // snapshot must never claim WAL counts the file does not durably hold,
+  // or recovery would (correctly, but wastefully) refuse to use it.
+  wal_->flush();
   // A WAL ingest record is part of the snapshot image only once its
   // submission event fired; the rest stay in the replayable tail.
   const Time now = system_.simulator().now();
@@ -253,15 +275,36 @@ void ServiceLoop::maybe_snapshot(bool force) {
     pending_admits_.pop_front();
     ++ingest_fired_total_;
   }
-  write_snapshot(config_.state_dir, capture_full());
   decisions_at_snapshot_ = wal_decision_total_;
+  // The writer reads only the capture it owns, the WAL's descriptor and
+  // the config, none of which this thread changes while it runs.
+  writer_ = std::thread([this, state = capture_full()] {
+    try {
+      wal_->fsync();
+      write_snapshot(config_.state_dir, state);
+      prune_snapshots(config_.state_dir, config_.keep_snapshots);
+    } catch (...) {
+      writer_error_ = std::current_exception();
+    }
+    writer_done_.store(true, std::memory_order_release);
+  });
+}
+
+void ServiceLoop::join_writer() {
+  if (!writer_.joinable()) return;
+  writer_.join();
+  writer_done_.store(false, std::memory_order_relaxed);
+  if (writer_error_)
+    std::rethrow_exception(std::exchange(writer_error_, nullptr));
   ++snapshots_written_;
   system_.scheduler().sinks().registry_or_global().counter("svc.snapshots")
       .add(1);
-  prune_snapshots(config_.state_dir, config_.keep_snapshots);
 }
 
-void ServiceLoop::finalize() { maybe_snapshot(true); }
+void ServiceLoop::finalize() {
+  maybe_snapshot(true);
+  join_writer();
+}
 
 void ServiceLoop::count_submit(const IngestRecord& r) {
   if (r.kind != IngestKind::Submit) return;

@@ -14,6 +14,15 @@
 //      record onto an instant whose events already fired,
 //   5. snapshots once enough decisions accumulated since the last one.
 //
+// Snapshot publication runs off this thread. At a snapshot point the loop
+// does only what reads live state: it writes the WAL's buffered records
+// (write(2), no fsync) and captures the SystemState. A writer thread then
+// fsyncs the WAL, writes, fsyncs and renames the snapshot file, fsyncs the
+// directory and prunes, in that order, so a published snapshot never
+// claims WAL records that are not durable. At most one snapshot is in
+// flight: the next snapshot point, finalize() and the destructor wait for
+// it, and a writer error is rethrown by the next tick() or finalize().
+//
 // Admission-time determinism: step 4's pacing keeps now() strictly below
 // last_admitted whenever anything was admitted, so the stamp reduces to
 // max(requested, last_admitted) — a pure function of the drained record
@@ -29,8 +38,10 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/time.hpp"
@@ -85,17 +96,21 @@ class ServiceLoop {
   bool open();
 
   /// Drain cycles until the ingest is closed and fully drained and the
-  /// simulation runs dry — or stop()/max_ticks intervenes. A durable loop
-  /// writes a final snapshot on the way out. Returns ticks executed.
+  /// simulation runs dry — or stop()/max_ticks intervenes, then
+  /// finalize(). Returns ticks executed.
   std::uint64_t run();
 
   /// One drain cycle (steps 1-5 above). Exposed for tests and custom
-  /// drivers; run() is this in a loop.
+  /// drivers; run() is this in a loop. Rethrows the error of a snapshot
+  /// writer that failed since the last tick.
   void tick();
 
-  /// What run() does on the way out: the final (forced) snapshot. Custom
+  /// What run() does on the way out: a durable loop takes the final
+  /// (forced) snapshot and returns once every snapshot is published, so
+  /// the state dir is complete; a writer error is rethrown here. Custom
   /// drivers that call tick() directly (e.g. the sharded service fanning
-  /// ticks across loops) call this once when their run ends.
+  /// ticks across loops) call this once when their run ends, and read the
+  /// state dir only after it returns.
   void finalize();
 
   /// Thread-safe: makes run() return after the current cycle.
@@ -125,6 +140,7 @@ class ServiceLoop {
   [[nodiscard]] std::uint64_t wal_submit_cores() const {
     return wal_submit_cores_;
   }
+  /// Snapshots published (on disk under their final name).
   [[nodiscard]] std::uint64_t snapshots_written() const {
     return snapshots_written_;
   }
@@ -142,8 +158,13 @@ class ServiceLoop {
   void on_decision(const rms::Decision& d);
   /// Maintains the wal_submit_* counters for one WAL-bound record.
   void count_submit(const IngestRecord& r);
+  /// At a snapshot point: writes the WAL's buffered records, captures the
+  /// state and hands it to a new writer thread.
   void maybe_snapshot(bool force);
   [[nodiscard]] SystemState capture_full() const;
+  /// Waits for the snapshot in flight, if any, then counts it or rethrows
+  /// its error.
+  void join_writer();
 
   batch::BatchSystem& system_;
   IngestQueue& ingest_;
@@ -173,6 +194,14 @@ class ServiceLoop {
 
   std::vector<IngestRecord> drain_buf_;
   std::atomic<bool> stop_{false};
+
+  /// The writer's failure, read after joining it.
+  std::exception_ptr writer_error_;
+  /// Set by the writer as its last step: tick() joins a finished writer
+  /// without waiting.
+  std::atomic<bool> writer_done_{false};
+  /// The snapshot in flight. Declared last: it uses the members above.
+  std::thread writer_;
 };
 
 }  // namespace dbs::svc

@@ -379,13 +379,13 @@ void WalWriter::append_decision(Time at, std::uint64_t iteration,
   ++decisions_;
 }
 
-void WalWriter::sync() {
-  if (!buffer_.empty()) {
-    write_all(fd_, buffer_.data(), buffer_.size(), path_);
-    buffer_.clear();
-  }
-  fsync_checked(fd_, path_);
+void WalWriter::flush() {
+  if (buffer_.empty()) return;
+  write_all(fd_, buffer_.data(), buffer_.size(), path_);
+  buffer_.clear();
 }
+
+void WalWriter::fsync() const { fsync_checked(fd_, path_); }
 
 // --- WAL reader ------------------------------------------------------------
 

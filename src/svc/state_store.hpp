@@ -153,8 +153,13 @@ class WalWriter {
   /// Appends decision_record(at, iteration, d).
   void append_decision(Time at, std::uint64_t iteration,
                        const rms::Decision& d);
-  /// Flushes buffered records and fsyncs the file.
-  void sync();
+  /// Writes the buffered records to the file with write(2), no fsync.
+  /// Called from the thread that appends.
+  void flush();
+  /// fsyncs the file: every record flush() wrote before this call is
+  /// durable when it returns. Any thread may call it, also while the
+  /// appending thread appends and flushes.
+  void fsync() const;
 
   /// Records appended through this writer (excludes any kept prefix).
   [[nodiscard]] std::uint64_t appended_ingest() const { return ingest_; }

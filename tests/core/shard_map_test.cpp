@@ -220,6 +220,40 @@ TEST(ShardRouter, RestoredLedgerContinuesTheExactRoutingSequence) {
     EXPECT_EQ(after.route(stream[i]), expected[i]) << i;
 }
 
+TEST(ShardRouter, RejectsAJobWiderThanItsShard) {
+  // A job no shard node set can hold would wait forever; the router says
+  // so, naming the job, its cores and the shard's, and charges nothing.
+  std::vector<ShardSpec> parts(2);
+  parts[0] = {"big", machine(4)};    // 32 cores
+  parts[1] = {"small", machine(1)};  // 8 cores
+  const ShardMap map = ShardMap::by_partitions(parts);
+  EXPECT_EQ(map.shard_cores(0), 32u);
+  EXPECT_EQ(map.shard_cores(1), 8u);
+  ShardRouter router(map, RoutePolicy::Partition);
+  EXPECT_EQ(router.route(job("alice", 32, "big")), 0u);
+  EXPECT_EQ(router.route(job("bob", 8, "small")), 1u);
+  try {
+    router.route(job("carol", 9, "small"));
+    FAIL() << "a 9-core job was routed to an 8-core shard";
+  } catch (const precondition_error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "job j_carol asks for 9 cores but its shard small has 8"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(router.routed_jobs(1), 1u);
+  EXPECT_EQ(router.routed_cores()[1], 8u);
+  // Every policy checks the shard it picked.
+  const ShardMap halves = ShardMap::by_range(machine(8), 2);  // 32 cores each
+  for (const RoutePolicy policy :
+       {RoutePolicy::UserHash, RoutePolicy::LeastLoaded}) {
+    ShardRouter other(halves, policy);
+    EXPECT_LT(other.route(job("dave", 32)), 2u) << to_string(policy);
+    EXPECT_THROW(other.route(job("erin", 33)), precondition_error)
+        << to_string(policy);
+  }
+}
+
 TEST(ShardRouter, RestoreRejectsWrongArity) {
   const ShardMap map = ShardMap::by_range(machine(8), 2);
   ShardRouter router(map, RoutePolicy::LeastLoaded);

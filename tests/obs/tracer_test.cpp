@@ -41,15 +41,6 @@ TEST(JsonNumber, IntegersStayIntegral) {
   EXPECT_EQ(json_number(std::nan("")), "null");
 }
 
-TEST(TraceFormatParse, AcceptsKnownNames) {
-  TraceFormat f = TraceFormat::Chrome;
-  EXPECT_TRUE(parse_trace_format("jsonl", f));
-  EXPECT_EQ(f, TraceFormat::Jsonl);
-  EXPECT_TRUE(parse_trace_format("chrome", f));
-  EXPECT_EQ(f, TraceFormat::Chrome);
-  EXPECT_FALSE(parse_trace_format("xml", f));
-}
-
 TEST(Tracer, DisabledWithoutSink) {
   Tracer t;
   EXPECT_FALSE(t.enabled());

@@ -8,7 +8,10 @@
 //   * crash injection at EVERY decision index: recovery from any WAL
 //     prefix (with or without snapshots, with or without a torn tail)
 //     reconstructs ==-identical state and re-makes / continues the
-//     decision stream byte-for-byte.
+//     decision stream byte-for-byte;
+//   * the snapshot writer thread: the state dir is complete and
+//     byte-identical across runs once finalize() returns, and a writer
+//     error surfaces on the loop thread.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -16,6 +19,8 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -23,6 +28,7 @@
 
 #include "batch/batch_system.hpp"
 #include "common/assert.hpp"
+#include "common/log.hpp"
 #include "metrics/report.hpp"
 #include "obs/registry.hpp"
 #include "obs/tracer.hpp"
@@ -567,6 +573,133 @@ TEST(ServiceLoop, SnapshotCadenceAndPruning) {
   const Recovered again = recover_only(dir.sub("state"));
   EXPECT_TRUE(again.recovered);
   EXPECT_EQ(again.wal_decisions, result.wal_decisions);
+}
+
+// --- the snapshot writer ----------------------------------------------------
+
+/// Queues every record of `workload` and closes the ingest: the closed loop
+/// perfbench drives, every record queued before the first tick.
+void queue_all(IngestQueue& ingest, const wl::Workload& workload) {
+  for (const auto& s : workload.jobs) ingest.submit(s.at, s.spec, s.behavior);
+  ingest.close();
+}
+
+/// Every file in `dir`, name -> bytes.
+std::map<std::string, std::vector<unsigned char>> dir_contents(
+    const std::string& dir) {
+  std::map<std::string, std::vector<unsigned char>> out;
+  for (const auto& entry : fs::directory_iterator(dir))
+    out[entry.path().filename().string()] = read_file(entry.path().string());
+  return out;
+}
+
+// Snapshots are published by a writer thread, but the state dir is read
+// only once finalize() has returned, and then it is complete: the newest
+// snapshot covers every decision, pruning has run, no temp file is left,
+// and two runs of one workload hold the same names with the same bytes.
+TEST(ServiceLoop, ClosedLoopRunsLeaveIdenticalStateDirs) {
+  TempDir dir("identical");
+  const wl::Workload workload = make_workload(120, 3);
+  constexpr std::size_t kKeep = 3;
+  std::map<std::string, std::vector<unsigned char>> contents[2];
+  for (int run = 0; run < 2; ++run) {
+    const std::string state = dir.sub("run" + std::to_string(run));
+    {
+      IngestQueue ingest;
+      batch::BatchSystem system(durable_config());
+      ServiceLoop& service =
+          system.attach_ingest(ingest, service_config(state, 16, kKeep));
+      ASSERT_FALSE(system.open_state());
+      queue_all(ingest, workload);
+      while (!service.drained()) service.tick();
+      service.finalize();
+
+      contents[run] = dir_contents(state);
+      ASSERT_GT(service.snapshots_written(), kKeep) << "nothing was pruned";
+      std::size_t snapshots = 0;
+      for (const auto& [name, bytes] : contents[run]) {
+        EXPECT_FALSE(name.ends_with(".tmp")) << name;
+        if (name.starts_with("snapshot-")) ++snapshots;
+      }
+      EXPECT_EQ(snapshots, kKeep);
+      const std::string newest =
+          fs::path(snapshot_path(state, service.wal_decision_total()))
+              .filename()
+              .string();
+      ASSERT_TRUE(contents[run].contains(newest)) << newest;
+      EXPECT_EQ(decode_state(contents[run][newest]).wal_decisions,
+                service.wal_decision_total());
+    }
+    // Destroying the loop wrote nothing more: finalize() left it complete.
+    EXPECT_TRUE(dir_contents(state) == contents[run]);
+  }
+  EXPECT_TRUE(contents[0] == contents[1])
+      << "two closed-loop runs left different state dirs";
+}
+
+// A directory squatting on the first snapshot's temp name makes the writer
+// fail. The loop rethrows its precondition_error from tick() or finalize();
+// a loop destroyed while that writer is in flight, or after the error,
+// waits for it and throws nothing, and logs an error it never rethrew.
+TEST(ServiceLoop, SnapshotWriterErrorIsRethrownOnTheLoopThread) {
+  TempDir dir("writer_error");
+  const wl::Workload workload = make_workload(60, 21);
+  constexpr std::uint64_t kEvery = 16;
+
+  // The first snapshot is taken at the end of the first tick that reaches
+  // kEvery decisions; the closed-loop drive fixes that count.
+  std::uint64_t first = 0;
+  {
+    IngestQueue ingest;
+    batch::BatchSystem system(durable_config());
+    ServiceLoop& service = system.attach_ingest(
+        ingest, service_config(dir.sub("reference"), kEvery));
+    ASSERT_FALSE(system.open_state());
+    queue_all(ingest, workload);
+    while (service.wal_decision_total() < kEvery) service.tick();
+    first = service.wal_decision_total();
+  }
+  ASSERT_GE(first, kEvery);
+
+  for (const bool finish : {false, true}) {
+    const std::string state = dir.sub(finish ? "finish" : "stop");
+    const std::string squat = snapshot_path(state, first) + ".tmp";
+    fs::create_directories(squat);
+    auto ingest = std::make_unique<IngestQueue>();
+    auto system = std::make_unique<batch::BatchSystem>(durable_config());
+    ServiceLoop& service =
+        system->attach_ingest(*ingest, service_config(state, kEvery));
+    ASSERT_FALSE(system->open_state());
+    queue_all(*ingest, workload);
+    if (finish) {
+      std::string error;
+      try {
+        while (!service.drained()) service.tick();
+        service.finalize();
+      } catch (const precondition_error& e) {
+        error = e.what();
+      }
+      EXPECT_NE(error.find("cannot create snapshot: " + squat),
+                std::string::npos)
+          << "error: " << error;
+      EXPECT_EQ(service.snapshots_written(), 0u);
+    } else {
+      // Stop right after the tick that hands the doomed snapshot over.
+      while (service.wal_decision_total() < kEvery) service.tick();
+      ASSERT_EQ(service.wal_decision_total(), first);
+    }
+    const LogLevel saved = logging::level();
+    logging::set_level(LogLevel::Warn);
+    testing::internal::CaptureStderr();
+    EXPECT_NO_THROW(system.reset());
+    const std::string log = testing::internal::GetCapturedStderr();
+    logging::set_level(saved);
+    EXPECT_EQ(log.find("cannot create snapshot: " + squat) != std::string::npos,
+              !finish)
+        << "log: " << log;
+    EXPECT_TRUE(fs::is_directory(squat));
+    EXPECT_FALSE(fs::exists(snapshot_path(state, first)));
+  }
 }
 
 TEST(ServiceLoop, ColdStartRecoversNothing) {

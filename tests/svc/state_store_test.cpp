@@ -307,7 +307,8 @@ TEST(Wal, WriterReaderRoundTrip) {
       writer.append_decision(at, /*iteration=*/i, d);
       decision_records.push_back(obs::rec::decision_record(at, i, d));
     }
-    writer.sync();
+    writer.flush();
+    writer.fsync();
     EXPECT_EQ(writer.appended_ingest(), 4u);
     EXPECT_EQ(writer.appended_decisions(), 4u);
   }
@@ -327,7 +328,8 @@ TEST(Wal, WriterReaderRoundTrip) {
   {
     WalWriter writer(path, wal.valid_bytes);
     writer.append_ingest(sample_submit(99));
-    writer.sync();
+    writer.flush();
+    writer.fsync();
   }
   const WalContents more = read_wal(path);
   ASSERT_EQ(more.ingest.size(), 5u);
@@ -391,7 +393,8 @@ TEST(Wal, ToleratesTruncationAtEveryByteOffset) {
       boundaries.push_back(boundaries.back() + 5 + obs::rec::kRecordSize);
       ++records;
     }
-    writer.sync();
+    writer.flush();
+    writer.fsync();
   }
   std::vector<unsigned char> full;
   {

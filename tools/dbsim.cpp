@@ -227,16 +227,11 @@ int run(int argc, char** argv) {
 
   // One recorder per shard (an unsharded run is shard 0): concurrent
   // shards never share a record file.
-  const auto capacity =
-      static_cast<std::int64_t>(nodes) * static_cast<std::int64_t>(cores_per_node);
   std::vector<std::unique_ptr<obs::rec::FlightRecorder>> recorders;
-  for (std::size_t k = 0; !record_out_path.empty() && k < shards; ++k) {
-    recorders.push_back(std::make_unique<obs::rec::FlightRecorder>());
-    const std::string path = obs::rec::shard_path(record_out_path, k);
-    if (!recorders.back()->open(path, capacity)) {
-      std::cerr << "cannot open " << path << "\n";
-      return 1;
-    }
+  if (!record_out_path.empty()) {
+    recorders = tools::open_recorders(record_out_path, system_config.cluster,
+                                      shard_config);
+    if (recorders.empty()) return 1;
   }
   const auto recorder_of = [&](std::size_t k) {
     return recorders.empty() ? nullptr : recorders[k].get();

@@ -1,6 +1,7 @@
 // Options dbsim and dbsd share: the shard flags, the Maui config file and
-// cluster sizing from an SWF header. A config file that cannot be read or
-// parsed prints its error and exits 1.
+// cluster sizing from an SWF header, plus dbsim's per-shard flight
+// recorders. A config file that cannot be read or parsed prints its error
+// and exits 1.
 #pragma once
 
 #include <cstdint>
@@ -8,11 +9,15 @@
 #include <fstream>
 #include <iostream>
 #include <iterator>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "batch/sharded_system.hpp"
 #include "config/maui_config.hpp"
 #include "core/shard_map.hpp"
+#include "obs/recorder/manifest.hpp"
+#include "obs/recorder/recorder.hpp"
 #include "workload/swf/swf_source.hpp"
 
 #include "flags.hpp"
@@ -77,6 +82,28 @@ inline void size_cluster_for_swf(wl::swf::SwfSource& source,
   }
   source.set_max_cores(static_cast<CoreCount>(
       static_cast<std::int64_t>(nodes) * cores_per_node));
+}
+
+/// One flight recorder per shard of `cluster` split as `shards` asks (an
+/// unsharded run is shard 0), at obs::rec::shard_path(path, k). Each file
+/// states its own shard's cores as its capacity, so its utilization tops
+/// out at 1. Prints `cannot open <file>` and returns no recorder when a
+/// file cannot be created.
+inline std::vector<std::unique_ptr<obs::rec::FlightRecorder>> open_recorders(
+    const std::string& path, const cluster::ClusterSpec& cluster,
+    const batch::ShardConfig& shards) {
+  const core::ShardMap map = batch::make_shard_map(cluster, shards);
+  std::vector<std::unique_ptr<obs::rec::FlightRecorder>> recorders;
+  for (std::size_t k = 0; k < map.shard_count(); ++k) {
+    recorders.push_back(std::make_unique<obs::rec::FlightRecorder>());
+    const std::string file = obs::rec::shard_path(path, k);
+    if (!recorders.back()->open(
+            file, static_cast<std::int64_t>(map.shard_cores(k)))) {
+      std::cerr << "cannot open " << file << "\n";
+      return {};
+    }
+  }
+  return recorders;
 }
 
 }  // namespace dbs::tools
