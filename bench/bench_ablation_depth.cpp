@@ -1,8 +1,6 @@
 // Ablation X1: sweep of ReservationDelayDepth (the paper's new knob that
 // controls how many StartLater jobs are protected by delay measurement)
-// on the dynamic ESP workload under the Dyn-600 fairness policy. Sweep
-// points are independent replications; DBS_BENCH_JOBS=N parallelizes them.
-#include "batch/parallel_runner.hpp"
+// on the dynamic ESP workload under the Dyn-600 fairness policy.
 #include "bench_common.hpp"
 
 int main() {
@@ -11,22 +9,13 @@ int main() {
       "Ablation: ReservationDelayDepth sweep (Dyn-600 policy)",
       "design knob of §III-C / Fig. 5");
 
-  const std::vector<std::size_t> depths{0, 1, 2, 5, 10, 20};
-  batch::ParallelRunner runner(batch::jobs_from_env(1));
-  const std::vector<batch::RunResult> results = runner.map<batch::RunResult>(
-      depths.size(),
-      [&](std::size_t index, obs::Registry& registry) {
-        batch::EspExperimentParams params;
-        params.reservation_delay_depth = depths[index];
-        return batch::run_esp(params, batch::EspConfig::Dyn600, &registry);
-      },
-      &obs::Registry::global());
-
   TextTable table({"DelayDepth", "Time [mins]", "Satisfied", "Util [%]",
                    "Throughput", "AvgWait [s]", "MaxWait [s]"});
-  for (std::size_t i = 0; i < depths.size(); ++i) {
-    const std::size_t depth = depths[i];
-    const batch::RunResult& r = results[i];
+  for (const std::size_t depth : {0u, 1u, 2u, 5u, 10u, 20u}) {
+    batch::EspExperimentParams params;
+    params.reservation_delay_depth = depth;
+    const batch::RunResult r =
+        batch::run_esp(params, batch::EspConfig::Dyn600);
     table.add_row({TextTable::num(static_cast<std::int64_t>(depth)),
                    TextTable::num(r.summary.makespan.as_minutes(), 2),
                    TextTable::num(static_cast<std::int64_t>(r.summary.satisfied_dyn_jobs)),

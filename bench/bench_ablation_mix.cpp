@@ -1,8 +1,5 @@
 // Ablation X3: evolving-job fraction sweep on synthetic workloads, plus the
 // two speedup models (PaperDet vs ScaleRemaining) on the dynamic ESP run.
-// Sweep points are independent replications; DBS_BENCH_JOBS=N parallelizes
-// them.
-#include "batch/parallel_runner.hpp"
 #include "bench_common.hpp"
 #include "workload/synthetic.hpp"
 
@@ -12,40 +9,30 @@ int main() {
       "Ablation: evolving-job fraction and speedup-model sweeps",
       "workload sensitivity of §IV-B");
 
-  const std::vector<double> fractions{0.0, 0.15, 0.3, 0.45, 0.6};
-  batch::ParallelRunner runner(batch::jobs_from_env(1));
-  const std::vector<batch::RunResult> mix_results =
-      runner.map<batch::RunResult>(
-          fractions.size(),
-          [&](std::size_t index, obs::Registry& registry) {
-            wl::SyntheticParams wp;
-            wp.job_count = 300;
-            wp.total_cores = 128;
-            wp.evolving_fraction = fractions[index];
-            wp.seed = 9;
-            batch::SystemConfig cfg;
-            cfg.cluster.node_count = 16;
-            cfg.cluster.cores_per_node = 8;
-            cfg.scheduler.reservation_depth = 5;
-            cfg.scheduler.reservation_delay_depth = 5;
-            cfg.scheduler.dfs.policy = core::DfsPolicy::TargetDelay;
-            cfg.scheduler.dfs.defaults.target_delay = Duration::seconds(600);
-            return batch::run_workload(
-                cfg, wl::generate_synthetic(wp),
-                "mix=" + TextTable::num(fractions[index], 2), &registry);
-          },
-          &obs::Registry::global());
-
   TextTable mix({"Evolving %", "Time [mins]", "Grants", "Rejects", "Util [%]",
                  "AvgWait [s]"});
-  for (std::size_t i = 0; i < fractions.size(); ++i) {
-    const batch::RunResult& r = mix_results[i];
+  for (const double fraction : {0.0, 0.15, 0.3, 0.45, 0.6}) {
+    wl::SyntheticParams wp;
+    wp.job_count = 300;
+    wp.total_cores = 128;
+    wp.evolving_fraction = fraction;
+    wp.seed = 9;
+    batch::SystemConfig cfg;
+    cfg.cluster.node_count = 16;
+    cfg.cluster.cores_per_node = 8;
+    cfg.scheduler.reservation_depth = 5;
+    cfg.scheduler.reservation_delay_depth = 5;
+    cfg.scheduler.dfs.policy = core::DfsPolicy::TargetDelay;
+    cfg.scheduler.dfs.defaults.target_delay = Duration::seconds(600);
+    const batch::RunResult r =
+        batch::run_workload(cfg, wl::generate_synthetic(wp),
+                            "mix=" + TextTable::num(fraction, 2));
     std::int64_t grants = 0, rejects = 0;
     for (const auto& j : r.jobs) {
       grants += j.dyn_grants;
       rejects += j.dyn_rejects;
     }
-    mix.add_row({TextTable::num(100.0 * fractions[i], 0),
+    mix.add_row({TextTable::num(100.0 * fraction, 0),
                  TextTable::num(r.summary.makespan.as_minutes(), 2),
                  TextTable::num(grants), TextTable::num(rejects),
                  TextTable::num(r.summary.utilization, 2),

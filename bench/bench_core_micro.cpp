@@ -1,7 +1,15 @@
 // Microbenchmarks of the scheduler-core primitives: availability-profile
 // algebra, planning/backfill, prioritization and the DFS admission check.
+// The profile kernels also run against the std::map profile the flat one
+// replaced (tests/property/reference_profile.hpp), in `/reference` rows:
+// bench-smoke gates each kernel by its ratio to that row.
+//
+//   ./build/bench/bench_core_micro --benchmark_out=core_micro.json
+//       --benchmark_out_format=json
+//   python3 tools/check_bench_regression.py core_micro.json
 #include <benchmark/benchmark.h>
 
+#include "../tests/property/reference_profile.hpp"
 #include "apps/rigid.hpp"
 #include "common/rng.hpp"
 #include "core/backfill.hpp"
@@ -11,10 +19,12 @@
 namespace {
 
 using namespace dbs;
+using core::testing::ReferenceProfile;
 
-core::AvailabilityProfile busy_profile(int holds, std::uint64_t seed) {
+template <class Profile>
+Profile busy_profile(int holds, std::uint64_t seed) {
   Rng rng(seed);
-  core::AvailabilityProfile p(Time::epoch(), 128);
+  Profile p(Time::epoch(), 128);
   for (int i = 0; i < holds; ++i) {
     const auto from = rng.next_int(0, 5000);
     const auto len = rng.next_int(60, 1800);
@@ -27,14 +37,18 @@ core::AvailabilityProfile busy_profile(int holds, std::uint64_t seed) {
   return p;
 }
 
+template <class Profile>
 void bm_profile_subtract(benchmark::State& state) {
+  const int holds = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    core::AvailabilityProfile p =
-        busy_profile(static_cast<int>(state.range(0)), 42);
+    const Profile p = busy_profile<Profile>(holds, 42);
     benchmark::DoNotOptimize(p.free_at(Time::from_seconds(100)));
   }
 }
-BENCHMARK(bm_profile_subtract)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(bm_profile_subtract<core::AvailabilityProfile>)
+    ->Name("bm_profile_subtract")->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(bm_profile_subtract<ReferenceProfile>)
+    ->Name("bm_profile_subtract/reference")->Arg(16)->Arg(64)->Arg(256);
 
 /// Holds appended at strictly increasing times — the PhysicalProfileTracker
 /// steady state, where every new hold starts at or after the last
@@ -53,16 +67,20 @@ void bm_profile_subtract_append(benchmark::State& state) {
 }
 BENCHMARK(bm_profile_subtract_append)->Arg(16)->Arg(64)->Arg(256);
 
+template <class Profile>
 void bm_profile_earliest_fit(benchmark::State& state) {
-  const core::AvailabilityProfile p =
-      busy_profile(static_cast<int>(state.range(0)), 42);
+  const Profile p =
+      busy_profile<Profile>(static_cast<int>(state.range(0)), 42);
   for (auto _ : state) {
     const Time t =
         p.earliest_fit(64, Duration::minutes(10), Time::epoch());
     benchmark::DoNotOptimize(t);
   }
 }
-BENCHMARK(bm_profile_earliest_fit)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(bm_profile_earliest_fit<core::AvailabilityProfile>)
+    ->Name("bm_profile_earliest_fit")->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(bm_profile_earliest_fit<ReferenceProfile>)
+    ->Name("bm_profile_earliest_fit/reference")->Arg(16)->Arg(64)->Arg(256);
 
 std::vector<std::unique_ptr<rms::Job>> make_jobs(std::size_t count,
                                                  std::uint64_t seed) {
@@ -86,7 +104,7 @@ void bm_plan_jobs(benchmark::State& state) {
   const auto storage = make_jobs(static_cast<std::size_t>(state.range(0)), 7);
   std::vector<const rms::Job*> jobs;
   for (const auto& j : storage) jobs.push_back(j.get());
-  const core::AvailabilityProfile base = busy_profile(32, 42);
+  const auto base = busy_profile<core::AvailabilityProfile>(32, 42);
   const core::PlanOptions opts{Time::epoch(), 5, true, false};
   for (auto _ : state) {
     const core::Plan plan = core::plan_jobs(jobs, base, opts);

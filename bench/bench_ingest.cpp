@@ -1,9 +1,11 @@
 // Concurrent-ingest throughput: N producer threads push submissions
 // through the mutex-sharded IngestQueue while one consumer drains, stamps
 // admissions (the service loop's monotone rule) and — in the WAL-on rows —
-// appends + fsyncs every drained batch through a WalWriter, exactly the
-// admit_pending() write path. The sweep crosses producers {1, 4, 16} with
-// WAL {off, on}:
+// appends + fsyncs every drained batch through a WalWriter. The consumer
+// re-implements that part of ServiceLoop::admit_pending rather than
+// calling it, so a slower IngestQueue or WalWriter shows here, a change to
+// the loop itself does not (perfbench's service_durable runs the loop).
+// The sweep crosses producers {1, 4, 16} with WAL {off, on}:
 //
 //   * producer scaling shows where shard contention bends the curve
 //     (tickets are a single fetch_add; the shards only serialize per
@@ -11,10 +13,11 @@
 //   * the WAL-on/off gap is the durability tax — one fsync per drained
 //     batch, so it shrinks as batches grow under load.
 //
+// bench-smoke gates producers:16 / producers:1 and wal:1 / wal:0.
+//
 //   ./build/bench/bench_ingest --benchmark_out=ingest.json
 //       --benchmark_out_format=json
-//   python3 tools/check_bench_regression.py
-//       bench/results/BENCH_2026-08-08_ingest.json ingest.json
+//   python3 tools/check_bench_regression.py ingest.json
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -62,7 +65,7 @@ void bm_ingest(benchmark::State& state) {
     std::filesystem::remove_all(wal_dir);
     std::filesystem::create_directories(wal_dir);
 
-    svc::IngestQueue queue(8);
+    svc::IngestQueue queue;
     std::unique_ptr<svc::WalWriter> wal;
     if (wal_on)
       wal = std::make_unique<svc::WalWriter>(

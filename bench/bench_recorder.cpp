@@ -1,9 +1,12 @@
 // Flight-recorder overhead: the fig. 12 evaluation machine (128 cores,
 // both depths 5) running the ESP evolving workload with the recorder
-// attached vs detached. The record-on/record-off pair is the bench-smoke
-// regression gate for the capture path — recording every decision and
-// lifecycle event must stay in the noise next to the scheduler itself.
-// A writer microbenchmark isolates the per-record append cost.
+// attached vs detached. bench-smoke gates the record-on run by its ratio
+// to the record-off run: it covers the capture path, every record's
+// append and the file's finalize.
+//
+//   ./build/bench/bench_recorder --benchmark_out=recorder.json
+//       --benchmark_out_format=json
+//   python3 tools/check_bench_regression.py recorder.json
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -12,9 +15,7 @@
 #include "batch/batch_system.hpp"
 #include "batch/esp_experiment.hpp"
 #include "bench_common.hpp"
-#include "obs/recorder/reader.hpp"
 #include "obs/recorder/recorder.hpp"
-#include "obs/recorder/writer.hpp"
 #include "obs/registry.hpp"
 #include "workload/esp.hpp"
 
@@ -56,61 +57,6 @@ void bm_esp_run(benchmark::State& state) {
   std::remove(kRecordPath);
 }
 BENCHMARK(bm_esp_run)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
-/// Raw append cost: pack + index + buffer one record.
-void bm_writer_append(benchmark::State& state) {
-  obs::rec::RecordWriter writer;
-  writer.open(kRecordPath, 128);
-  obs::rec::PackedRecord r;
-  r.type = obs::rec::RecordType::DecStartJob;
-  r.cores = 8;
-  r.flags = obs::rec::kFlagApplied;
-  std::int64_t t = 0;
-  std::uint32_t job = 0;
-  for (auto _ : state) {
-    r.t_us = t += 1000;
-    r.job = job = (job + 1) & 1023;  // bounded job set, like a real run
-    writer.append(r);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  writer.finalize();
-  std::remove(kRecordPath);
-}
-BENCHMARK(bm_writer_append);
-
-/// Full-file fold: sequential scan speed of the reader (records/s), on a
-/// file shaped like a recorded ESP run.
-void bm_reader_scan(benchmark::State& state) {
-  {
-    obs::rec::RecordWriter writer;
-    writer.open(kRecordPath, 128);
-    obs::rec::PackedRecord r;
-    r.type = obs::rec::RecordType::Start;
-    r.cores = 8;
-    for (std::int64_t i = 0; i < 100'000; ++i) {
-      r.t_us = i * 1000;
-      r.job = static_cast<std::uint32_t>(i & 1023);
-      writer.append(r);
-    }
-    writer.finalize();
-  }
-  obs::rec::RecordReader reader;
-  if (!reader.open(kRecordPath)) {
-    state.SkipWithError(reader.error().c_str());
-    return;
-  }
-  for (auto _ : state) {
-    std::uint64_t cores = 0;
-    reader.scan_all(
-        [&](const obs::rec::PackedRecord& r) { cores +=
-            static_cast<std::uint64_t>(r.cores); });
-    benchmark::DoNotOptimize(cores);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          100'000);
-  std::remove(kRecordPath);
-}
-BENCHMARK(bm_reader_scan);
 
 }  // namespace
 

@@ -6,18 +6,16 @@
 // the 10M trace would be ~600 MB of text), so the numbers measure the
 // parse + submit + schedule + retire pipeline, not disk I/O. Each scale
 // runs exactly once with manual timing, and SetIterationTime records the
-// *per-job* wall time: check_bench_regression.py's --max-scaling then
-// gates jobs/sec staying flat as the trace grows 100x. The peak_rss_mb
-// counter is the bounded-memory gate — VmHWM is monotonic within a
-// process, so scales are registered ascending and the 10M row's reading
-// may not exceed ~2x the 1M row's if retirement really holds memory at
-// O(active + window).
+// *per-job* wall time: bench-smoke gates the 10M row over the 100k row at
+// 2x, so jobs/sec stays flat as the trace grows 100x. The peak_rss_mb
+// counter is the bounded-memory gate, the same ratio at 2x — VmHWM is
+// monotonic within a process, so scales are registered ascending and the
+// 10M row's reading stays near the 100k row's only if retirement really
+// holds memory at O(active + window).
 //
 //   ./build/bench/bench_replay --benchmark_out=replay.json
 //       --benchmark_out_format=json
-//   python3 tools/check_bench_regression.py
-//       bench/results/BENCH_2026-10-17_replay.json replay.json
-//       --max-scaling 2.0
+//   python3 tools/check_bench_regression.py replay.json
 #include <benchmark/benchmark.h>
 
 #include <sys/resource.h>

@@ -4,17 +4,17 @@
 // can_allocate_chunked what-if probe — plus a full dbsim-style scheduler
 // iteration and the cluster invariant check at each size.
 //
-// Every kernel runs twice: against the production index-based Cluster
-// (`/indexed`) and against the old scan-based allocator kept verbatim in
-// tests/property/reference_allocator.hpp (`/scan`). The scan rows ARE the
-// pre-index baseline, recorded in the same results file, so the speedup is
-// reproducible from one binary:
+// Every placement kernel runs twice: against the production index-based
+// Cluster (`/indexed`) and against the old scan-based allocator kept
+// verbatim in tests/property/reference_allocator.hpp (`/scan`). The scan
+// rows ARE the pre-index baseline, recorded in the same results file, so
+// the speedup is reproducible from one binary. The invariant check and the
+// deep-queue planner likewise run beside the code they replaced
+// (`/reference`, `/rebuild`), and bench-smoke gates each by that ratio:
 //
 //   ./build/bench/bench_scale --benchmark_out=scale.json
 //       --benchmark_out_format=json
-//   python3 tools/check_bench_regression.py
-//       bench/results/BENCH_2026-08-06_scale.json scale.json
-//       --scaling-report
+//   python3 tools/check_bench_regression.py scale.json
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "../tests/property/reference_allocator.hpp"
+#include "../tests/property/reference_invariants.hpp"
 #include "apps/rigid.hpp"
 #include "batch/batch_system.hpp"
 #include "bench_common.hpp"
@@ -133,16 +134,50 @@ void bm_measure_request(benchmark::State& state) {
     benchmark::DoNotOptimize(c.can_allocate_chunked(64, kCoresPerNode));
 }
 
-/// Cluster::check_invariants on the preloaded cluster. BatchSystem runs it
-/// after every run and run_until: the durable service pays it once per
-/// tick, WAL recovery once per logged decision time. It reads every node
-/// by design, so it has no /scan twin and stays outside the indexed
-/// kernels' flat-scaling gate.
-void bm_check_invariants(benchmark::State& state) {
+/// A Cluster's four structures rebuilt outside it through the same node
+/// hooks, so the one-pass invariant check and the check it replaced
+/// (tests/property/reference_invariants.hpp) read one state.
+struct ClusterState {
+  explicit ClusterState(const cluster::Cluster& c)
+      : total_cores(c.total_cores()) {
+    nodes.reserve(c.node_count());
+    for (const cluster::Node& n : c.nodes())
+      nodes.emplace_back(n.id(), n.total_cores());
+    free_index.reset(c.node_count(), c.cores_per_node());
+    for (cluster::Node& n : nodes)
+      n.bind_indexes(&ledger, &free_index, &job_index);
+    for (const cluster::Node& n : c.nodes())
+      for (const auto& [job, cores] : n.held())
+        nodes[n.id().value()].allocate(job, cores);
+  }
+  ClusterState(const ClusterState&) = delete;
+  ClusterState& operator=(const ClusterState&) = delete;
+
+  std::vector<cluster::Node> nodes;
+  CoreCount total_cores;
+  cluster::CoreLedger ledger;
+  cluster::FreeCoreIndex free_index;
+  cluster::JobPlacementIndex job_index;
+};
+
+/// The cluster invariant check on the preloaded cluster, or (`reference`)
+/// the check it replaced on the same state. BatchSystem runs it after
+/// every run and run_until: the durable service pays it once per tick, WAL
+/// recovery once per logged decision time. It reads every node by design,
+/// so it stays outside the indexed kernels' flat-scaling gate.
+void bm_check_invariants(benchmark::State& state, bool reference) {
   auto c = make_cluster<cluster::Cluster>(
       static_cast<std::size_t>(state.range(0)));
   (void)preload(c);
-  for (auto _ : state) c.check_invariants();
+  const ClusterState s(c);
+  for (auto _ : state) {
+    if (reference)
+      cluster::testing::reference_check_invariants(
+          s.nodes, s.total_cores, s.ledger, s.free_index, s.job_index);
+    else
+      cluster::check_cluster_invariants(s.nodes, s.total_cores, s.ledger,
+                                        s.free_index, s.job_index);
+  }
 }
 
 rms::JobSpec sized_spec(const char* prefix, int i, CoreCount cores,
@@ -245,6 +280,16 @@ void bm_queue_depth(benchmark::State& state, bool incremental,
     const auto decisions = sys->scheduler().dry_run_iteration();
     benchmark::DoNotOptimize(decisions.size());
   }
+  if (!incremental) return;
+  // Dry runs keep no stats, so one live pass after the timed ones counts
+  // the tail verdicts the plan cache answered and the jobs it did not.
+  // Both are exact, and a cache that never hits shows here even where it
+  // moves the time by less than the host's noise.
+  sys->scheduler().iterate();
+  const auto& stats = sys->scheduler().last_stats();
+  state.counters["replanned"] = static_cast<double>(stats.replanned_jobs);
+  state.counters["judged"] =
+      static_cast<double>(stats.replanned_jobs + stats.cache_hits);
 }
 
 /// Steady-state churn at depth 100k: every iteration submits 8 jobs,
@@ -304,10 +349,14 @@ int main(int argc, char** argv) {
                                             bm_sched_iteration);
   for (const std::int64_t n : kNodeCounts) iter->Arg(n);
   iter->Unit(benchmark::kMillisecond);
-  auto* check = benchmark::RegisterBenchmark("bm_scale_check_invariants",
-                                             bm_check_invariants);
-  for (const std::int64_t n : kNodeCounts) check->Arg(n);
-  check->Unit(benchmark::kMicrosecond);
+  for (const bool reference : {false, true}) {
+    auto* check = benchmark::RegisterBenchmark(
+        reference ? "bm_scale_check_invariants/reference"
+                  : "bm_scale_check_invariants",
+        bm_check_invariants, reference);
+    for (const std::int64_t n : kNodeCounts) check->Arg(n);
+    check->Unit(benchmark::kMicrosecond);
+  }
 
   for (const bool inc : {true, false}) {
     const std::string impl = inc ? "incremental" : "rebuild";

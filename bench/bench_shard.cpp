@@ -10,9 +10,8 @@
 //     host it falls with K (real speedup); on a single CPU the shards
 //     serialize and it stays flat (parity — sharding adds no overhead).
 //     Either way the curve across K must be flat-or-falling, which is
-//     exactly what CI gates (`check_bench_regression.py --max-scaling`
-//     groups the shard family by its FIRST numeric label, the shard
-//     count). Counters report the machine-independent aggregates:
+//     exactly what bench-smoke gates: K=8 over K=1 at each depth, at
+//     1.5x. Counters report the machine-independent aggregates:
 //     agg_jobs_per_sec (completed jobs / total wall) and
 //     us_per_sched_iter (total wall / scheduler iterations summed over
 //     shards).
@@ -20,14 +19,12 @@
 //   * bm_shard_route/K — the router alone: a fixed 2048-job stream pushed
 //     through ShardRouter::route at K shards. Routing runs on the single
 //     ingest thread; per-job cost grows O(K) with the least-loaded argmin
-//     scan, which is why CI's flatness gate filters on `shard_iter`, not
-//     the whole shard family — this one is reported, not gated.
+//     scan, so its gate (K=8 over K=1) allows linear growth and catches
+//     worse.
 //
 //   ./build/bench/bench_shard --benchmark_out=shard.json
 //       --benchmark_out_format=json
-//   python3 tools/check_bench_regression.py
-//       bench/results/BENCH_2026-08-08_shard.json shard.json
-//       --max-scaling 1.5 --scaling-filter shard
+//   python3 tools/check_bench_regression.py shard.json
 #include <benchmark/benchmark.h>
 
 #include <chrono>

@@ -1,8 +1,5 @@
 // Table II: performance of the four evaluation configurations (Static,
-// Dyn-HP, Dyn-500, Dyn-600) on the dynamic ESP workload. The four
-// configurations are independent replications; DBS_BENCH_JOBS=N runs them
-// on N threads (results and merged metrics are identical for every N).
-#include "batch/parallel_runner.hpp"
+// Dyn-HP, Dyn-500, Dyn-600) on the dynamic ESP workload.
 #include "bench_common.hpp"
 
 int main() {
@@ -10,13 +7,8 @@ int main() {
   bench::print_header(
       "Performance comparison of the evaluation configurations", "Table II");
 
-  const auto params = bench::paper_esp_params();
-  const std::size_t jobs = batch::jobs_from_env(1);
   const std::vector<batch::RunResult> results =
-      batch::run_esp_all(params, jobs, &obs::Registry::global());
-  if (jobs > 1)
-    std::cout << "(configurations ran as replications on " << jobs
-              << " threads)\n";
+      batch::run_esp_all(bench::paper_esp_params());
 
   const double baseline_tp = results[0].summary.throughput_jobs_per_min;
   TextTable table(metrics::performance_header());

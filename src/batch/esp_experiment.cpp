@@ -1,6 +1,5 @@
 #include "batch/esp_experiment.hpp"
 
-#include "batch/parallel_runner.hpp"
 #include "common/assert.hpp"
 
 namespace dbs::batch {
@@ -58,13 +57,12 @@ SystemConfig esp_system_config(const EspExperimentParams& params,
   return sys;
 }
 
-RunResult run_esp(const EspExperimentParams& params, EspConfig config,
-                  obs::Registry* registry) {
+RunResult run_esp(const EspExperimentParams& params, EspConfig config) {
   wl::EspParams wl_params = params.workload;
   wl_params.evolving_enabled = config != EspConfig::Static;
   const wl::Workload workload = wl::generate_esp(wl_params);
   return run_workload(esp_system_config(params, config), workload,
-                      std::string(to_string(config)), registry);
+                      std::string(to_string(config)));
 }
 
 std::vector<RunResult> run_esp_all(const EspExperimentParams& params) {
@@ -73,21 +71,6 @@ std::vector<RunResult> run_esp_all(const EspExperimentParams& params) {
                             EspConfig::Dyn500, EspConfig::Dyn600})
     results.push_back(run_esp(params, c));
   return results;
-}
-
-std::vector<RunResult> run_esp_all(const EspExperimentParams& params,
-                                   std::size_t jobs,
-                                   obs::Registry* merge_into) {
-  static constexpr EspConfig kConfigs[] = {EspConfig::Static, EspConfig::DynHP,
-                                           EspConfig::Dyn500,
-                                           EspConfig::Dyn600};
-  ParallelRunner runner(jobs);
-  return runner.map<RunResult>(
-      std::size(kConfigs),
-      [&](std::size_t index, obs::Registry& registry) {
-        return run_esp(params, kConfigs[index], &registry);
-      },
-      merge_into);
 }
 
 }  // namespace dbs::batch

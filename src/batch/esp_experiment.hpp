@@ -36,23 +36,12 @@ struct EspExperimentParams {
 [[nodiscard]] SystemConfig esp_system_config(const EspExperimentParams& params,
                                              EspConfig config);
 
-/// Runs one configuration end to end. `registry` (optional) isolates the
-/// run's metrics — required when runs execute concurrently.
+/// Runs one configuration end to end.
 [[nodiscard]] RunResult run_esp(const EspExperimentParams& params,
-                                EspConfig config,
-                                obs::Registry* registry = nullptr);
+                                EspConfig config);
 
 /// Runs all four configurations (Table II order).
 [[nodiscard]] std::vector<RunResult> run_esp_all(
     const EspExperimentParams& params);
-
-/// Parallel variant: runs the four configurations as independent
-/// replications on `jobs` threads, each against an isolated registry,
-/// merged into `merge_into` (optional) in Table II order. Results are
-/// bit-identical for every `jobs` value — jobs == 1 takes the same
-/// isolate+merge path, it just runs serially.
-[[nodiscard]] std::vector<RunResult> run_esp_all(
-    const EspExperimentParams& params, std::size_t jobs,
-    obs::Registry* merge_into);
 
 }  // namespace dbs::batch

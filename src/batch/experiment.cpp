@@ -14,9 +14,8 @@ std::vector<metrics::WaitPoint> RunResult::waits_of_type(
 }
 
 RunResult run_workload(const SystemConfig& config, const wl::Workload& workload,
-                       std::string label, obs::Registry* registry) {
+                       std::string label) {
   BatchSystem system(config);
-  if (registry != nullptr) system.set_sinks({nullptr, registry});
   system.submit_workload(workload);
   system.run();
 

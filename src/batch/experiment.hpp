@@ -28,13 +28,9 @@ struct RunResult {
       const std::string& tag) const;
 };
 
-/// Builds the system, injects the workload, runs to completion. When
-/// `registry` is non-null the system's metrics land there instead of the
-/// global registry — required when runs execute concurrently (see
-/// batch/parallel_runner.hpp).
+/// Builds the system, injects the workload, runs to completion.
 [[nodiscard]] RunResult run_workload(const SystemConfig& config,
                                      const wl::Workload& workload,
-                                     std::string label,
-                                     obs::Registry* registry = nullptr);
+                                     std::string label);
 
 }  // namespace dbs::batch

@@ -9,8 +9,7 @@
 // runs execute concurrently on an exec::ThreadPool, and because the shards
 // are isolated and all merging happens in shard-index order, a sharded run
 // is byte-identical to executing the same K shards serially at any thread
-// count — the determinism contract ParallelRunner established for
-// replications, extended to the service path.
+// count, on the replay and the service path alike.
 #pragma once
 
 #include <cstddef>

@@ -11,9 +11,9 @@ namespace dbs::logging {
 namespace {
 std::atomic<LogLevel> g_level{LogLevel::Off};
 
-// Simulators register/unregister concurrently when replications run on a
-// ParallelRunner; the mutex also pins the owner alive for the duration of
-// an emit() (unregister_sim_clock blocks until the callback returns).
+// Simulators register/unregister concurrently when shards run on a thread
+// pool; the mutex also pins the owner alive for the duration of an emit()
+// (unregister_sim_clock blocks until the callback returns).
 std::mutex g_clock_mutex;
 const void* g_clock_owner = nullptr;       // guarded by g_clock_mutex
 Time (*g_clock_now)(const void*) = nullptr;  // guarded by g_clock_mutex

@@ -12,28 +12,13 @@
 namespace dbs {
 
 /// One splitmix64 step: advances `state` and returns the next output.
-/// Exposed standalone because it is also the seed-derivation primitive.
+/// Exposed standalone because the SWF generator and overlay also use it.
 constexpr std::uint64_t splitmix64_next(std::uint64_t& state) {
   state += 0x9E3779B97F4A7C15ULL;
   std::uint64_t z = state;
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
   return z ^ (z >> 31);
-}
-
-/// Seed for replication `index` of a campaign with base seed `base`.
-///
-/// Two splitmix64 steps over (base, index) give statistically independent
-/// streams for adjacent indices and bases — feeding `base + index` straight
-/// into Rng would hand structurally related state to neighbouring
-/// replications. Stable across thread counts by construction: the seed
-/// depends only on the replication index, never on which worker runs it.
-constexpr std::uint64_t replication_seed(std::uint64_t base,
-                                         std::uint64_t index) {
-  std::uint64_t state = base;
-  (void)splitmix64_next(state);
-  state ^= 0xD1B54A32D192ED03ULL * (index + 1);
-  return splitmix64_next(state);
 }
 
 /// xoshiro256** — small, fast, high-quality; seeded via splitmix64.

@@ -5,8 +5,7 @@
 // A shard is a full scheduler stack (MauiScheduler + DfsEngine +
 // ReservationTable) over its own cluster view; shards share nothing
 // mutable, so K shard iterations can run concurrently on a thread pool
-// while staying byte-identical to running the same shards serially — the
-// determinism contract batch::ParallelRunner established for replications.
+// while staying byte-identical to running the same shards serially.
 // The ShardMap is the static half (which nodes belong to which shard); the
 // ShardRouter is the dynamic half (which shard a job goes to), and every
 // routing policy is a pure function of the submission stream so a replay

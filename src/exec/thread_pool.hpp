@@ -1,6 +1,6 @@
 // Fixed-size worker pool with a fork-join `parallel_for` — the execution
-// substrate for the batch layer's multi-replication experiment runner and
-// the sharded system's per-shard fan-out.
+// substrate for the sharded system's and the sharded service's per-shard
+// fan-out.
 //
 // Design constraints (why not std::async / TBB):
 //  - deterministic reductions: tasks are identified by index; callers

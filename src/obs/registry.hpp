@@ -5,10 +5,9 @@
 //
 // Concurrency: instruments are safe for concurrent writers — counters and
 // gauges are relaxed atomics, histograms take a per-histogram mutex, and
-// the name→instrument maps are guarded by a registry mutex — so isolated
-// per-replication systems may share the global registry, and the parallel
-// experiment runner can merge per-replication registries without torn
-// state. Counter/gauge updates stay a single atomic add/store, cheap
+// the name→instrument maps are guarded by a registry mutex — so concurrent
+// systems may share the global registry, and a sharded run can merge its
+// per-shard registries without torn state. Counter/gauge updates stay a single atomic add/store, cheap
 // enough for the scheduler hot path. Snapshots taken while writers are
 // active are internally consistent per instrument, not across instruments;
 // deterministic output requires quiescence (which the batch layer's
@@ -72,7 +71,7 @@ class Histogram {
 
   /// Folds another histogram (same bounds) into this one: bucket counts
   /// and totals add. The sum accumulates `other.sum()` as one addition, so
-  /// merging per-replication histograms in a fixed order is deterministic.
+  /// merging per-shard histograms in a fixed order is deterministic.
   void merge_from(const Histogram& other);
 
  private:
@@ -116,9 +115,9 @@ class Registry {
 
   /// Folds `other` into this registry: counters add, histograms merge
   /// bucket-wise, gauges take `other`'s value (last-merge-wins, mirroring
-  /// the last-writer-wins of sequential runs). Merging the isolated
-  /// per-replication registries of a parallel campaign in replication
-  /// order yields the same result for every worker count.
+  /// the last-writer-wins of sequential runs). Merging the per-shard
+  /// registries of a sharded run in shard order yields the same result for
+  /// every worker count.
   void merge_from(const Registry& other);
 
   /// Drops every instrument (invalidates previously returned references).

@@ -6,10 +6,9 @@
 
 namespace dbs::svc {
 
-IngestQueue::IngestQueue(std::size_t shards) {
-  DBS_REQUIRE(shards > 0, "ingest queue needs at least one shard");
-  shards_.reserve(shards);
-  for (std::size_t i = 0; i < shards; ++i)
+IngestQueue::IngestQueue() {
+  shards_.reserve(kShards);
+  for (std::size_t i = 0; i < kShards; ++i)
     shards_.push_back(std::make_unique<Shard>());
 }
 

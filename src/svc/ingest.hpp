@@ -8,7 +8,7 @@
 // single-threaded through the same Submission lane is byte-identical to
 // the live run (the differential test in tests/svc exercises exactly
 // this). Mutex-sharded MPSC: producers contend only per shard (ticket %
-// shards), the consumer swaps each shard's vector out under its lock and
+// kShards), the consumer swaps each shard's vector out under its lock and
 // places each record by ticket outside any lock.
 #pragma once
 
@@ -50,7 +50,7 @@ struct IngestRecord {
 
 class IngestQueue {
  public:
-  explicit IngestQueue(std::size_t shards = 8);
+  IngestQueue();
 
   IngestQueue(const IngestQueue&) = delete;
   IngestQueue& operator=(const IngestQueue&) = delete;
@@ -95,6 +95,7 @@ class IngestQueue {
 
   std::uint64_t push(IngestRecord&& r);
 
+  static constexpr std::size_t kShards = 8;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<std::uint64_t> ticket_{0};
   std::atomic<std::size_t> depth_{0};

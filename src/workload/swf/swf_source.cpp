@@ -31,8 +31,7 @@ bool SwfSource::overlay_marks(std::uint64_t seed, double fraction,
   if (fraction >= 1.0) return true;
   // Two splitmix64 steps over (seed, job number): a pure per-job hash, so
   // the mark does not depend on window size, trace position or how many
-  // records were skipped before this one (same construction as
-  // replication_seed).
+  // records were skipped before this one.
   std::uint64_t state = seed;
   (void)splitmix64_next(state);
   state ^= 0xD1B54A32D192ED03ULL *

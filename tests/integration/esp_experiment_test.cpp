@@ -36,6 +36,15 @@ TEST(EspExperiment, DynamicConfigsHave69EvolvingJobs) {
     EXPECT_EQ(get(c).summary.evolving_jobs, 69u) << to_string(c);
 }
 
+TEST(EspExperiment, TableTwoStrictSatisfiedCounts) {
+  // Jobs whose every dynamic request was granted, as EXPERIMENTS.md
+  // documents for Table II.
+  EXPECT_EQ(get(EspConfig::Static).summary.satisfied_dyn_jobs, 0u);
+  EXPECT_EQ(get(EspConfig::DynHP).summary.satisfied_dyn_jobs, 28u);
+  EXPECT_EQ(get(EspConfig::Dyn500).summary.satisfied_dyn_jobs, 14u);
+  EXPECT_EQ(get(EspConfig::Dyn600).summary.satisfied_dyn_jobs, 10u);
+}
+
 TEST(EspExperiment, SatisfiedOrderingMatchesPaper) {
   // Paper: 43 (HP) > 27 (600) > 20 (500) > 0 (static). At the request
   // level (granted dynamic requests) our reproduction preserves that

@@ -1,382 +1,216 @@
 #!/usr/bin/env python3
-"""Compare a google-benchmark JSON result file against a committed baseline.
+"""Gate one google-benchmark results file by ratios between its own rows.
 
 Usage:
-    check_bench_regression.py BASELINE.json CURRENT.json [--tolerance 0.20]
+    check_bench_regression.py RESULTS.json
 
-For every benchmark name present in both files, the current real_time may
-exceed the baseline by at most `tolerance` (fractional, default 0.20 = 20%,
-overridable via --tolerance or the DBS_BENCH_TOLERANCE env var). Benchmarks
-only present on one side are reported as "new" (current only) or "removed"
-(baseline only) and do not fail the check, so adding or retiring benchmarks
-never requires touching the gate — a current file containing only new
-benchmarks passes with exit 0. Malformed entries (missing name/real_time)
-are skipped with a warning. Exit status: 0 OK, 1 if at least one shared
-benchmark regressed beyond tolerance (or a scaling/RSS gate fired), 2 if
-the current file has no usable benchmarks at all, 3 if either JSON file is
-missing or unparseable (one-line error, no traceback).
+Every gate divides one row of the file by another row of the same file
+and fails when the quotient exceeds its bound. Both rows ran in one
+process on one host, so a gate measures the code, not the machine. A
+sweep is gated by its largest row over its smallest; a kernel by the
+in-binary reference it replaced (the tests/property/reference_* oracles
+or the from-scratch rows of the same bench). A gate reads a row's
+real_time, or a named user counter such as bench_replay's peak_rss_mb.
 
-CI runners are noisy; the tolerance is deliberately loose. It is meant to
-catch order-of-magnitude mistakes (an accidental O(n^2) loop, a debug build
-slipping into the bench job), not single-digit-percent drift.
+A gate may also divide two counters of one row, as bench_scale's plan
+cache gate divides the jobs the cache did not answer by all it judged.
 
-Sweep benchmarks whose names end in a numeric size label (e.g.
-`bm_scale_alloc_release/indexed/65536`) can additionally be compared ACROSS
-labels of the current file with --scaling-report: benchmarks are grouped by
-the name without the trailing label and the growth from the smallest to the
-largest label is printed per group. With --max-scaling F the check fails if
-any group matching --scaling-filter (a substring, default: every group)
-grows by more than F× from its smallest to its largest label — this is how
-CI catches an accidentally reintroduced O(nodes) term in the indexed
-allocation kernels, independent of absolute machine speed. Trailing
-google-benchmark modifiers (`/iterations:N`, `/manual_time`, ...) are part
-of the group name, not the label, so `bm_replay_stream/1000000/manual_time`
-groups with its 100000 and 10000000 siblings.
+The gates are chosen by the benchmark binary that wrote the file, as
+recorded in its `context.executable`. A row that appears more than once
+(--benchmark_repetitions) counts with its median; aggregate rows are
+ignored.
 
-The `bench_shard` family (any benchmark whose leading name segment contains
-"shard", e.g. `bm_shard_iter/4/256`) inverts the label rule: the FIRST
-numeric path segment is the shard count and becomes the scaling label, and
-the remaining segments (the fixed per-shard queue depth, modifiers) join
-the group name — `bm_shard_iter/4/256` lands in group `bm_shard_iter/256`
-with label 4. bench_shard is a weak-scaling sweep reporting per-shard
-iteration wall time as manual time, so `--max-scaling` over these groups
-gates flatness of the per-shard cost across shard counts — a machine-
-independent check that sharding stays share-nothing — rather than absolute
-times.
-
-Memory counters — any user counter whose name contains "rss" (case
-insensitive, e.g. bench_replay's `peak_rss_mb`) — are bytes, not
-nanoseconds, so they are reported in their own table and gated by their
-own knobs, never by the time tolerance: --rss-tolerance bounds growth
-against the baseline's matching counter (default 0.50 — RSS depends on
-allocator and kernel version far more than wall time does), and
---max-rss-scaling bounds growth across size labels of the current file.
-The latter is how CI enforces bounded-memory replay: a 100x bigger trace
-may not cost more than the given factor in peak RSS.
+Exit status: 0 when every gate holds; 1 when a ratio exceeds its bound;
+2 when the file cannot be gated: it is missing or is not benchmark JSON,
+no gates are declared for its binary, or a gated row is absent or
+reported an error. A missing row fails, so renaming a row cannot drop it
+from its gate silently.
 """
 
-import argparse
 import json
 import os
-import re
+import statistics
 import sys
 
+TIME = "real_time"
 
-# google-benchmark entry keys that are never user counters.
-_STANDARD_FIELDS = {
-    "name", "run_name", "run_type", "family_index", "per_family_instance_index",
-    "repetitions", "repetition_index", "threads", "iterations", "real_time",
-    "cpu_time", "time_unit", "items_per_second", "bytes_per_second", "label",
-    "error_occurred", "error_message", "aggregate_name", "aggregate_unit",
+
+def ratio(numerator, denominator, bound, field=TIME):
+    """Row `numerator` over row `denominator`, both read at `field`, must
+    stay at or under `bound`."""
+    return ((numerator, field), (denominator, field), bound)
+
+
+def counters(row, numerator, denominator, bound):
+    """Counter `numerator` of `row` over its counter `denominator`."""
+    return ((row, numerator), (row, denominator), bound)
+
+
+def sweep(family, smallest, largest, bound, field=TIME):
+    """A sweep's largest row over its smallest; `family` holds `{}` where
+    the size label goes."""
+    return ratio(family.format(largest), family.format(smallest), bound, field)
+
+
+HOLDS = (16, 64, 256)
+NODES = (16, 1024, 16384, 65536)
+INGEST = "bm_ingest/producers:{}/wal:{}/iterations:3/manual_time"
+REPLAY = "bm_replay_stream/{}/iterations:1/manual_time"
+
+GATES = {
+    "bench_core_micro": [
+        # The flat profile against the std::map profile it replaced
+        # (tests/property/reference_profile.hpp), at equal holds.
+        *(ratio(f"bm_profile_{kernel}/{n}",
+                f"bm_profile_{kernel}/reference/{n}", 0.75)
+          for kernel in ("subtract", "earliest_fit") for n in HOLDS),
+        # Holds appended in time order take the push_back fast path.
+        *(ratio(f"bm_profile_subtract_append/{n}",
+                f"bm_profile_subtract/{n}", 0.5) for n in HOLDS),
+        # No reference twin: growth across sizes catches a worse
+        # complexity.
+        sweep("bm_plan_jobs/{}", 10, 200, 22),
+        sweep("bm_prioritize/{}", 50, 500, 25),
+        sweep("bm_dfs_admit/{}", 5, 100, 12),
+    ],
+    "bench_scale": [
+        # The indexed allocation kernels stay near-flat from 16 to 64k
+        # nodes; an O(nodes) term grows ~4,000x.
+        *(sweep(f"bm_scale_{kernel}/indexed/{{}}", 16, 65536, 50)
+          for kernel in ("alloc_release", "spread_release_all", "held_by",
+                         "measure_request", "sched_iteration")),
+        # The one-pass invariant check against the check it replaced
+        # (tests/property/reference_invariants.hpp), on the same state.
+        *(ratio(f"bm_scale_check_invariants/{n}",
+                f"bm_scale_check_invariants/reference/{n}", 0.75)
+          for n in NODES),
+        # Incremental planning against the from-scratch rebuild on the
+        # same queue.
+        *(ratio(f"bm_scale_queue_depth/incremental/{d}",
+                f"bm_scale_queue_depth/rebuild/{d}", 0.3)
+          for d in (1000, 10000, 100000)),
+        *(ratio(f"bm_scale_queue_frag/incremental/{d}",
+                f"bm_scale_queue_frag/rebuild/{d}", 0.3)
+          for d in (10000, 100000)),
+        ratio("bm_scale_queue_churn/incremental/100000",
+              "bm_scale_queue_churn/rebuild/100000", 0.3),
+        # A plan cache that never hits costs little time at these depths,
+        # so its gate counts: at most half the jobs a pass judges may miss.
+        *(counters(f"bm_scale_queue_{axis}/incremental/{d}", "replanned",
+                   "judged", 0.5)
+          for axis, depths in (("depth", (1000, 10000, 100000)),
+                               ("frag", (10000, 100000)))
+          for d in depths),
+    ],
+    "bench_recorder": [
+        # The recorded ESP run against the same run detached.
+        ratio("bm_esp_run/1", "bm_esp_run/0", 2.5),
+    ],
+    "bench_replay": [
+        # real_time is the per-job wall time: jobs/s and peak RSS stay
+        # within 2x over a 100x larger trace.
+        sweep(REPLAY, 100000, 10000000, 2.0),
+        sweep(REPLAY, 100000, 10000000, 2.0, "peak_rss_mb"),
+    ],
+    "bench_ingest": [
+        # 16 producers against 1 catches a convoy in the queue; the WAL-on
+        # row against WAL-off a slower WalWriter append or fsync. The
+        # producer bound assumes several CPUs: on one CPU the 16 producers
+        # time-slice with the consumer and the ratio reads ~3.5.
+        ratio(INGEST.format(16, 0), INGEST.format(1, 0), 2.0),
+        ratio(INGEST.format(1, 1), INGEST.format(1, 0), 4.0),
+    ],
+    "bench_shard": [
+        # real_time is the per-shard share of the wall: it stays flat or
+        # falls as shards are added.
+        sweep("bm_shard_iter/{}/64/manual_time", 1, 8, 1.5),
+        sweep("bm_shard_iter/{}/256/manual_time", 1, 8, 1.5),
+        sweep("bm_shard_route/{}", 1, 8, 30),
+    ],
 }
 
 
-class BenchFileError(Exception):
-    """A result file is missing or not valid benchmark JSON."""
+class GateError(Exception):
+    """The file cannot be gated."""
 
 
-def load_benchmarks(path):
-    """Returns (times, rss): {name: real_time ns} and, separately,
-    {(name, counter): value} for every user counter whose name mentions
-    RSS — memory numbers must never land in the time comparison.
-
-    Raises BenchFileError (one line, no traceback) when the file cannot
-    be read or parsed: a vanished baseline is an infrastructure problem,
-    not a benchmark regression, and gets its own exit code (3)."""
+def load_rows(path):
+    """{(row name, field): value} for every real_time and numeric user
+    counter of the file's non-aggregate rows, and the binary's name."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as e:
-        raise BenchFileError(f"cannot read benchmark file: {path}: "
-                             f"{e.strerror or e}") from e
+        raise GateError(f"cannot read {path}: {e.strerror or e}") from e
     except json.JSONDecodeError as e:
-        raise BenchFileError(f"invalid JSON in benchmark file: {path}: "
-                             f"{e}") from e
-    if not isinstance(doc, dict):
-        raise BenchFileError(
-            f"invalid benchmark file: {path}: top level is not an object"
-        )
-    times = {}
-    rss = {}
-    for bench in doc.get("benchmarks", []):
-        # Skip aggregate rows (mean/median/stddev) if repetitions were used.
-        if bench.get("run_type") == "aggregate":
+        raise GateError(f"invalid JSON in {path}: {e}") from e
+    if not isinstance(doc, dict) or not isinstance(doc.get("benchmarks"),
+                                                   list):
+        raise GateError(f"{path} is not google-benchmark JSON")
+    context = doc.get("context")
+    if not isinstance(context, dict):
+        context = {}
+    executable = str(context.get("executable", ""))
+    samples = {}
+    for row in doc["benchmarks"]:
+        if not isinstance(row, dict):
+            raise GateError(f"{path}: a benchmark row is not an object")
+        if row.get("run_type") == "aggregate":
             continue
-        name = bench.get("name")
-        real_time = bench.get("real_time")
-        if name is None or real_time is None:
-            print(f"warning: {path}: skipping entry without name/real_time")
-            continue
-        try:
-            times[name] = float(real_time)
-        except (TypeError, ValueError):
-            print(f"warning: {path}: non-numeric real_time for '{name}'")
-            continue
-        for key, value in bench.items():
-            if key in _STANDARD_FIELDS or "rss" not in key.lower():
-                continue
-            if isinstance(value, (int, float)):
-                rss[(name, key)] = float(value)
-    return times, rss
+        name = row.get("name")
+        if row.get("error_occurred"):
+            raise GateError(f"{path}: row '{name}' reported an error: "
+                            f"{row.get('error_message', '')}")
+        for field, value in row.items():
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
+                samples.setdefault((name, field), []).append(float(value))
+    rows = {key: statistics.median(v) for key, v in samples.items()}
+    return os.path.basename(executable), rows
 
 
-def scaling_groups(benchmarks):
-    """Groups `name/LABEL` entries by name; labels must be integers.
-
-    Trailing non-numeric modifier segments (`/iterations:1`,
-    `/manual_time`) belong to the group name, so the label is the LAST
-    all-digit path segment. Exception: the shard family (leading segment
-    containing "shard") labels by the FIRST numeric segment — the shard
-    count — and folds the rest (fixed per-shard depth, modifiers) into
-    the group, so scaling is measured across shard counts at equal
-    per-shard load. Returns {base_name: [(label, time), ...]}
-    sorted by label, for groups with at least two labels (a single size
-    has no scaling to measure).
-    """
-    groups = {}
-    for name, time in benchmarks.items():
-        match = re.fullmatch(r"([^/]*shard[^/]*)/(\d+)((?:/[^/]+)*)", name)
-        if match is None:
-            match = re.fullmatch(r"(.+)/(\d+)((?:/[^/]+)*)", name)
-        if not match:
-            continue
-        base = match.group(1) + match.group(3)
-        groups.setdefault(base, []).append((int(match.group(2)), time))
-    return {
-        base: sorted(points)
-        for base, points in groups.items()
-        if len(points) >= 2
-    }
-
-
-def check_rss(base_rss, curr_rss, tolerance):
-    """Baseline comparison for RSS counters; returns the offenders.
-
-    Same shape as the time table but a separate gate: memory regressions
-    and time regressions fail for different reasons and tolerate
-    different noise.
-    """
-    shared = sorted(set(base_rss) & set(curr_rss))
-    for name, counter in sorted(set(curr_rss) - set(base_rss)):
-        print(f"note: new RSS counter '{name}[{counter}]' (no baseline yet)")
-    if not shared:
-        return []
-    grown = []
-    width = max(len(f"{n}[{c}]") for n, c in shared)
-    print(f"\npeak RSS vs baseline (gate: --rss-tolerance {tolerance:.0%}):")
-    print(f"{'counter':<{width}}  {'base':>12}  {'curr':>12}  ratio")
-    for key in shared:
-        name, counter = key
-        ratio = (
-            curr_rss[key] / base_rss[key] if base_rss[key] > 0 else float("inf")
-        )
-        flag = ""
-        if ratio > 1.0 + tolerance:
-            grown.append((f"{name}[{counter}]", ratio))
-            flag = "  << RSS REGRESSION"
-        print(
-            f"{f'{name}[{counter}]':<{width}}  {base_rss[key]:>12.1f}"
-            f"  {curr_rss[key]:>12.1f}  {ratio:5.2f}x{flag}"
-        )
-    return grown
-
-
-def check_rss_scaling(curr_rss, max_rss_scaling):
-    """Growth of each RSS counter across size labels; returns offenders.
-
-    This is the bounded-memory gate: for a streaming replay, peak RSS
-    across a 100x trace-size sweep must stay within --max-rss-scaling.
-    """
-    by_counter = {}
-    for (name, counter), value in curr_rss.items():
-        by_counter.setdefault(counter, {})[name] = value
-    violations = []
-    rows = []
-    for counter in sorted(by_counter):
-        for base, points in sorted(scaling_groups(by_counter[counter]).items()):
-            (lo, v_lo), (hi, v_hi) = points[0], points[-1]
-            growth = v_hi / v_lo if v_lo > 0 else float("inf")
-            label = f"{base}[{counter}]"
-            flag = ""
-            if max_rss_scaling is not None and growth > max_rss_scaling:
-                violations.append((label, growth))
-                flag = "  << RSS SCALING"
-            rows.append(
-                (label, f"{lo:>7}..{hi:<7}", f"{v_lo:>9.1f}..{v_hi:<9.1f}",
-                 f"{growth:6.1f}x{flag}")
-            )
-    if not rows:
-        print("note: no RSS counters with numeric size labels")
-        return []
-    width = max(len(r[0]) for r in rows)
-    print(f"\npeak RSS across size labels (growth = largest / smallest):")
-    print(f"{'group':<{width}}  {'range':>16}  {'rss':>20}  growth")
-    for label, rng, vals, growth in rows:
-        print(f"{label:<{width}}  {rng}  {vals}  {growth}")
-    return violations
-
-
-def check_scaling(benchmarks, max_scaling, scaling_filter):
-    """Prints the per-group scaling table; returns names growing too much."""
-    groups = scaling_groups(benchmarks)
-    if not groups:
-        print("note: no benchmarks with numeric size labels; nothing to scale")
-        return []
-    violations = []
-    width = max(len(n) for n in groups)
-    print(f"\nscaling across size labels (growth = largest / smallest label):")
-    print(f"{'group':<{width}}  {'range':>16}  {'time ns':>24}  growth")
-    for base in sorted(groups):
-        points = groups[base]
-        (lo, t_lo), (hi, t_hi) = points[0], points[-1]
-        growth = t_hi / t_lo if t_lo > 0 else float("inf")
-        gated = max_scaling is not None and scaling_filter in base
-        flag = ""
-        if gated and growth > max_scaling:
-            violations.append((base, growth))
-            flag = "  << SCALING"
-        print(
-            f"{base:<{width}}  {lo:>7}..{hi:<7}  {t_lo:>11.1f}..{t_hi:<11.1f}"
-            f"  {growth:6.1f}x{flag}"
-        )
-    return violations
-
-
-def main():
-    parser = argparse.ArgumentParser(
-        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
-    )
-    parser.add_argument("baseline")
-    parser.add_argument("current")
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=float(os.environ.get("DBS_BENCH_TOLERANCE", "0.20")),
-        help="allowed fractional slowdown per benchmark (default 0.20)",
-    )
-    parser.add_argument(
-        "--scaling-report",
-        action="store_true",
-        help="also print how each benchmark group in CURRENT grows across "
-        "its numeric size labels",
-    )
-    parser.add_argument(
-        "--max-scaling",
-        type=float,
-        default=None,
-        help="fail if a group's largest-label time exceeds its "
-        "smallest-label time by more than this factor (implies "
-        "--scaling-report)",
-    )
-    parser.add_argument(
-        "--scaling-filter",
-        default="",
-        help="only gate --max-scaling on groups whose name contains this "
-        "substring (default: all groups)",
-    )
-    parser.add_argument(
-        "--rss-tolerance",
-        type=float,
-        default=float(os.environ.get("DBS_BENCH_RSS_TOLERANCE", "0.50")),
-        help="allowed fractional peak-RSS growth vs the baseline's matching "
-        "counter (default 0.50; separate from the time tolerance)",
-    )
-    parser.add_argument(
-        "--max-rss-scaling",
-        type=float,
-        default=None,
-        help="fail if an RSS counter grows by more than this factor from "
-        "the smallest to the largest size label of the current file "
-        "(the bounded-memory gate)",
-    )
-    args = parser.parse_args()
-
+def main(argv):
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    path = argv[1]
     try:
-        base, base_rss = load_benchmarks(args.baseline)
-        curr, curr_rss = load_benchmarks(args.current)
-    except BenchFileError as e:
+        bench, rows = load_rows(path)
+        gates = GATES.get(bench)
+        if gates is None:
+            raise GateError(f"{path}: no gates for binary '{bench}'")
+        missing = sorted({f"{name} [{field}]"
+                          for num, den, _ in gates
+                          for name, field in (num, den)
+                          if (name, field) not in rows})
+        if missing:
+            raise GateError(f"{path}: gated rows missing: " +
+                            ", ".join(missing))
+    except GateError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 3
-
-    if not curr:
-        print("error: current file has no usable benchmarks", file=sys.stderr)
         return 2
 
-    shared = sorted(set(base) & set(curr))
-    for name in sorted(set(base) - set(curr)):
-        print(f"note: removed benchmark '{name}' (baseline only, skipped)")
-    for name in sorted(set(curr) - set(base)):
-        print(f"note: new benchmark '{name}' (no baseline yet, skipped)")
-
-    regressed = []
-    if not shared:
-        # Every current benchmark is new — nothing to gate against yet.
-        print(f"OK: {len(curr)} new benchmark(s), no shared baseline entries")
-    else:
-        width = max(len(n) for n in shared)
-        print(f"{'benchmark':<{width}}  {'base ns':>12}  {'curr ns':>12}  ratio")
-        for name in shared:
-            ratio = curr[name] / base[name] if base[name] > 0 else float("inf")
-            flag = ""
-            if ratio > 1.0 + args.tolerance:
-                regressed.append((name, ratio))
-                flag = "  << REGRESSION"
-            print(
-                f"{name:<{width}}  {base[name]:>12.1f}  {curr[name]:>12.1f}"
-                f"  {ratio:5.2f}x{flag}"
-            )
-
-    violations = []
-    if args.scaling_report or args.max_scaling is not None:
-        violations = check_scaling(curr, args.max_scaling, args.scaling_filter)
-
-    rss_regressed = check_rss(base_rss, curr_rss, args.rss_tolerance)
-    rss_violations = []
-    if args.max_rss_scaling is not None:
-        rss_violations = check_rss_scaling(curr_rss, args.max_rss_scaling)
-
-    if regressed:
-        print(
-            f"\nFAIL: {len(regressed)}/{len(shared)} benchmark(s) slower than "
-            f"baseline by more than {args.tolerance:.0%}:",
-            file=sys.stderr,
-        )
-        for name, ratio in regressed:
-            print(f"  {name}: {ratio:.2f}x", file=sys.stderr)
-    if violations:
-        print(
-            f"\nFAIL: {len(violations)} group(s) grow by more than "
-            f"{args.max_scaling:.1f}x across size labels:",
-            file=sys.stderr,
-        )
-        for name, growth in violations:
-            print(f"  {name}: {growth:.1f}x", file=sys.stderr)
-    if rss_regressed:
-        print(
-            f"\nFAIL: {len(rss_regressed)} RSS counter(s) above baseline by "
-            f"more than {args.rss_tolerance:.0%}:",
-            file=sys.stderr,
-        )
-        for name, ratio in rss_regressed:
-            print(f"  {name}: {ratio:.2f}x", file=sys.stderr)
-    if rss_violations:
-        print(
-            f"\nFAIL: {len(rss_violations)} RSS counter(s) grow by more than "
-            f"{args.max_rss_scaling:.1f}x across size labels:",
-            file=sys.stderr,
-        )
-        for name, growth in rss_violations:
-            print(f"  {name}: {growth:.1f}x", file=sys.stderr)
-    if regressed or violations or rss_regressed or rss_violations:
+    failed = []
+    print(f"{bench}: {len(gates)} gates")
+    print(f"{'ratio':>8}  {'bound':>6}  gate")
+    for num, den, bound in gates:
+        base = rows[den]
+        quotient = rows[num] / base if base > 0 else float("inf")
+        gate = " / ".join(name + ("" if field == TIME else f" [{field}]")
+                          for name, field in (num, den))
+        flag = ""
+        if quotient > bound:
+            failed.append(f"{gate}: {quotient:.3g} > {bound}")
+            flag = "  << FAIL"
+        print(f"{quotient:8.3g}  {bound:>6}  {gate}{flag}")
+    if failed:
+        print(f"\nFAIL: {len(failed)} of {len(gates)} gates exceeded:",
+              file=sys.stderr)
+        for line in failed:
+            print(f"  {line}", file=sys.stderr)
         return 1
-
-    if shared:
-        print(
-            f"\nOK: {len(shared)} benchmark(s) within "
-            f"{args.tolerance:.0%} of baseline"
-        )
+    print(f"OK: {len(gates)} gates hold")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv))
