@@ -9,6 +9,8 @@
 //   python3 tools/check_bench_regression.py core_micro.json
 #include <benchmark/benchmark.h>
 
+#include <numeric>
+
 #include "../tests/property/reference_profile.hpp"
 #include "apps/rigid.hpp"
 #include "common/rng.hpp"
@@ -82,16 +84,24 @@ BENCHMARK(bm_profile_earliest_fit<core::AvailabilityProfile>)
 BENCHMARK(bm_profile_earliest_fit<ReferenceProfile>)
     ->Name("bm_profile_earliest_fit/reference")->Arg(16)->Arg(64)->Arg(256);
 
-std::vector<std::unique_ptr<rms::Job>> make_jobs(std::size_t count,
-                                                 std::uint64_t seed) {
+/// Jobs submitted at the epoch. With `distinct_walltimes` no two share a
+/// walltime (300 s, 301 s, ... in shuffled id order); otherwise walltimes
+/// are drawn from 5 to 60 minutes.
+std::vector<std::unique_ptr<rms::Job>> make_jobs(
+    std::size_t count, std::uint64_t seed, bool distinct_walltimes = false) {
   Rng rng(seed);
+  std::vector<std::int64_t> distinct_s(count);
+  std::iota(distinct_s.begin(), distinct_s.end(), 300);
+  Rng(seed + 1).shuffle(distinct_s);
   std::vector<std::unique_ptr<rms::Job>> jobs;
   for (std::size_t i = 0; i < count; ++i) {
     rms::JobSpec spec;
     spec.name = "j" + std::to_string(i);
     spec.cred = {"user" + std::to_string(i % 10), "g", "", "batch", ""};
     spec.cores = static_cast<CoreCount>(1 << rng.next_int(0, 6));
-    spec.walltime = Duration::minutes(rng.next_int(5, 60));
+    spec.walltime = distinct_walltimes
+                        ? Duration::seconds(distinct_s[i])
+                        : Duration::minutes(rng.next_int(5, 60));
     jobs.push_back(std::make_unique<rms::Job>(
         JobId{i}, spec,
         std::make_unique<apps::RigidApp>(Duration::minutes(5)),
@@ -113,11 +123,17 @@ void bm_plan_jobs(benchmark::State& state) {
 }
 BENCHMARK(bm_plan_jobs)->Arg(10)->Arg(50)->Arg(200);
 
+// All jobs share a submit time, so queue time ties them; the expansion
+// factor (queued + walltime) / walltime over distinct walltimes ranks every
+// job apart, and the shuffled input gives the sort real work.
 void bm_prioritize(benchmark::State& state) {
-  const auto storage = make_jobs(static_cast<std::size_t>(state.range(0)), 7);
+  const auto storage =
+      make_jobs(static_cast<std::size_t>(state.range(0)), 7, true);
   std::vector<const rms::Job*> jobs;
   for (const auto& j : storage) jobs.push_back(j.get());
-  const core::PriorityEngine engine({}, {}, nullptr);
+  core::PriorityWeights weights;
+  weights.xfactor = 1.0;
+  const core::PriorityEngine engine(weights, {}, nullptr);
   for (auto _ : state) {
     auto sorted = engine.prioritize(jobs, Time::from_seconds(3600));
     benchmark::DoNotOptimize(sorted.data());

@@ -1,5 +1,5 @@
 // Concurrent-ingest throughput: N producer threads push submissions
-// through the mutex-sharded IngestQueue while one consumer drains, stamps
+// through the one-lock IngestQueue while one consumer drains, stamps
 // admissions (the service loop's monotone rule) and — in the WAL-on rows —
 // appends + fsyncs every drained batch through a WalWriter. The consumer
 // re-implements that part of ServiceLoop::admit_pending rather than
@@ -7,13 +7,16 @@
 // the loop itself does not (perfbench's service_durable runs the loop).
 // The sweep crosses producers {1, 4, 16} with WAL {off, on}:
 //
-//   * producer scaling shows where shard contention bends the curve
-//     (tickets are a single fetch_add; the shards only serialize per
-//     slot), and
+//   * producer scaling shows what the queue's one mutex costs as pushes
+//     and drains contend for it, and
 //   * the WAL-on/off gap is the durability tax — one fsync per drained
 //     batch, so it shrinks as batches grow under load.
 //
-// bench-smoke gates producers:16 / producers:1 and wal:1 / wal:0.
+// bm_ingest_push runs 1 and 16 producers with no consumer: the push path
+// alone under contention, which the consumer's rate hides in the sweep.
+//
+// bench-smoke gates producers:16 / producers:1 in both families and
+// wal:1 / wal:0.
 //
 //   ./build/bench/bench_ingest --benchmark_out=ingest.json
 //       --benchmark_out_format=json
@@ -132,12 +135,51 @@ void bm_ingest(benchmark::State& state) {
   std::filesystem::remove_all(wal_dir);
 }
 
+// Producers alone: the threads push the same records into a queue nobody
+// drains while they run, so the time is the push path under P-way
+// contention, not the consumer's rate.
+void bm_ingest_push(benchmark::State& state) {
+  const auto producers = static_cast<std::size_t>(state.range(0));
+  const std::uint64_t per_producer = kRecords / producers;
+  const rms::JobSpec spec = bench_spec();
+  for (auto _ : state) {
+    svc::IngestQueue queue;
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    threads.reserve(producers);
+    for (std::size_t t = 0; t < producers; ++t) {
+      threads.emplace_back([&, t]() {
+        while (!go.load(std::memory_order_acquire)) {}
+        for (std::uint64_t i = 0; i < per_producer; ++i)
+          queue.submit(Time::from_micros(static_cast<std::int64_t>(
+                           t * per_producer + i)),
+                       spec, wl::Behavior{});
+      });
+    }
+    const auto begin = std::chrono::steady_clock::now();
+    go.store(true, std::memory_order_release);
+    for (auto& t : threads) t.join();
+    const std::chrono::duration<double> elapsed =
+        std::chrono::steady_clock::now() - begin;
+    if (queue.pushed() != per_producer * producers)
+      state.SkipWithError("lost records");
+    state.SetIterationTime(elapsed.count());
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   benchmark::RegisterBenchmark("bm_ingest", bm_ingest)
       ->ArgsProduct({{1, 4, 16}, {0, 1}})
       ->ArgNames({"producers", "wal"})
+      ->Iterations(3)
+      ->UseManualTime()
+      ->Unit(benchmark::kMillisecond);
+  benchmark::RegisterBenchmark("bm_ingest_push", bm_ingest_push)
+      ->Arg(1)
+      ->Arg(16)
+      ->ArgName("producers")
       ->Iterations(3)
       ->UseManualTime()
       ->Unit(benchmark::kMillisecond);

@@ -9,14 +9,10 @@
 namespace dbs::logging {
 
 namespace {
-std::atomic<LogLevel> g_level{LogLevel::Off};
+std::atomic<LogLevel> g_level{LogLevel::Warn};
 
-// Simulators register/unregister concurrently when shards run on a thread
-// pool; the mutex also pins the owner alive for the duration of an emit()
-// (unregister_sim_clock blocks until the callback returns).
-std::mutex g_clock_mutex;
-const void* g_clock_owner = nullptr;       // guarded by g_clock_mutex
-Time (*g_clock_now)(const void*) = nullptr;  // guarded by g_clock_mutex
+// Shards log from their own threads; one line is written whole.
+std::mutex g_emit_mutex;
 
 const char* prefix(LogLevel level) {
   switch (level) {
@@ -62,25 +58,9 @@ void init_from_env() {
     set_level(*parsed);
 }
 
-void register_sim_clock(const void* owner, Time (*now)(const void* owner)) {
-  const std::lock_guard<std::mutex> lock(g_clock_mutex);
-  g_clock_owner = owner;
-  g_clock_now = now;
-}
-
-void unregister_sim_clock(const void* owner) {
-  const std::lock_guard<std::mutex> lock(g_clock_mutex);
-  if (g_clock_owner != owner) return;
-  g_clock_owner = nullptr;
-  g_clock_now = nullptr;
-}
-
 void emit(LogLevel lvl, const std::string& msg) {
-  const std::lock_guard<std::mutex> lock(g_clock_mutex);
-  std::cerr << prefix(lvl);
-  if (g_clock_now != nullptr)
-    std::cerr << '[' << g_clock_now(g_clock_owner).to_string() << "] ";
-  std::cerr << msg << '\n';
+  const std::lock_guard<std::mutex> lock(g_emit_mutex);
+  std::cerr << prefix(lvl) << msg << '\n';
 }
 
 }  // namespace dbs::logging

@@ -1,5 +1,6 @@
-// Minimal leveled logger. Off by default so simulations are silent; tests
-// and examples can raise the level to trace scheduler decisions, and the
+// Minimal leveled logger. Warnings reach stderr by default and the rest is
+// silent; tests and examples can raise the level to trace scheduler
+// decisions (each trace line names its simulated time), and the
 // DBS_LOG_LEVEL environment variable (trace|debug|info|warn|off) sets the
 // initial level without touching code.
 #pragma once
@@ -9,8 +10,6 @@
 #include <string>
 #include <string_view>
 
-#include "common/time.hpp"
-
 namespace dbs {
 
 enum class LogLevel { Trace = 0, Debug = 1, Info = 2, Warn = 3, Off = 4 };
@@ -19,8 +18,7 @@ namespace logging {
 /// Global threshold; messages below it are discarded.
 void set_level(LogLevel level);
 [[nodiscard]] LogLevel level();
-/// Emits one line to stderr with a level prefix (and the simulated
-/// timestamp while a simulator clock is registered).
+/// Emits one line to stderr with a level prefix.
 void emit(LogLevel level, const std::string& msg);
 
 /// Parses a level name ("trace", "debug", "info", "warn"/"warning",
@@ -31,13 +29,6 @@ void emit(LogLevel level, const std::string& msg);
 /// level untouched). Called once automatically before main(); exposed for
 /// tests.
 void init_from_env();
-
-/// Registers a simulated-clock provider owned by `owner` (typically the
-/// running sim::Simulator); log lines gain a "[HH:MM:SS]" simulated
-/// timestamp. A later registration replaces the current one.
-void register_sim_clock(const void* owner, Time (*now)(const void* owner));
-/// Unregisters `owner`'s clock; no-op if another owner took over since.
-void unregister_sim_clock(const void* owner);
 }  // namespace logging
 
 }  // namespace dbs

@@ -191,8 +191,8 @@ void DynamicAdmissionStage::run(PipelineEnv& env, IterationContext& ctx) {
       ctx.admission_changed_plan = true;
       ++ctx.stats.dyn_granted;
     } else {
-      DBS_TRACE("dyn request of job " << req.job.value()
-                                      << " denied: " << to_string(reason));
+      DBS_TRACE("dyn request of job " << req.job.value() << " denied: "
+                                      << to_string(reason) << " at " << now);
       const std::optional<Time> hint =
           estimate_availability(ctx.physical, owner, req.extra_cores, now);
       const bool deferred = ctx.applier.reject_dyn(req, hint, reason);

@@ -125,6 +125,22 @@ void Recorder::on_requeue(const rms::Job& job) {
   sample_usage();
 }
 
+void Recorder::on_nodes_lost(const rms::Job& job, CoreCount) {
+  rec(job.id());
+  sample_usage();
+}
+
+void Recorder::on_cancel(const rms::Job& job, CoreCount) {
+  const JobRecord& r = rec(job.id());
+  sample_usage();
+  if (streaming_) {
+    if (r.evolving) ++totals_.evolving;
+    if (r.dyn_satisfied()) ++totals_.satisfied_dyn;
+    totals_.granted_dyn_requests += static_cast<std::size_t>(r.dyn_grants);
+    jobs_.erase(job.id());
+  }
+}
+
 std::vector<JobRecord> Recorder::records() const {
   DBS_REQUIRE(!streaming_,
               "per-job records are not kept in streaming mode");

@@ -61,10 +61,13 @@ class Recorder final : public rms::ServerObserver {
   void on_dyn_release(const rms::Job& job, CoreCount cores) override;
   void on_malleable_shrink(const rms::Job& job, CoreCount cores) override;
   void on_requeue(const rms::Job& job) override;
+  void on_nodes_lost(const rms::Job& job, CoreCount lost) override;
+  void on_cancel(const rms::Job& job, CoreCount released) override;
 
-  /// Streaming mode: a finished job is folded into running totals and its
-  /// record destroyed, so recorder memory stays O(live jobs) across a
-  /// million-job replay instead of O(all jobs ever). The usage timeline
+  /// Streaming mode: a finished (completed or cancelled) job is folded
+  /// into running totals and its record destroyed, so recorder memory
+  /// stays O(live jobs) across a million-job replay instead of O(all jobs
+  /// ever). The usage timeline
   /// collapses to an incrementally maintained integral that accumulates
   /// exactly the terms used_core_seconds() would fold, so the summary is
   /// identical to the materialized one when the replay drains completely.
@@ -73,7 +76,8 @@ class Recorder final : public rms::ServerObserver {
   void set_streaming(bool on);
   [[nodiscard]] bool streaming() const { return streaming_; }
 
-  /// Running aggregates over finished jobs (streaming mode).
+  /// Running aggregates over finished jobs (streaming mode). A cancelled
+  /// job never completes, so it adds only its dynamic-request counts.
   struct StreamTotals {
     [[nodiscard]] bool operator==(const StreamTotals&) const = default;
 

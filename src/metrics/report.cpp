@@ -30,9 +30,10 @@ WorkloadSummary summarize(const Recorder& recorder) {
   WorkloadSummary s;
 
   if (recorder.streaming()) {
-    // Finished jobs were folded into the running totals as they completed;
-    // jobs still live at the end (never finished) contribute only their
-    // dynamic-protocol counters, exactly as in the materialized path.
+    // Finished jobs were folded into the running totals as they completed
+    // or were cancelled; jobs still live at the end (never finished)
+    // contribute only their dynamic-protocol counters, exactly as in the
+    // materialized path.
     const Recorder::StreamTotals& t = recorder.totals();
     s.jobs_submitted = t.submitted;
     s.jobs_completed = t.completed;

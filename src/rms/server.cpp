@@ -123,6 +123,7 @@ bool Server::cancel(JobId id) {
   queue_.mark_cancelled(id, sim_.now());
   for (auto* o : observers_) o->on_cancel(job, released);
   notify_scheduler();
+  if (retire_grace_) schedule_retirement(id, sim_.now() + *retire_grace_);
   return true;
 }
 
@@ -303,17 +304,18 @@ void Server::mom_job_finished(JobId id) {
                                           .as_seconds()));
   for (auto* o : observers_) o->on_job_finish(job);
   notify_scheduler();
-  if (retire_grace_) {
-    // Deferred reclamation: by now every observer has folded the record
-    // into its metrics; the grace period covers the application's still
-    // in-flight latency-delayed closures (which look the job up by id).
-    sim_.schedule_after(*retire_grace_, [this, id] {
-      if (!queue_.contains(id)) return;
-      if (queue_.at(id).state() != JobState::Completed) return;
-      availability_hints_.erase(id);
-      queue_.retire(id);
-    });
-  }
+  if (retire_grace_) schedule_retirement(id, sim_.now() + *retire_grace_);
+}
+
+void Server::schedule_retirement(JobId id, Time at) {
+  // Deferred reclamation: by now every observer has folded the record
+  // into its metrics; the grace period covers the application's still
+  // in-flight latency-delayed closures (which look the job up by id).
+  sim_.schedule_at(at, [this, id] {
+    if (!queue_.contains(id) || !queue_.at(id).finished()) return;
+    availability_hints_.erase(id);
+    queue_.retire(id);
+  });
 }
 
 void Server::set_retirement(Duration grace) {
@@ -379,7 +381,7 @@ void Server::node_failure(NodeId node_id) {
     moms_->deliver_node_loss(job, lost);
   }
   DBS_TRACE("node " << node_id.value() << " failed, " << victims.size()
-                    << " jobs affected");
+                    << " jobs affected at " << sim_.now());
   count(instruments_.node_failures, "server.node_failures");
   DBS_TRACE_EVENT(tracer_, obs::TraceEvent(sim_.now(), "rms", "node_failure")
                                .field("node", node_id.value())
@@ -437,18 +439,10 @@ void Server::restore_dyn_request(const DynRequest& req) {
 
 void Server::rearm_retirements() {
   if (!retire_grace_) return;
-  for (const Job* job : queue_.all()) {
-    if (job->state() != JobState::Completed) continue;
-    const JobId id = job->id();
-    Time at = job->end_time() + *retire_grace_;
-    if (at < sim_.now()) at = sim_.now();
-    sim_.schedule_at(at, [this, id] {
-      if (!queue_.contains(id)) return;
-      if (queue_.at(id).state() != JobState::Completed) return;
-      availability_hints_.erase(id);
-      queue_.retire(id);
-    });
-  }
+  for (const Job* job : queue_.all())
+    if (job->finished())
+      schedule_retirement(job->id(),
+                          max(job->end_time() + *retire_grace_, sim_.now()));
 }
 
 void Server::mom_dyn_release(JobId id, const cluster::Placement& freed) {

@@ -144,13 +144,14 @@ class Server {
   /// Allocation policy used for placements.
   void set_allocation_policy(cluster::AllocationPolicy p) { alloc_policy_ = p; }
 
-  /// Enables deferred reclamation of completed jobs: `grace` after a job
-  /// completes, its record is destroyed and the id forgotten, keeping
-  /// server memory proportional to the live jobs during long streaming
-  /// replays. `grace` must exceed every latency-delayed closure that still
-  /// looks the job up after completion (the batch layer derives it from
-  /// the latency model). Off by default — materialized runs keep every
-  /// record so post-run queries (qstat, CSV dumps) see the full history.
+  /// Enables deferred reclamation of finished jobs: `grace` after a job
+  /// completes or is cancelled, its record is destroyed and the id
+  /// forgotten, keeping server memory proportional to the live jobs during
+  /// long streaming replays. `grace` must exceed every latency-delayed
+  /// closure that still looks the job up after it ended (the batch layer
+  /// derives it from the latency model). Off by default — materialized
+  /// runs keep every record so post-run queries (qstat, CSV dumps) see the
+  /// full history.
   void set_retirement(Duration grace);
 
   /// The job's chunk size for placements: its ppn, or the node size.
@@ -178,12 +179,14 @@ class Server {
   void restore_dyn_request(const DynRequest& req);
 
   /// After a restore with retirement enabled: re-arms the deferred
-  /// reclamation event of every already-Completed live job at its recorded
+  /// reclamation event of every already-finished live job at its recorded
   /// end time plus the grace period.
   void rearm_retirements();
 
  private:
   void notify_scheduler();
+  /// Destroys finished job `id`'s record at `at` (retirement enabled).
+  void schedule_retirement(JobId id, Time at);
   void finalize_reject(const DynRequest& req);
   /// Adds one to the counter cached in `slot`, resolving it on first use.
   void count(obs::Counter*& slot, const char* name);

@@ -3,17 +3,8 @@
 #include <utility>
 
 #include "common/assert.hpp"
-#include "common/log.hpp"
 
 namespace dbs::sim {
-
-Simulator::Simulator() {
-  logging::register_sim_clock(this, [](const void* owner) {
-    return static_cast<const Simulator*>(owner)->now();
-  });
-}
-
-Simulator::~Simulator() { logging::unregister_sim_clock(this); }
 
 EventId Simulator::schedule_at(Time at, EventFn fn) {
   DBS_REQUIRE(at >= now_, "cannot schedule into the past");

@@ -13,11 +13,7 @@ namespace dbs::sim {
 
 class Simulator {
  public:
-  /// Registers this simulator's clock with the logger so log lines carry
-  /// the simulated timestamp (the newest simulator wins when several are
-  /// alive, e.g. in tests running systems back to back).
-  Simulator();
-  ~Simulator();
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 

@@ -1,29 +1,24 @@
 #include "svc/ingest.hpp"
 
+#include <iterator>
 #include <utility>
 
 #include "common/assert.hpp"
 
 namespace dbs::svc {
 
-IngestQueue::IngestQueue() {
-  shards_.reserve(kShards);
-  for (std::size_t i = 0; i < kShards; ++i)
-    shards_.push_back(std::make_unique<Shard>());
-}
-
 std::uint64_t IngestQueue::push(IngestRecord&& r) {
   DBS_REQUIRE(!closed(), "push after close");
-  // The ticket is drawn before the shard lock so the total order exists
-  // independently of lock acquisition order; the drain orders by it.
-  const std::uint64_t seq = ticket_.fetch_add(1, std::memory_order_relaxed);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  // The ticket is taken only once the append succeeded, so a throwing
+  // push_back leaves no gap in the sequence. depth_ is released after
+  // ticket_: a reader of depth() then pushed() never counts a record
+  // whose ticket it does not see.
+  const std::uint64_t seq = ticket_.load(std::memory_order_relaxed);
   r.seq = seq;
-  Shard& shard = *shards_[seq % shards_.size()];
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.items.push_back(std::move(r));
-  }
-  depth_.fetch_add(1, std::memory_order_relaxed);
+  items_.push_back(std::move(r));
+  ticket_.store(seq + 1, std::memory_order_relaxed);
+  depth_.store(items_.size(), std::memory_order_release);
   return seq;
 }
 
@@ -47,39 +42,28 @@ std::uint64_t IngestQueue::cancel(Time requested, JobId job) {
 }
 
 std::size_t IngestQueue::drain(std::vector<IngestRecord>& out) {
-  // Tickets are dense from next_seq_, so each swept record goes straight
-  // to stash slot seq - next_seq_ instead of being sorted into place. The
-  // tickets drawn so far need pushed() - next_seq_ slots; reserving them
-  // up front spares the stash a doubling's slack.
-  stash_.reserve(static_cast<std::size_t>(pushed() - next_seq_));
-  for (auto& shard_ptr : shards_) {
-    std::vector<IngestRecord> taken;
-    {
-      std::lock_guard<std::mutex> lock(shard_ptr->mutex);
-      taken.swap(shard_ptr->items);
+  const std::size_t base = out.size();
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (base == 0) {
+      // The records change hands without a move, and the producers append
+      // into the caller's spare capacity.
+      out.swap(items_);
+    } else {
+      out.insert(out.end(), std::make_move_iterator(items_.begin()),
+                 std::make_move_iterator(items_.end()));
+      items_.clear();
     }
-    for (auto& r : taken) {
-      DBS_ASSERT(r.seq >= next_seq_, "ticket released twice");
-      const auto slot = static_cast<std::size_t>(r.seq - next_seq_);
-      if (slot >= stash_.size()) stash_.resize(slot + 1);
-      DBS_ASSERT(!stash_[slot].has_value(), "ticket drawn twice");
-      stash_[slot] = std::move(r);
-    }
+    depth_.store(0, std::memory_order_relaxed);
   }
-  // Release only the seq-contiguous prefix. A producer that drew ticket n
-  // but lost the CPU before landing it in its shard must not be overtaken
-  // by ticket n+1 from another shard: a drain that skipped n would hand
-  // the service loop a reordered sequence, and the admission stamps (and
-  // with them the whole schedule) would depend on that race. Records past
-  // the gap wait in the stash; the straggler's push completes in bounded
-  // time, so the next drain releases them.
-  std::size_t k = 0;
-  while (k < stash_.size() && stash_[k].has_value()) ++k;
-  for (std::size_t i = 0; i < k; ++i) out.push_back(std::move(*stash_[i]));
-  stash_.erase(stash_.begin(), stash_.begin() + static_cast<std::ptrdiff_t>(k));
-  next_seq_ += k;
-  if (k > 0) depth_.fetch_sub(k, std::memory_order_relaxed);
-  return k;
+  const std::size_t n = out.size() - base;
+  if (n == 0) return 0;
+  // Tickets are drawn in append order, so a batch whose ends are the next
+  // ticket and n - 1 past it holds exactly the tickets in between.
+  DBS_ASSERT(out[base].seq == next_seq_ && out.back().seq == next_seq_ + n - 1,
+             "drained batch does not continue the ticket sequence");
+  next_seq_ += n;
+  return n;
 }
 
 }  // namespace dbs::svc

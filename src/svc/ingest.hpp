@@ -1,22 +1,19 @@
 // Concurrent submission ingest: the always-on service's front door.
 //
-// N producer threads (qsub shims, trace feeders, RPC handlers) push
+// Producer threads (qsub shims, trace feeders, RPC handlers) push
 // submissions and cancels; the single-threaded scheduler loop drains them
-// in batches at iteration boundaries. A global atomic ticket gives every
-// record a total order, so a drain — whatever the thread interleaving that
-// produced it — yields one canonical sequence, and replaying that sequence
-// single-threaded through the same Submission lane is byte-identical to
-// the live run (the differential test in tests/svc exercises exactly
-// this). Mutex-sharded MPSC: producers contend only per shard (ticket %
-// kShards), the consumer swaps each shard's vector out under its lock and
-// places each record by ticket outside any lock.
+// in batches at iteration boundaries. One mutex guards one vector: a push
+// draws its ticket and appends its record in the same critical section,
+// so the vector always holds a contiguous run of tickets and a drain,
+// which swaps it out, yields the exact ticket sequence 0,1,2,... whatever
+// the thread interleaving. Replaying that sequence single-threaded
+// through the same Submission lane is byte-identical to the live run (the
+// differential test in tests/svc exercises exactly this).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
-#include <optional>
 #include <vector>
 
 #include "common/time.hpp"
@@ -50,7 +47,7 @@ struct IngestRecord {
 
 class IngestQueue {
  public:
-  IngestQueue();
+  IngestQueue() = default;
 
   IngestQueue(const IngestQueue&) = delete;
   IngestQueue& operator=(const IngestQueue&) = delete;
@@ -70,17 +67,15 @@ class IngestQueue {
   }
 
   // --- consumer side (single-threaded) ------------------------------------
-  /// Moves the seq-contiguous prefix of everything queued into `out`
-  /// (appended), in ticket order. Records that arrived past a gap — a
-  /// producer drew an earlier ticket but has not landed it in its shard
-  /// yet — are held back until the straggler arrives, so successive drains
-  /// always yield the exact ticket sequence 0,1,2,… regardless of thread
-  /// interleaving. Returns the number of records released.
+  /// Moves everything queued into `out` (appended), in ticket order: each
+  /// batch continues the sequence 0,1,2,... exactly where the previous
+  /// one ended. Returns the number of records released.
   std::size_t drain(std::vector<IngestRecord>& out);
 
-  /// Records currently queued (approximate under concurrent pushes).
+  /// Records queued and not yet drained: never more than pushed() minus
+  /// the records drained so far.
   [[nodiscard]] std::size_t depth() const {
-    return depth_.load(std::memory_order_relaxed);
+    return depth_.load(std::memory_order_acquire);
   }
   /// Tickets issued so far.
   [[nodiscard]] std::uint64_t pushed() const {
@@ -88,23 +83,16 @@ class IngestQueue {
   }
 
  private:
-  struct Shard {
-    std::mutex mutex;
-    std::vector<IngestRecord> items;
-  };
-
   std::uint64_t push(IngestRecord&& r);
 
-  static constexpr std::size_t kShards = 8;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::mutex mutex_;
+  std::vector<IngestRecord> items_;  ///< guarded by mutex_
+  /// Both written under mutex_ only; atomic so depth() and pushed() read
+  /// them without it.
   std::atomic<std::uint64_t> ticket_{0};
   std::atomic<std::size_t> depth_{0};
   std::atomic<bool> closed_{false};
-  /// Consumer-private: records swept from the shards but not yet
-  /// releasable because an earlier ticket is still in flight. Slot k holds
-  /// ticket next_seq_ + k once it has arrived.
-  std::vector<std::optional<IngestRecord>> stash_;
-  /// Consumer-private: the next ticket drain() will release.
+  /// Consumer-private: the ticket the next drained batch must start with.
   std::uint64_t next_seq_ = 0;
 };
 

@@ -155,12 +155,22 @@ std::size_t ServiceLoop::admit_pending() {
   }
   wal_ingest_total_ += n;
 
+  obs::Registry& reg = registry();
+  if (instruments_.admitted == nullptr) {
+    instruments_.admitted = &reg.counter("svc.ingest.admitted");
+    instruments_.depth = &reg.gauge("svc.ingest.depth");
+  }
+  instruments_.admitted->add(n);
+  instruments_.depth->set(static_cast<double>(ingest_.depth()));
+  return n;
+}
+
+obs::Registry& ServiceLoop::registry() {
   // Svc counters land in the system's own registry (falling back to the
   // global one): concurrently ticking shard loops must never share one.
   obs::Registry& reg = system_.scheduler().sinks().registry_or_global();
-  reg.counter("svc.ingest.admitted").add(n);
-  reg.gauge("svc.ingest.depth").set(static_cast<double>(ingest_.depth()));
-  return n;
+  if (instruments_.registry != &reg) instruments_ = Instruments{&reg};
+  return reg;
 }
 
 void ServiceLoop::schedule_record(const IngestRecord& r) {
@@ -297,7 +307,7 @@ void ServiceLoop::join_writer() {
   if (writer_error_)
     std::rethrow_exception(std::exchange(writer_error_, nullptr));
   ++snapshots_written_;
-  system_.scheduler().sinks().registry_or_global().counter("svc.snapshots")
+  obs::lazy_counter(registry(), instruments_.snapshots, "svc.snapshots")
       .add(1);
 }
 

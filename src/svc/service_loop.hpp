@@ -52,6 +52,12 @@ namespace dbs::batch {
 class BatchSystem;
 }
 
+namespace dbs::obs {
+class Counter;
+class Gauge;
+class Registry;
+}  // namespace dbs::obs
+
 namespace dbs::svc {
 
 struct ServiceConfig {
@@ -165,6 +171,8 @@ class ServiceLoop {
   /// Waits for the snapshot in flight, if any, then counts it or rethrows
   /// its error.
   void join_writer();
+  /// The system's registry, with instruments_ cleared whenever it changed.
+  obs::Registry& registry();
 
   batch::BatchSystem& system_;
   IngestQueue& ingest_;
@@ -194,6 +202,15 @@ class ServiceLoop {
 
   std::vector<IngestRecord> drain_buf_;
   std::atomic<bool> stop_{false};
+
+  /// Svc instrument handles, each resolved on first use in `registry`.
+  struct Instruments {
+    obs::Registry* registry = nullptr;
+    obs::Counter* admitted = nullptr;
+    obs::Gauge* depth = nullptr;
+    obs::Counter* snapshots = nullptr;
+  };
+  Instruments instruments_;
 
   /// The writer's failure, read after joining it.
   std::exception_ptr writer_error_;

@@ -14,8 +14,8 @@ class LogLevelGuard {
   LogLevel saved_;
 };
 
-TEST(Log, DefaultLevelIsOff) {
-  EXPECT_EQ(logging::level(), LogLevel::Off);
+TEST(Log, DefaultLevelIsWarn) {
+  EXPECT_EQ(logging::level(), LogLevel::Warn);
 }
 
 TEST(Log, ThresholdFiltersEvaluation) {
@@ -58,35 +58,6 @@ TEST(Log, InitFromEnvAppliesDbsLogLevel) {
   ::unsetenv("DBS_LOG_LEVEL");
   logging::init_from_env();
   EXPECT_EQ(logging::level(), LogLevel::Debug);
-}
-
-TEST(Log, RegisteredSimClockPrefixesTimestamp) {
-  LogLevelGuard guard;
-  logging::set_level(LogLevel::Info);
-  const int owner = 0;
-  logging::register_sim_clock(&owner, [](const void*) {
-    return Time::epoch() + Duration::seconds(65);
-  });
-  testing::internal::CaptureStderr();
-  DBS_INFO("tick");
-  logging::unregister_sim_clock(&owner);
-  DBS_INFO("tock");
-  const std::string err = testing::internal::GetCapturedStderr();
-  EXPECT_NE(err.find("[info ] [00:01:05] tick"), std::string::npos) << err;
-  EXPECT_NE(err.find("[info ] tock"), std::string::npos) << err;
-}
-
-TEST(Log, UnregisterIgnoresForeignOwner) {
-  const int a = 0, b = 0;
-  logging::register_sim_clock(&a, [](const void*) { return Time::epoch(); });
-  logging::unregister_sim_clock(&b);  // not the current owner: no-op
-  LogLevelGuard guard;
-  logging::set_level(LogLevel::Info);
-  testing::internal::CaptureStderr();
-  DBS_INFO("still stamped");
-  logging::unregister_sim_clock(&a);
-  const std::string err = testing::internal::GetCapturedStderr();
-  EXPECT_NE(err.find("[00:00:00] still stamped"), std::string::npos) << err;
 }
 
 TEST(Log, TraceLevelEmitsEverything) {

@@ -72,6 +72,9 @@ TEST(FaultTolerance, ResilientJobShrinksWhenNoSparesExist) {
   EXPECT_EQ(r.dyn_rejects, 1);
   // 1 min at 16 cores + remaining 9x16 core-minutes on 8 cores = 19 min.
   EXPECT_NEAR((*r.end - *r.start).as_minutes(), 19.0, 0.2);
+  // The lost node's cores stop counting as used at the failure.
+  EXPECT_EQ(sys.recorder().used_core_seconds(*r.start, *r.end),
+            16.0 * 60 + 8.0 * (*r.end - Time::from_seconds(60)).as_seconds());
 }
 
 TEST(FaultTolerance, JobLosingAllCoresIsRequeued) {

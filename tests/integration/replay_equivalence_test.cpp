@@ -8,6 +8,7 @@
 
 #include <sstream>
 #include <string>
+#include <tuple>
 
 #include "batch/batch_system.hpp"
 #include "metrics/report.hpp"
@@ -138,6 +139,76 @@ TEST(ReplayEquivalence, RetirementAloneKeepsMaterializedMetricsIntact) {
   const RunOutput retired = run_replay(swf, 16, true, false);
   EXPECT_EQ(retired.trace, materialized.trace);
   expect_summaries_equal(retired.summary, materialized.summary);
+}
+
+struct CancelRun {
+  metrics::WorkloadSummary summary;
+  std::uint64_t retired = 0;
+  std::size_t live = 0;
+  double used_core_seconds = 0.0;
+};
+
+/// Three jobs on 8 cores, zero latency: A (4 cores, evolving: it asks for
+/// 4 more at 100 s while the cluster is full) and C (4 cores) start at 0,
+/// B (8 cores) queues behind them. B is cancelled queued at 100 s, A
+/// running at 200 s; C completes at 1000 s and the run goes dry.
+CancelRun run_cancels(bool lean) {
+  batch::SystemConfig cfg = base_config(lean, lean);
+  cfg.cluster.node_count = 2;
+  cfg.cluster.cores_per_node = 4;
+  cfg.latency = rms::LatencyModel::zero();
+  batch::BatchSystem system(cfg);
+
+  wl::Workload workload;
+  for (const auto& [name, cores, evolving] :
+       {std::tuple{"A", 4, true}, {"C", 4, false}, {"B", 8, false}}) {
+    wl::SubmitSpec s;
+    s.spec.name = name;
+    s.spec.cred = {"user", "grp", "", "batch", ""};
+    s.spec.cores = cores;
+    s.spec.walltime = Duration::seconds(2000);
+    s.behavior.static_runtime = Duration::seconds(1000);
+    s.behavior.evolving = evolving;
+    s.behavior.first_ask_frac = 0.1;
+    workload.jobs.push_back(s);
+  }
+  system.submit_workload(workload);
+  // Ids follow submission order: A = 0, C = 1, B = 2.
+  system.simulator().schedule_at(Time::from_seconds(100), [&system] {
+    EXPECT_TRUE(system.server().cancel(JobId{2}));
+  });
+  system.simulator().schedule_at(Time::from_seconds(200), [&system] {
+    EXPECT_TRUE(system.server().cancel(JobId{0}));
+  });
+  system.run();
+
+  const metrics::Recorder& recorder = system.recorder();
+  CancelRun out;
+  out.summary = metrics::summarize(recorder);
+  out.retired = system.server().jobs().retired_count();
+  out.live = recorder.live().size();
+  out.used_core_seconds =
+      lean ? recorder.streaming_used_core_seconds()
+           : recorder.used_core_seconds(recorder.first_submit(),
+                                        recorder.last_finish());
+  return out;
+}
+
+// A cancelled job is finished like a completed one: retirement reclaims it
+// after the grace period, the streaming recorder folds it into its totals
+// and drops its record, and its cores stop counting as used at the cancel.
+TEST(ReplayEquivalence, CancelledJobsRetireAndStopCountingUsage) {
+  const CancelRun full = run_cancels(false);
+  const CancelRun lean = run_cancels(true);
+  EXPECT_EQ(lean.retired, 3u);
+  EXPECT_EQ(lean.live, 0u);
+  // 8 cores busy until A's cancel, then C's 4 until it completes.
+  EXPECT_EQ(lean.used_core_seconds, 8.0 * 200 + 4.0 * 800);
+  EXPECT_EQ(full.used_core_seconds, lean.used_core_seconds);
+  expect_summaries_equal(lean.summary, full.summary);
+  EXPECT_EQ(full.summary.jobs_submitted, 3u);
+  EXPECT_EQ(full.summary.jobs_completed, 1u);
+  EXPECT_EQ(full.summary.evolving_jobs, 1u);
 }
 
 }  // namespace

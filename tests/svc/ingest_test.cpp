@@ -1,8 +1,9 @@
 // IngestQueue contract: whatever the producer interleaving, drain()
 // releases the exact ticket sequence 0,1,2,... — the total order every
 // replay (WAL recovery, single-threaded differential) reproduces. The
-// concurrent tests hammer the seq-contiguity rule: a drain must never let
-// ticket n+1 overtake a ticket n still in flight in another thread.
+// concurrent tests drain while several producers push: every batch must
+// continue the sequence where the last one ended, and depth() must never
+// count more records than were pushed and not yet drained.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -93,10 +94,9 @@ TEST(IngestQueue, RejectsInvalidCancel) {
 }
 
 // The core concurrency contract, asserted on EVERY drain: each batch is the
-// exact continuation 0,1,2,... of the sequence so far. If a drain ever
-// skipped an unlanded ticket (the race the consumer stash exists for), the
-// contiguity check here fires. Tickets, not threads, pick the shard, so
-// the eight producers collide on shards and overtake each other often.
+// exact continuation 0,1,2,... of the sequence so far, and depth() read
+// before the drain never exceeds the tickets issued minus those drained (a
+// queue that counted a record out before counting it in would wrap it).
 TEST(IngestQueue, ConcurrentProducersDrainInTicketOrder) {
   constexpr std::size_t kThreads = 8;
   constexpr std::size_t kPerThread = 2000;
@@ -128,6 +128,9 @@ TEST(IngestQueue, ConcurrentProducersDrainInTicketOrder) {
   std::size_t partial_drains = 0;
   go.store(true, std::memory_order_release);
   while (next_seq < kTotal) {
+    const std::size_t depth = q.depth();
+    ASSERT_LE(depth, q.pushed() - next_seq)
+        << "depth() counts records that were never pushed";
     batch.clear();
     const std::size_t n = q.drain(batch);
     ASSERT_EQ(n, batch.size());

@@ -28,7 +28,6 @@
 
 #include "batch/batch_system.hpp"
 #include "common/assert.hpp"
-#include "common/log.hpp"
 #include "metrics/report.hpp"
 #include "obs/registry.hpp"
 #include "obs/tracer.hpp"
@@ -688,18 +687,55 @@ TEST(ServiceLoop, SnapshotWriterErrorIsRethrownOnTheLoopThread) {
       while (service.wal_decision_total() < kEvery) service.tick();
       ASSERT_EQ(service.wal_decision_total(), first);
     }
-    const LogLevel saved = logging::level();
-    logging::set_level(LogLevel::Warn);
     testing::internal::CaptureStderr();
     EXPECT_NO_THROW(system.reset());
     const std::string log = testing::internal::GetCapturedStderr();
-    logging::set_level(saved);
     EXPECT_EQ(log.find("cannot create snapshot: " + squat) != std::string::npos,
               !finish)
         << "log: " << log;
     EXPECT_TRUE(fs::is_directory(squat));
     EXPECT_FALSE(fs::exists(snapshot_path(state, first)));
   }
+}
+
+// The loop resolves its svc instruments once per registry: after the
+// system's sinks move to another registry, later admissions and snapshots
+// count there, and the first registry keeps what it had.
+TEST(ServiceLoop, SvcCountersFollowTheSystemRegistry) {
+  TempDir dir("registry");
+  const wl::Workload workload = make_workload(60, 21);
+  const std::size_t half = workload.jobs.size() / 2;
+
+  IngestQueue ingest;
+  batch::BatchSystem system(durable_config());
+  obs::Registry first;
+  obs::Registry second;
+  system.set_sinks({nullptr, &first});
+  ServiceLoop& service =
+      system.attach_ingest(ingest, service_config(dir.sub("state"), 8));
+  ASSERT_FALSE(system.open_state());
+  for (std::size_t i = 0; i < workload.jobs.size(); ++i) {
+    if (i == half) system.set_sinks({nullptr, &second});
+    const auto& s = workload.jobs[i];
+    ingest.submit(s.at, s.spec, s.behavior);
+    service.tick();
+  }
+  ingest.close();
+  while (!service.drained()) service.tick();
+  service.finalize();
+
+  const auto counted = [](const obs::Registry& reg, const char* name) {
+    const obs::Counter* c = reg.find_counter(name);
+    return c == nullptr ? std::uint64_t{0} : c->value();
+  };
+  EXPECT_EQ(counted(first, "svc.ingest.admitted"), half);
+  EXPECT_EQ(counted(second, "svc.ingest.admitted"),
+            workload.jobs.size() - half);
+  EXPECT_NE(first.find_gauge("svc.ingest.depth"), nullptr);
+  EXPECT_NE(second.find_gauge("svc.ingest.depth"), nullptr);
+  EXPECT_EQ(counted(first, "svc.snapshots") + counted(second, "svc.snapshots"),
+            service.snapshots_written());
+  EXPECT_GT(counted(second, "svc.snapshots"), 0u);
 }
 
 TEST(ServiceLoop, ColdStartRecoversNothing) {

@@ -55,6 +55,7 @@ def sweep(family, smallest, largest, bound, field=TIME):
 HOLDS = (16, 64, 256)
 NODES = (16, 1024, 16384, 65536)
 INGEST = "bm_ingest/producers:{}/wal:{}/iterations:3/manual_time"
+PUSH = "bm_ingest_push/producers:{}/iterations:3/manual_time"
 REPLAY = "bm_replay_stream/{}/iterations:1/manual_time"
 
 GATES = {
@@ -113,11 +114,13 @@ GATES = {
         sweep(REPLAY, 100000, 10000000, 2.0, "peak_rss_mb"),
     ],
     "bench_ingest": [
-        # 16 producers against 1 catches a convoy in the queue; the WAL-on
-        # row against WAL-off a slower WalWriter append or fsync. The
-        # producer bound assumes several CPUs: on one CPU the 16 producers
-        # time-slice with the consumer and the ratio reads ~3.5.
+        # 16 producers against 1, with the consumer draining alongside,
+        # catches a convoy that stalls the drain; the same pair pushing
+        # alone catches a push path that degrades under contention, which
+        # the consumer's rate hides in the first pair. The WAL-on row
+        # against WAL-off catches a slower WalWriter append or fsync.
         ratio(INGEST.format(16, 0), INGEST.format(1, 0), 2.0),
+        ratio(PUSH.format(16), PUSH.format(1), 3.0),
         ratio(INGEST.format(1, 1), INGEST.format(1, 0), 4.0),
     ],
     "bench_shard": [
