@@ -14,9 +14,13 @@
 //
 // bm_ingest_push runs 1 and 16 producers with no consumer: the push path
 // alone under contention, which the consumer's rate hides in the sweep.
+// Its /reference row is one producer pushing the same records into a bare
+// mutex-guarded vector: the floor a single push can reach.
 //
-// bench-smoke gates producers:16 / producers:1 in both families and
-// wal:1 / wal:0.
+// bench-smoke gates producers:16 / producers:1 in both families,
+// producers:1 / reference for the push path (one lock serializes 1 and 16
+// producers alike, so a constant cost per push shows only against the
+// reference) and wal:1 / wal:0.
 //
 //   ./build/bench/bench_ingest --benchmark_out=ingest.json
 //       --benchmark_out_format=json
@@ -27,8 +31,10 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -167,6 +173,47 @@ void bm_ingest_push(benchmark::State& state) {
   }
 }
 
+// The push path's reference: one producer thread builds each record as
+// IngestQueue::submit does, draws a ticket and appends it to a vector, all
+// under a bare std::mutex. Started and timed like bm_ingest_push.
+void bm_ingest_push_reference(benchmark::State& state) {
+  const rms::JobSpec spec = bench_spec();
+  const auto record = [](Time requested, rms::JobSpec s,
+                         wl::Behavior behavior) {
+    svc::IngestRecord r;
+    r.kind = svc::IngestKind::Submit;
+    r.requested = requested;
+    r.spec = std::move(s);
+    r.behavior = behavior;
+    return r;
+  };
+  for (auto _ : state) {
+    std::mutex mutex;
+    std::vector<svc::IngestRecord> items;
+    std::uint64_t ticket = 0;
+    std::atomic<bool> go{false};
+    std::thread producer([&]() {
+      while (!go.load(std::memory_order_acquire)) {}
+      for (std::uint64_t i = 0; i < kRecords; ++i) {
+        svc::IngestRecord r = record(
+            Time::from_micros(static_cast<std::int64_t>(i)), spec,
+            wl::Behavior{});
+        const std::lock_guard<std::mutex> lock(mutex);
+        r.seq = ticket++;
+        items.push_back(std::move(r));
+      }
+    });
+    const auto begin = std::chrono::steady_clock::now();
+    go.store(true, std::memory_order_release);
+    producer.join();
+    const std::chrono::duration<double> elapsed =
+        std::chrono::steady_clock::now() - begin;
+    benchmark::DoNotOptimize(items.data());
+    if (items.size() != kRecords) state.SkipWithError("lost records");
+    state.SetIterationTime(elapsed.count());
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -176,11 +223,19 @@ int main(int argc, char** argv) {
       ->Iterations(3)
       ->UseManualTime()
       ->Unit(benchmark::kMillisecond);
+  // The reference runs just before producers:1, the row it gates, and both
+  // average ten iterations: with three, one producer over the reference
+  // spread across 1.0-1.4 from run to run on an unchanged tree.
+  benchmark::RegisterBenchmark("bm_ingest_push/reference",
+                               bm_ingest_push_reference)
+      ->Iterations(10)
+      ->UseManualTime()
+      ->Unit(benchmark::kMillisecond);
   benchmark::RegisterBenchmark("bm_ingest_push", bm_ingest_push)
       ->Arg(1)
       ->Arg(16)
       ->ArgName("producers")
-      ->Iterations(3)
+      ->Iterations(10)
       ->UseManualTime()
       ->Unit(benchmark::kMillisecond);
   benchmark::Initialize(&argc, argv);

@@ -259,7 +259,7 @@ std::unique_ptr<batch::BatchSystem> make_deep_queue(std::size_t depth,
 
   // The deep queue: bigger than the free 4096 cores (StartLater or skip),
   // with a sprinkle of fit-now jobs so every walk still plans backfills
-  // and the tail staircase actually cycles.
+  // and rebuilds the tail staircase mid-walk.
   for (std::size_t i = 0; i < depth; ++i) {
     const bool tiny = i % 9973 == 0;
     const CoreCount cores =
@@ -280,16 +280,6 @@ void bm_queue_depth(benchmark::State& state, bool incremental,
     const auto decisions = sys->scheduler().dry_run_iteration();
     benchmark::DoNotOptimize(decisions.size());
   }
-  if (!incremental) return;
-  // Dry runs keep no stats, so one live pass after the timed ones counts
-  // the tail verdicts the plan cache answered and the jobs it did not.
-  // Both are exact, and a cache that never hits shows here even where it
-  // moves the time by less than the host's noise.
-  sys->scheduler().iterate();
-  const auto& stats = sys->scheduler().last_stats();
-  state.counters["replanned"] = static_cast<double>(stats.replanned_jobs);
-  state.counters["judged"] =
-      static_cast<double>(stats.replanned_jobs + stats.cache_hits);
 }
 
 /// Steady-state churn at depth 100k: every iteration submits 8 jobs,

@@ -8,62 +8,30 @@ namespace dbs::core {
 
 namespace {
 
-/// Plans the tail of a walk — every job past the reservation budget while
-/// someone waits — using the cache. Such a job either fits immediately
-/// (backfill) or is skipped, and "fits" is exactly
-/// `cores <= min_free(now, now + walltime)` of the evolving plan profile:
-/// the cache's staircase answers that in O(1) for version-valid verdicts
-/// and O(log steps) otherwise. A planned backfill mutates the profile, so
-/// the staircase is refreshed (bumping its version) before the next
-/// verdict. Byte-identical to continuing the generic walk.
-void plan_tail_with_cache(const std::vector<const rms::Job*>& prioritized,
-                          std::size_t begin, const PlanOptions& options,
-                          Plan& out, PlanCache& cache) {
-  cache.refresh(out.profile, options.now);
+/// Plans the tail of a walk: every job past the reservation budget while
+/// someone waits. Such a job either fits immediately (backfill) or is
+/// skipped, and "fits" is exactly `cores <= min_free(now, now + walltime)`
+/// of the evolving plan profile, which the staircase answers in
+/// O(log steps). A planned backfill mutates the profile, so the staircase
+/// is rebuilt before the next job is judged. Byte-identical to continuing
+/// the generic walk.
+void plan_tail(const std::vector<const rms::Job*>& prioritized,
+               std::size_t begin, const PlanOptions& options, Plan& out,
+               TailStaircase& staircase) {
+  staircase.rebuild(out.profile, options.now);
   for (std::size_t i = begin; i < prioritized.size(); ++i) {
     if (i + 8 < prioritized.size()) __builtin_prefetch(prioritized[i + 8]);
     const rms::Job* job = prioritized[i];
     DBS_ASSERT(job != nullptr, "null job in plan input");
-    const std::size_t id = cache.slot(job->id().value());
-    if (cache.verdicts.size() <= id) {
-      cache.verdicts.resize(id + 1, 0);
-      cache.verdicts_prev.resize(id + 1, 0);
-    }
-    bool fits;
-    if (cache.verdicts[id] >> 1 == cache.version) {
-      fits = (cache.verdicts[id] & 1) != 0;
-      ++cache.hits;
-    } else if (cache.verdicts_prev[id] >> 1 == cache.version) {
-      // The other of two alternating system states — promote to MRU.
-      std::swap(cache.verdicts[id], cache.verdicts_prev[id]);
-      fits = (cache.verdicts[id] & 1) != 0;
-      ++cache.hits;
-    } else {
-      const Duration wall = job->spec().walltime;
-      cache.note_window(wall.as_micros());
-      if (wall.as_micros() > cache.valid_up_to_us()) {
-        // Beyond the staircase's truncation horizon: two plans with equal
-        // truncated staircases may still differ out here, so answer from
-        // the profile and leave the verdict unstored. note_window above
-        // widens the next refresh to cover this walltime, after which the
-        // verdict becomes cacheable.
-        fits = job->spec().cores <=
-               out.profile.min_free(options.now, options.now + wall);
-      } else {
-        fits = job->spec().cores <= cache.min_for(wall);
-        cache.verdicts_prev[id] = cache.verdicts[id];
-        cache.verdicts[id] =
-            (cache.version << 1) | static_cast<std::uint64_t>(fits);
-      }
-      ++cache.replanned;
-    }
-    if (!fits) continue;
+    ++staircase.replanned;
+    const Duration wall = job->spec().walltime;
+    if (job->spec().cores > staircase.min_for(wall)) continue;
     const Time start = options.now;
-    const Time end = start + job->spec().walltime;
+    const Time end = start + wall;
     out.profile.subtract(start, end, job->spec().cores);
     out.table.add(Reservation{job->id(), start, end, job->spec().cores,
                               /*start_now=*/true, /*backfilled=*/true});
-    cache.refresh(out.profile, options.now);
+    staircase.rebuild(out.profile, options.now);
   }
 }
 
@@ -72,7 +40,7 @@ void plan_tail_with_cache(const std::vector<const rms::Job*>& prioritized,
 /// backfill rules (used for delay measurement).
 void plan_into(const std::vector<const rms::Job*>& prioritized,
                const PlanOptions& options, bool force_all, Plan& out,
-               PlanCache* cache) {
+               TailStaircase* staircase) {
   std::size_t start_later = 0;
   bool someone_waits = false;
   Time exclusive_latest_start = options.now;
@@ -85,12 +53,12 @@ void plan_into(const std::vector<const rms::Job*>& prioritized,
       // Tail: reservations are exhausted and someone waits, so no job below
       // this point can be anything but an immediate backfill.
       if (!options.allow_backfill) return;  // nothing can be planned at all
-      if (cache != nullptr && !options.drain_for_exclusive) {
-        plan_tail_with_cache(prioritized, index, options, out, *cache);
+      if (staircase != nullptr && !options.drain_for_exclusive) {
+        plan_tail(prioritized, index, options, out, *staircase);
         return;
       }
     }
-    if (cache != nullptr) ++cache->replanned;
+    if (staircase != nullptr) ++staircase->replanned;
     const CoreCount cores = job->spec().cores;
     const Duration walltime = job->spec().walltime;
     const bool exclusive = job->spec().exclusive_priority;
@@ -143,11 +111,11 @@ Plan plan_jobs(const std::vector<const rms::Job*>& prioritized,
 
 void plan_jobs_into(const std::vector<const rms::Job*>& prioritized,
                     const AvailabilityProfile& base, const PlanOptions& options,
-                    Plan& out, PlanCache* cache) {
+                    Plan& out, TailStaircase* staircase) {
   out.profile = base;
   out.table.clear();
   out.table.reserve(prioritized.size());
-  plan_into(prioritized, options, /*force_all=*/false, out, cache);
+  plan_into(prioritized, options, /*force_all=*/false, out, staircase);
 }
 
 ReservationTable replan_all(const std::vector<const rms::Job*>& jobs,

@@ -13,8 +13,8 @@
 #include <vector>
 
 #include "core/availability_profile.hpp"
-#include "core/plan_cache.hpp"
 #include "core/reservation_table.hpp"
+#include "core/tail_staircase.hpp"
 #include "rms/job.hpp"
 
 namespace dbs::core {
@@ -48,13 +48,13 @@ struct Plan {
 /// storage across calls (the profile is copy-assigned from `base`, reusing
 /// capacity; the table is cleared, not reallocated).
 ///
-/// With a `cache`, the tail of the walk — jobs past the reservation budget,
-/// which can only backfill-now or wait — is answered from versioned cached
-/// verdicts instead of a full earliest_fit per job. The planned set, the
-/// table and the profile are byte-identical to the uncached walk.
+/// With a `staircase`, each job in the tail of the walk (past the
+/// reservation budget, so it can only backfill now or wait) is judged by
+/// one staircase lookup instead of a full earliest_fit. The planned set,
+/// the table and the profile are byte-identical to the generic walk.
 void plan_jobs_into(const std::vector<const rms::Job*>& prioritized,
                     const AvailabilityProfile& base, const PlanOptions& options,
-                    Plan& out, PlanCache* cache = nullptr);
+                    Plan& out, TailStaircase* staircase = nullptr);
 
 /// Re-plans exactly the given jobs (no depth cutoff, nothing skipped) onto a
 /// different base profile; used to measure the delays a tentative dynamic

@@ -16,11 +16,14 @@ namespace dbs::core {
 namespace {
 
 /// Fixed buckets for the iteration wall-clock histograms (microseconds);
-/// shared by the whole-iteration and per-stage distributions.
+/// shared by the whole-iteration and per-stage distributions. A replay's
+/// iterations take a few microseconds and its stages a fraction of one,
+/// so the 1-2.5-5 series starts at 25 ns.
 const std::vector<double>& iteration_us_bounds() {
-  static const std::vector<double> bounds{10,    25,    50,     100,   250,
-                                          500,   1000,  2500,   5000,  10000,
-                                          25000, 50000, 100000, 500000};
+  static const std::vector<double> bounds{
+      0.025, 0.05,  0.1,   0.25,  0.5,    1,      2.5,  5,
+      10,    25,    50,    100,   250,    500,    1000, 2500,
+      5000,  10000, 25000, 50000, 100000, 500000};
   return bounds;
 }
 
@@ -72,12 +75,11 @@ void MauiScheduler::attach() {
 
 void MauiScheduler::advance_cache_base() {
   // With job retirement the server forgets ids below min_live_id; the
-  // dense per-id caches can shed those slots. The floor is the minimum
-  // over ALL live jobs (queued, running or finished-but-not-yet-retired),
-  // so a preempted job requeued under its old id can never fall below it.
-  const std::uint64_t floor = server_.jobs().min_live_id();
-  ctx_.priority_cache.advance_base(floor);
-  ctx_.plan_cache.advance_base(floor);
+  // priority-order cache's dense per-id arrays can shed those slots. The
+  // floor is the minimum over ALL live jobs (queued, running or
+  // finished-but-not-yet-retired), so a preempted job requeued under its
+  // old id can never fall below it.
+  ctx_.priority_cache.advance_base(server_.jobs().min_live_id());
 }
 
 void MauiScheduler::run_pipeline() {
@@ -129,8 +131,7 @@ void MauiScheduler::iterate() {
   IterationStats& stats = ctx_.stats;
   stats.wall_us =
       std::chrono::duration<double, std::micro>(wall_end - wall_begin).count();
-  stats.replanned_jobs = ctx_.plan_cache.replanned;
-  stats.cache_hits = ctx_.plan_cache.hits;
+  stats.replanned_jobs = ctx_.staircase.replanned;
 
   if (obs::Tracer* tracer = ctx_.sinks.tracer;
       tracer != nullptr && tracer->enabled()) {
@@ -147,7 +148,6 @@ void MauiScheduler::iterate() {
         .field("preempted", stats.preempted)
         .field("start_failed", stats.start_failed)
         .field("replanned_jobs", stats.replanned_jobs)
-        .field("cache_hits", stats.cache_hits)
         .field("wall_us", stats.wall_us);
     if (config_.stage_timing) {
       for (std::size_t i = 0; i < kStageCount; ++i)
@@ -190,8 +190,6 @@ void MauiScheduler::record_iteration(const IterationStats& stats) {
     instruments_.start_failed = &registry.counter("scheduler.start_failed");
     instruments_.replanned_jobs =
         &registry.counter("scheduler.replanned_jobs");
-    instruments_.plan_cache_hits =
-        &registry.counter("scheduler.plan_cache_hits");
     instruments_.iteration_us =
         &registry.histogram("scheduler.iteration_us", iteration_us_bounds());
     if (config_.stage_timing)
@@ -210,7 +208,6 @@ void MauiScheduler::record_iteration(const IterationStats& stats) {
   instruments_.backfilled->add(stats.backfilled);
   instruments_.start_failed->add(stats.start_failed);
   instruments_.replanned_jobs->add(stats.replanned_jobs);
-  instruments_.plan_cache_hits->add(stats.cache_hits);
   instruments_.iteration_us->observe(stats.wall_us);
   if (config_.stage_timing)
     for (std::size_t i = 0; i < kStageCount; ++i)

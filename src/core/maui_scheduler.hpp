@@ -152,8 +152,8 @@ class MauiScheduler {
   ~MauiScheduler();
 
  private:
-  /// Sheds per-id cache slots below the server's lowest live job id
-  /// (no-op until job retirement advances that floor).
+  /// Sheds the priority-order cache's per-id slots below the server's
+  /// lowest live job id (no-op until job retirement advances that floor).
   void advance_cache_base();
   /// Runs the six stages in order, accumulating per-stage tick deltas into
   /// ctx_.stats.stage_wall_us.
@@ -194,7 +194,6 @@ class MauiScheduler {
     obs::Counter* backfilled = nullptr;
     obs::Counter* start_failed = nullptr;
     obs::Counter* replanned_jobs = nullptr;
-    obs::Counter* plan_cache_hits = nullptr;
     obs::Histogram* iteration_us = nullptr;
     std::array<obs::Histogram*, kStageCount> stage_us{};
     obs::Gauge* queue_length = nullptr;

@@ -44,8 +44,7 @@ void ClassifyStage::run(PipelineEnv& env, IterationContext& ctx) {
                   env.config.enable_backfill && !ctx.drain, ctx.drain};
   plan_jobs_into(ctx.prioritized, ctx.planning, ctx.measure_opts,
                  ctx.baseline_plan,
-                 env.config.incremental_planning ? &ctx.plan_cache
-                                                 : nullptr);
+                 env.config.incremental_planning ? &ctx.staircase : nullptr);
   // The protected set (StartNow + first ReservationDelayDepth StartLater,
   // Fig. 5) is fixed by this step-10 classification for the whole
   // iteration, even as grants shift later plans.

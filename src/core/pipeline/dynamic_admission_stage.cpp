@@ -69,10 +69,9 @@ void DynamicAdmissionStage::run(PipelineEnv& env, IterationContext& ctx) {
       if (requeued)
         ctx.prioritized = env.priority.prioritize(
             eligible_static_jobs(env.server, env.config), now);
-      plan_jobs_into(ctx.prioritized, ctx.planning, ctx.measure_opts,
-                     ctx.baseline_plan,
-                     env.config.incremental_planning ? &ctx.plan_cache
-                                                     : nullptr);
+      plan_jobs_into(
+          ctx.prioritized, ctx.planning, ctx.measure_opts, ctx.baseline_plan,
+          env.config.incremental_planning ? &ctx.staircase : nullptr);
       protected_subset_into(ctx.prioritized, baseline,
                             env.config.reservation_delay_depth,
                             ctx.protected_jobs);

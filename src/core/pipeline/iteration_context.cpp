@@ -25,7 +25,7 @@ void IterationContext::begin_iteration(Time at, std::uint64_t iteration_number,
   physical_free = 0;
   prioritized.clear();
   admission_changed_plan = false;
-  plan_cache.reset_counters();
+  staircase.replanned = 0;
   applier.begin_iteration(dry_run);
 }
 

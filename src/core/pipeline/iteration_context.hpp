@@ -19,8 +19,8 @@
 #include "core/availability_profile.hpp"
 #include "core/backfill.hpp"
 #include "core/delay_measurement.hpp"
-#include "core/plan_cache.hpp"
 #include "core/priority_cache.hpp"
+#include "core/tail_staircase.hpp"
 #include "obs/sinks.hpp"
 #include "rms/decision_applier.hpp"
 
@@ -47,10 +47,9 @@ struct IterationStats {
   std::size_t malleable_shrinks = 0;
   /// Planned StartNow jobs defeated by node-level fragmentation.
   std::size_t start_failed = 0;
-  /// Plan-cache effectiveness: jobs planned or re-judged by a full
-  /// earliest-fit walk vs. tail verdicts answered from the cache.
+  /// Jobs the planning walks planned (earliest fit) or judged (tail
+  /// staircase) this pass.
   std::uint64_t replanned_jobs = 0;
-  std::uint64_t cache_hits = 0;
   /// Wall-clock cost of the iteration in microseconds (host time, not
   /// simulated time).
   double wall_us = 0.0;
@@ -116,9 +115,9 @@ struct IterationContext {
   /// after a state change; the start stage starts and reserves from it,
   /// re-planning it at ReservationDepth first when its inputs changed.
   Plan baseline_plan;
-  /// Tail-verdict cache shared by every walk of a pass; counters reset
-  /// per iteration.
-  PlanCache plan_cache;
+  /// Tail staircase shared by every walk of a pass; its count resets per
+  /// iteration.
+  TailStaircase staircase;
   /// Previous-iteration priority order, reused by the prioritize stage.
   PriorityOrderCache priority_cache;
   std::vector<const rms::Job*> protected_jobs;

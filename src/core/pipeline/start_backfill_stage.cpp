@@ -19,10 +19,8 @@ void StartBackfillStage::run(PipelineEnv& env, IterationContext& ctx) {
       ctx.admission_changed_plan ||
       ctx.measure_opts.reservation_limit != start_opts.reservation_limit;
   if (replan) {
-    plan_jobs_into(ctx.prioritized, ctx.planning, start_opts,
-                   ctx.baseline_plan,
-                   env.config.incremental_planning ? &ctx.plan_cache
-                                                   : nullptr);
+    plan_jobs_into(ctx.prioritized, ctx.planning, start_opts, ctx.baseline_plan,
+                   env.config.incremental_planning ? &ctx.staircase : nullptr);
   } else if (env.config.check_invariants) {
     DBS_REQUIRE(ctx.baseline_plan.table.items() ==
                     plan_jobs(ctx.prioritized, ctx.planning, start_opts)

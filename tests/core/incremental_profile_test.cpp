@@ -1,7 +1,7 @@
 // The incremental planning core: the persistent physical profile, the
-// plan-cache tail verdicts and the priority-order cache must be invisible
-// — every structure byte-identical to its from-scratch rebuild, every
-// decision stream byte-identical to the uncached pipeline.
+// tail staircase and the priority-order cache must be invisible — every
+// structure byte-identical to its from-scratch rebuild, every decision
+// stream byte-identical to the from-scratch pipeline.
 //
 // The storm tests run paired BatchSystems over seeded random workloads
 // with grant/release/failure churn: one with incremental planning plus
@@ -10,6 +10,8 @@
 // the full decision traces byte for byte.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -18,9 +20,9 @@
 #include "batch/batch_system.hpp"
 #include "core/availability_profile.hpp"
 #include "core/backfill.hpp"
-#include "core/plan_cache.hpp"
 #include "core/priority.hpp"
 #include "core/priority_cache.hpp"
+#include "core/tail_staircase.hpp"
 #include "obs/registry.hpp"
 #include "obs/tracer.hpp"
 #include "workload/synthetic.hpp"
@@ -104,88 +106,116 @@ TEST(IncrementalProfile, FarFutureSubtractUsesAppendPath) {
   EXPECT_EQ(p, AvailabilityProfile(at(0), 64));
 }
 
-// --- PlanCache staircase ---------------------------------------------------
+// --- Tail staircase ---------------------------------------------------------
 
 TEST(PlanCache, StaircaseAnswersMinFree) {
   AvailabilityProfile p(at(0), 64);
   p.subtract(at(0), at(100), 16);
   p.subtract(at(50), at(200), 8);
   p.subtract(at(300), at(400), 40);
-  PlanCache cache;
-  cache.refresh(p, at(0));
-  for (long w : {1, 50, 100, 150, 200, 250, 300, 350, 400, 500})
-    EXPECT_EQ(cache.min_for(Duration::seconds(w)),
-              p.min_free(at(0), at(0) + Duration::seconds(w)))
-        << w;
+  TailStaircase stairs;
+  for (long now : {0, 60, 250}) {
+    stairs.rebuild(p, at(now));
+    for (long w : {1, 50, 100, 150, 200, 250, 300, 350, 400, 500})
+      EXPECT_EQ(stairs.min_for(Duration::seconds(w)),
+                p.min_free(at(now), at(now) + Duration::seconds(w)))
+          << now << "+" << w;
+  }
 }
 
-TEST(PlanCache, InternedVersionsAreStableAcrossCycles) {
-  AvailabilityProfile base(at(0), 64);
-  base.subtract(at(0), at(100), 16);
-  PlanCache cache;
-  cache.refresh(base, at(0));
-  const std::uint64_t v_base = cache.version;
-
-  AvailabilityProfile mutated = base;
-  mutated.subtract(at(0), at(10), 8);  // a planned backfill dirties the tail
-  cache.refresh(mutated, at(0));
-  const std::uint64_t v_mut = cache.version;
-  EXPECT_NE(v_base, v_mut);
-
-  // Next iteration replays the same walk: both staircases re-yield their
-  // original versions, so verdicts recorded against them stay valid.
-  cache.refresh(base, at(0));
-  EXPECT_EQ(cache.version, v_base);
-  cache.refresh(mutated, at(0));
-  EXPECT_EQ(cache.version, v_mut);
-  // An unchanged profile never bumps.
-  cache.refresh(mutated, at(0));
-  EXPECT_EQ(cache.version, v_mut);
-}
-
-// --- Cached planning walk differential ------------------------------------
+// --- Staircase tail walk differential -------------------------------------
 
 TEST(PlanCacheDifferential, CachedTailMatchesUncachedWalk) {
-  test::BareSystem sys(8, 8);
-  std::vector<JobId> ids;
-  // A mix that forces a deep tail: big jobs exhaust the reservation budget
-  // early, small ones behind them can only backfill or wait.
-  for (int i = 0; i < 40; ++i) {
-    const CoreCount cores = (i % 7 == 0) ? 64 : (i % 3 == 0 ? 48 : 4);
-    const Duration wall = Duration::minutes(5 + (i * 13) % 50);
-    ids.push_back(sys.server.submit(
-        test::spec("j" + std::to_string(i), cores, wall,
-                   i % 2 ? "alice" : "bob"),
-        test::rigid(wall)));
-  }
-  std::vector<const rms::Job*> prioritized;
-  for (const JobId id : ids) prioritized.push_back(&sys.server.job(id));
+  // A seeded sweep over queues that force a deep tail: wide jobs use up
+  // the reservation budget early, narrow ones behind them can only
+  // backfill or wait. Each seed re-plans its queue over several passes,
+  // editing the base profile between them and keeping one staircase
+  // across passes, as the scheduler keeps it across walks. Every pass
+  // must plan exactly what the generic earliest-fit walk plans.
+  constexpr CoreCount kCores = 64;
+  std::uint64_t tail_backfills = 0;
+  std::uint64_t tail_waits = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    std::mt19937_64 rng(seed);
+    const auto pick = [&rng](std::int64_t lo, std::int64_t hi) {
+      return std::uniform_int_distribution<std::int64_t>(lo, hi)(rng);
+    };
+    const auto hold = [&](AvailabilityProfile& profile, Time after) {
+      const Time from = after + Duration::seconds(pick(0, 3600));
+      profile.subtract_clamped(from, from + Duration::minutes(pick(1, 180)),
+                               static_cast<CoreCount>(pick(1, kCores)));
+    };
 
-  AvailabilityProfile base(at(0), 64);
-  base.subtract(at(0), at(1800), 52);  // running load: only 12 cores free
-
-  PlanCache cache;
-  Plan cached, plain;
-  for (int pass = 0; pass < 4; ++pass) {
-    // Re-plan the same state repeatedly (the steady-state iteration):
-    // pass 0 fills the cache, later passes reuse its verdicts.
-    PlanOptions options{at(0), 2, /*allow_backfill=*/true, false};
-    plan_jobs_into(prioritized, base, options, cached, &cache);
-    plan_jobs_into(prioritized, base, options, plain, nullptr);
-    ASSERT_EQ(cached.table.items().size(), plain.table.items().size()) << pass;
-    for (std::size_t i = 0; i < plain.table.items().size(); ++i) {
-      const Reservation& a = cached.table.items()[i];
-      const Reservation& b = plain.table.items()[i];
-      EXPECT_EQ(a.job, b.job) << pass << ":" << i;
-      EXPECT_EQ(a.start, b.start) << pass << ":" << i;
-      EXPECT_EQ(a.end, b.end) << pass << ":" << i;
-      EXPECT_EQ(a.cores, b.cores) << pass << ":" << i;
-      EXPECT_EQ(a.start_now, b.start_now) << pass << ":" << i;
-      EXPECT_EQ(a.backfilled, b.backfilled) << pass << ":" << i;
+    test::BareSystem sys(8, 8);
+    std::vector<const rms::Job*> prioritized;
+    Duration longest = Duration::zero();
+    for (std::int64_t i = 0, n = pick(10, 60); i < n; ++i) {
+      const auto cores = static_cast<CoreCount>(
+          pick(0, 3) == 0 ? pick(33, kCores) : pick(1, 12));
+      // One job in five runs longer than every job before it.
+      const Duration wall = pick(0, 4) == 0
+                                ? longest + Duration::minutes(pick(1, 90))
+                                : Duration::minutes(pick(1, 120));
+      longest = std::max(longest, wall);
+      rms::JobSpec spec = test::spec("j" + std::to_string(i), cores, wall,
+                                     i % 2 ? "alice" : "bob");
+      spec.exclusive_priority = pick(0, 15) == 0;
+      prioritized.push_back(&sys.server.job(
+          sys.server.submit(std::move(spec), test::rigid(wall))));
     }
-    EXPECT_EQ(cached.profile, plain.profile) << pass;
+
+    AvailabilityProfile base(at(0), kCores);
+    for (std::int64_t k = pick(0, 6); k > 0; --k) hold(base, at(0));
+
+    TailStaircase staircase;
+    Plan walked, generic;
+    Time now = at(0);
+    for (int pass = 0; pass < 6; ++pass) {
+      // allow_backfill = false and drain_for_exclusive both bypass the
+      // staircase; the sweep runs them too.
+      const PlanOptions options{now,
+                                static_cast<std::size_t>(pick(0, 4)),
+                                /*allow_backfill=*/pick(0, 4) != 0,
+                                /*drain_for_exclusive=*/pick(0, 4) == 0};
+      plan_jobs_into(prioritized, base, options, walked, &staircase);
+      plan_jobs_into(prioritized, base, options, generic, nullptr);
+      const std::string where =
+          "seed " + std::to_string(seed) + " pass " + std::to_string(pass);
+      ASSERT_EQ(walked.table.items(), generic.table.items()) << where;
+      ASSERT_EQ(walked.profile, generic.profile) << where;
+
+      if (options.allow_backfill && !options.drain_for_exclusive) {
+        std::size_t later = 0;
+        for (const Reservation& r : walked.table.items()) {
+          if (!r.start_now)
+            ++later;
+          else if (r.backfilled && later >= options.reservation_limit)
+            ++tail_backfills;
+        }
+        if (later >= options.reservation_limit && later > 0)
+          tail_waits += prioritized.size() - walked.table.items().size();
+      }
+
+      // Edit the profile between passes: a new hold, the clock moving on,
+      // or a fresh base load.
+      switch (pick(0, 2)) {
+        case 0:
+          hold(base, now);
+          break;
+        case 1:
+          now = now + Duration::seconds(pick(1, 1800));
+          if (pick(0, 1) == 0) base.advance_origin(now);
+          break;
+        default:
+          base = AvailabilityProfile(now, kCores);
+          for (std::int64_t k = pick(1, 6); k > 0; --k) hold(base, now);
+      }
+    }
   }
-  EXPECT_GT(cache.hits, 0u);
+  // The sweep reached the tail: it planned backfills there and skipped
+  // jobs that did not fit.
+  EXPECT_GT(tail_backfills, 0u);
+  EXPECT_GT(tail_waits, 0u);
 }
 
 // --- Priority-order cache differential ------------------------------------

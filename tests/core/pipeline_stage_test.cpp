@@ -221,11 +221,11 @@ TEST(SingleWalk, EqualDepthsStartStep10PlanWithoutWalkingAgain) {
   const std::vector<std::string> step10 = plan_lines(f.ctx.baseline_plan.table);
   ASSERT_EQ(step10.size(), 4u);
   // Every prioritized job was judged once, by the step-10 walk.
-  EXPECT_EQ(f.ctx.plan_cache.replanned, f.ctx.prioritized.size());
+  EXPECT_EQ(f.ctx.staircase.replanned, f.ctx.prioritized.size());
 
   StartBackfillStage{}.run(f.env, f.ctx);
   EXPECT_FALSE(f.ctx.admission_changed_plan);
-  EXPECT_EQ(f.ctx.plan_cache.replanned, f.ctx.prioritized.size());
+  EXPECT_EQ(f.ctx.staircase.replanned, f.ctx.prioritized.size());
   EXPECT_EQ(start_lines(f.ctx), step10);
   EXPECT_EQ(f.ctx.stats.started, 2u);
   EXPECT_EQ(f.ctx.stats.backfilled, 1u);
@@ -280,7 +280,7 @@ TEST_P(SingleWalkFreeCores, StealOrPreemptionWithoutGrantForcesReplan) {
   f.submit("waits", 16, "bob");
   f.begin(f.sys.sim.now());
   f.run_through_admission();
-  const std::uint64_t walked = f.ctx.plan_cache.replanned;
+  const std::uint64_t walked = f.ctx.staircase.replanned;
 
   EXPECT_EQ(f.ctx.stats.dyn_granted, 0u);
   EXPECT_EQ(f.ctx.stats.dyn_rejected, 1u);
@@ -290,7 +290,7 @@ TEST_P(SingleWalkFreeCores, StealOrPreemptionWithoutGrantForcesReplan) {
   const std::vector<std::string> expected = fresh_start_plan(f);
 
   StartBackfillStage{}.run(f.env, f.ctx);
-  EXPECT_GT(f.ctx.plan_cache.replanned, walked);  // the stage re-planned
+  EXPECT_GT(f.ctx.staircase.replanned, walked);  // the stage re-planned
   EXPECT_EQ(start_lines(f.ctx), expected);
   EXPECT_GE(f.ctx.stats.started, 1u);  // the freed cores are used at once
 }
@@ -394,6 +394,27 @@ TEST(PipelineMetrics, StageTimingsCoverEveryStage) {
     ASSERT_NE(h, nullptr) << stage;
     EXPECT_EQ(h->count(), sys.scheduler().iterations()) << stage;
   }
+}
+
+TEST(PipelineMetrics, IterationHistogramsResolveSubMicrosecondValues) {
+  // Iterations take a few microseconds and stages a fraction of one, so
+  // the buckets must start well below a microsecond and step finely up
+  // to 10 ms, or every reported quantile interpolates inside one bucket.
+  BatchSystem sys(small_config());
+  obs::Registry registry;
+  sys.set_sinks({nullptr, &registry});
+  sys.submit_now(test::spec("a", 8, Duration::minutes(1)),
+                 test::rigid(Duration::minutes(1)));
+  sys.run();
+
+  const obs::Histogram* h = registry.find_histogram("scheduler.iteration_us");
+  ASSERT_NE(h, nullptr);
+  const std::vector<double>& bounds = h->upper_bounds();
+  ASSERT_FALSE(bounds.empty());
+  EXPECT_LE(bounds.front(), 0.025);
+  EXPECT_GE(bounds.back(), 10000.0);
+  for (std::size_t i = 1; i < bounds.size() && bounds[i - 1] < 10000.0; ++i)
+    EXPECT_LE(bounds[i] / bounds[i - 1], 2.5 + 1e-9) << bounds[i];
 }
 
 TEST(SingleWalk, IterationCountsEachPrioritizedJobOnce) {

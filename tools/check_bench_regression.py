@@ -12,9 +12,6 @@ in-binary reference it replaced (the tests/property/reference_* oracles
 or the from-scratch rows of the same bench). A gate reads a row's
 real_time, or a named user counter such as bench_replay's peak_rss_mb.
 
-A gate may also divide two counters of one row, as bench_scale's plan
-cache gate divides the jobs the cache did not answer by all it judged.
-
 The gates are chosen by the benchmark binary that wrote the file, as
 recorded in its `context.executable`. A row that appears more than once
 (--benchmark_repetitions) counts with its median; aggregate rows are
@@ -41,11 +38,6 @@ def ratio(numerator, denominator, bound, field=TIME):
     return ((numerator, field), (denominator, field), bound)
 
 
-def counters(row, numerator, denominator, bound):
-    """Counter `numerator` of `row` over its counter `denominator`."""
-    return ((row, numerator), (row, denominator), bound)
-
-
 def sweep(family, smallest, largest, bound, field=TIME):
     """A sweep's largest row over its smallest; `family` holds `{}` where
     the size label goes."""
@@ -55,7 +47,7 @@ def sweep(family, smallest, largest, bound, field=TIME):
 HOLDS = (16, 64, 256)
 NODES = (16, 1024, 16384, 65536)
 INGEST = "bm_ingest/producers:{}/wal:{}/iterations:3/manual_time"
-PUSH = "bm_ingest_push/producers:{}/iterations:3/manual_time"
+PUSH = "bm_ingest_push/{}/iterations:10/manual_time"
 REPLAY = "bm_replay_stream/{}/iterations:1/manual_time"
 
 GATES = {
@@ -95,13 +87,6 @@ GATES = {
           for d in (10000, 100000)),
         ratio("bm_scale_queue_churn/incremental/100000",
               "bm_scale_queue_churn/rebuild/100000", 0.3),
-        # A plan cache that never hits costs little time at these depths,
-        # so its gate counts: at most half the jobs a pass judges may miss.
-        *(counters(f"bm_scale_queue_{axis}/incremental/{d}", "replanned",
-                   "judged", 0.5)
-          for axis, depths in (("depth", (1000, 10000, 100000)),
-                               ("frag", (10000, 100000)))
-          for d in depths),
     ],
     "bench_recorder": [
         # The recorded ESP run against the same run detached.
@@ -117,10 +102,14 @@ GATES = {
         # 16 producers against 1, with the consumer draining alongside,
         # catches a convoy that stalls the drain; the same pair pushing
         # alone catches a push path that degrades under contention, which
-        # the consumer's rate hides in the first pair. The WAL-on row
-        # against WAL-off catches a slower WalWriter append or fsync.
+        # the consumer's rate hides in the first pair. One lock serializes
+        # 1 and 16 producers alike, so a constant cost added to every push
+        # shows only against one producer pushing into a bare mutex and
+        # vector. The WAL-on row against WAL-off catches a slower
+        # WalWriter append or fsync.
         ratio(INGEST.format(16, 0), INGEST.format(1, 0), 2.0),
-        ratio(PUSH.format(16), PUSH.format(1), 3.0),
+        ratio(PUSH.format("producers:16"), PUSH.format("producers:1"), 3.0),
+        ratio(PUSH.format("producers:1"), PUSH.format("reference"), 1.3),
         ratio(INGEST.format(1, 1), INGEST.format(1, 0), 4.0),
     ],
     "bench_shard": [

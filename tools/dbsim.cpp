@@ -56,8 +56,7 @@ using namespace dbs;
 namespace {
 
 /// Mean per-stage wall time from the run's merged registry, one line,
-/// plus the plan-cache effectiveness counters of the incremental planner:
-/// how many per-job verdicts were recomputed vs answered from cache.
+/// plus the jobs the planning walks planned or judged.
 void print_stage_breakdown(const obs::Registry& registry) {
   std::cout << "stage breakdown (mean us/iteration):";
   for (const std::string_view name : core::stage_names()) {
@@ -72,10 +71,8 @@ void print_stage_breakdown(const obs::Registry& registry) {
   }
   const obs::Counter* replanned =
       registry.find_counter("scheduler.replanned_jobs");
-  const obs::Counter* hits = registry.find_counter("scheduler.plan_cache_hits");
   std::cout << " replanned_jobs="
-            << (replanned == nullptr ? 0 : replanned->value())
-            << " cache_hits=" << (hits == nullptr ? 0 : hits->value());
+            << (replanned == nullptr ? 0 : replanned->value());
   std::cout << "\n";
 }
 
