@@ -1,8 +1,10 @@
 // Microbenchmarks of the scheduler-core primitives: availability-profile
 // algebra, planning/backfill, prioritization and the DFS admission check.
 // The profile kernels also run against the std::map profile the flat one
-// replaced (tests/property/reference_profile.hpp), in `/reference` rows:
-// bench-smoke gates each kernel by its ratio to that row.
+// replaced (tests/property/reference_profile.hpp), and the keyed priority
+// order against the comparator sort it stands in for, in `/reference`
+// rows; the tail walk runs with and without its staircase. bench-smoke
+// gates each of these kernels by its ratio to its twin.
 //
 //   ./build/bench/bench_core_micro --benchmark_out=core_micro.json
 //       --benchmark_out_format=json
@@ -123,9 +125,36 @@ void bm_plan_jobs(benchmark::State& state) {
 }
 BENCHMARK(bm_plan_jobs)->Arg(10)->Arg(50)->Arg(200);
 
+/// The walk past its reservation budget over a 256-hold profile: with the
+/// staircase (`/staircase`, what the scheduler runs) each tail job is one
+/// binary search; without it (`/generic`) each runs a full earliest_fit.
+template <bool kStaircase>
+void bm_plan_tail(benchmark::State& state) {
+  const auto storage = make_jobs(static_cast<std::size_t>(state.range(0)), 7);
+  std::vector<const rms::Job*> jobs;
+  for (const auto& j : storage) jobs.push_back(j.get());
+  const auto base = busy_profile<core::AvailabilityProfile>(256, 42);
+  const core::PlanOptions opts{Time::epoch(), 5, true, false};
+  core::Plan plan;
+  core::TailStaircase staircase;
+  for (auto _ : state) {
+    core::plan_jobs_into(jobs, base, opts, plan,
+                         kStaircase ? &staircase : nullptr);
+    benchmark::DoNotOptimize(plan.table.size());
+  }
+}
+BENCHMARK(bm_plan_tail<true>)
+    ->Name("bm_plan_tail/staircase")->Arg(200)->Arg(1000);
+BENCHMARK(bm_plan_tail<false>)
+    ->Name("bm_plan_tail/generic")->Arg(200)->Arg(1000);
+
 // All jobs share a submit time, so queue time ties them; the expansion
 // factor (queued + walltime) / walltime over distinct walltimes ranks every
-// job apart, and the shuffled input gives the sort real work.
+// job apart, and the shuffled input gives the sort real work. The plain
+// rows run the keyed order the scheduler runs (one priority per job); the
+// `/reference` rows run the comparator sort, which evaluates priorities
+// inside every comparison.
+template <bool kReference>
 void bm_prioritize(benchmark::State& state) {
   const auto storage =
       make_jobs(static_cast<std::size_t>(state.range(0)), 7, true);
@@ -134,12 +163,22 @@ void bm_prioritize(benchmark::State& state) {
   core::PriorityWeights weights;
   weights.xfactor = 1.0;
   const core::PriorityEngine engine(weights, {}, nullptr);
+  const Time now = Time::from_seconds(3600);
+  std::vector<const rms::Job*> ordered;
+  std::vector<core::PriorityKey> keys;
   for (auto _ : state) {
-    auto sorted = engine.prioritize(jobs, Time::from_seconds(3600));
-    benchmark::DoNotOptimize(sorted.data());
+    if constexpr (kReference) {
+      ordered = engine.prioritize(jobs, now);
+    } else {
+      ordered = jobs;
+      benchmark::DoNotOptimize(engine.order(ordered, now, keys));
+    }
+    benchmark::DoNotOptimize(ordered.data());
   }
 }
-BENCHMARK(bm_prioritize)->Arg(50)->Arg(500);
+BENCHMARK(bm_prioritize<false>)->Name("bm_prioritize")->Arg(50)->Arg(500);
+BENCHMARK(bm_prioritize<true>)
+    ->Name("bm_prioritize/reference")->Arg(50)->Arg(500);
 
 void bm_dfs_admit(benchmark::State& state) {
   const auto storage = make_jobs(static_cast<std::size_t>(state.range(0)), 7);

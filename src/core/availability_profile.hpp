@@ -99,8 +99,8 @@ class AvailabilityProfile {
     return !(*this == other);
   }
 
-  /// Zero-copy step access for profile-walking callers (the plan cache's
-  /// staircase rebuild); indices are invalidated by any mutation.
+  /// Zero-copy step access for profile-walking callers (the tail
+  /// staircase's rebuild); indices are invalidated by any mutation.
   [[nodiscard]] const Step& step(std::size_t i) const { return steps_[i]; }
   /// Index of the segment covering `t` (t >= origin).
   [[nodiscard]] std::size_t segment_of(Time t) const {

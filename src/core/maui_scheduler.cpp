@@ -73,15 +73,6 @@ void MauiScheduler::attach() {
   server_.set_scheduler_trigger([this] { iterate(); });
 }
 
-void MauiScheduler::advance_cache_base() {
-  // With job retirement the server forgets ids below min_live_id; the
-  // priority-order cache's dense per-id arrays can shed those slots. The
-  // floor is the minimum over ALL live jobs (queued, running or
-  // finished-but-not-yet-retired), so a preempted job requeued under its
-  // old id can never fall below it.
-  ctx_.priority_cache.advance_base(server_.jobs().min_live_id());
-}
-
 void MauiScheduler::run_pipeline() {
   if (!config_.stage_timing) {
     for (Stage* stage : stages_) stage->run(env_, ctx_);
@@ -109,7 +100,6 @@ void MauiScheduler::iterate() {
   const auto wall_begin = std::chrono::steady_clock::now();
   ++iterations_;
   ctx_.begin_iteration(now, iterations_, /*dry_run=*/false);
-  advance_cache_base();
 
   DBS_TRACE_EVENT(ctx_.sinks.tracer,
                   obs::TraceEvent(now, "sched", "iteration_begin")
@@ -170,7 +160,6 @@ std::vector<rms::Decision> MauiScheduler::dry_run_iteration() {
   // coherent what-if of the next live iteration.
   ctx_.begin_iteration(server_.simulator().now(), iterations_ + 1,
                        /*dry_run=*/true);
-  advance_cache_base();
   run_pipeline();
   return ctx_.applier.decisions();
 }

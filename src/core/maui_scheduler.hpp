@@ -123,7 +123,7 @@ class MauiScheduler {
   // --- durable-state surface (svc::StateStore) ----------------------------
   /// Scheduler-side service state: everything an iteration builds on that
   /// is not derivable from the server. Per-iteration planning artifacts
-  /// (reservation tables, plan/priority caches, availability profiles) are
+  /// (reservation tables, the tail staircase, availability profiles) are
   /// deliberately absent — they are rebuilt from the restored server state
   /// on the first post-recovery iteration.
   struct ServiceState {
@@ -152,9 +152,6 @@ class MauiScheduler {
   ~MauiScheduler();
 
  private:
-  /// Sheds the priority-order cache's per-id slots below the server's
-  /// lowest live job id (no-op until job retirement advances that floor).
-  void advance_cache_base();
   /// Runs the six stages in order, accumulating per-stage tick deltas into
   /// ctx_.stats.stage_wall_us.
   void run_pipeline();

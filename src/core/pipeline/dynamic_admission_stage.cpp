@@ -66,9 +66,9 @@ void DynamicAdmissionStage::run(PipelineEnv& env, IterationContext& ctx) {
                               ? ctx.physical_free + freed
                               : env.server.cluster().free_cores();
       ctx.rebuild_planning_profile(env.config.dynamic_partition_cores);
-      if (requeued)
-        ctx.prioritized = env.priority.prioritize(
-            eligible_static_jobs(env.server, env.config), now);
+      // The drain flag stays as steps 6-9 set it: a victim was backfilled,
+      // and nothing backfills while an exclusive job is queued.
+      if (requeued) prioritize_eligible(env, ctx);
       plan_jobs_into(
           ctx.prioritized, ctx.planning, ctx.measure_opts, ctx.baseline_plan,
           env.config.incremental_planning ? &ctx.staircase : nullptr);

@@ -19,7 +19,7 @@
 #include "core/availability_profile.hpp"
 #include "core/backfill.hpp"
 #include "core/delay_measurement.hpp"
-#include "core/priority_cache.hpp"
+#include "core/priority.hpp"
 #include "core/tail_staircase.hpp"
 #include "obs/sinks.hpp"
 #include "rms/decision_applier.hpp"
@@ -118,8 +118,8 @@ struct IterationContext {
   /// Tail staircase shared by every walk of a pass; its count resets per
   /// iteration.
   TailStaircase staircase;
-  /// Previous-iteration priority order, reused by the prioritize stage.
-  PriorityOrderCache priority_cache;
+  /// PriorityEngine::order's keys, one per eligible job.
+  std::vector<PriorityKey> priority_keys;
   std::vector<const rms::Job*> protected_jobs;
   std::vector<rms::DynRequest> requests;  ///< FIFO snapshot of this pass
   DelayMeasurement measure;

@@ -1,5 +1,6 @@
 #include "core/pipeline/prioritize_stage.hpp"
 
+#include <algorithm>
 #include <string>
 #include <unordered_map>
 
@@ -35,33 +36,29 @@ std::vector<const rms::Job*> eligible_static_jobs(
   return eligible;
 }
 
-void PrioritizeStage::run(PipelineEnv& env, IterationContext& ctx) {
-  if (env.config.incremental_planning) {
-    // Same order, produced incrementally: the previous iteration's output
-    // is revalidated under fresh keys and merged with arrivals instead of
-    // being re-sorted with live priority() calls in the comparator. The
-    // gather reuses the context vector's capacity and the drain flag
-    // falls out of the cache's flat exclusive array — neither allocates.
-    eligible_static_jobs_into(env.server, env.config, ctx.prioritized);
-    ctx.priority_cache.order(ctx.prioritized, env.priority, ctx.now);
-    if (env.config.check_invariants) {
-      DBS_REQUIRE(ctx.prioritized ==
-                      env.priority.prioritize(
-                          eligible_static_jobs(env.server, env.config),
-                          ctx.now),
-                  "incremental priority order diverged from full sort");
-    }
-    ctx.stats.eligible_static = ctx.prioritized.size();
-    ctx.drain = ctx.priority_cache.any_exclusive();
-    return;
+bool prioritize_eligible(const PipelineEnv& env, IterationContext& ctx) {
+  if (!env.config.incremental_planning) {
+    ctx.prioritized = env.priority.prioritize(
+        eligible_static_jobs(env.server, env.config), ctx.now);
+    return std::any_of(
+        ctx.prioritized.begin(), ctx.prioritized.end(),
+        [](const rms::Job* job) { return job->spec().exclusive_priority; });
   }
-  ctx.prioritized = env.priority.prioritize(
-      eligible_static_jobs(env.server, env.config), ctx.now);
-  ctx.stats.eligible_static = ctx.prioritized.size();
+  eligible_static_jobs_into(env.server, env.config, ctx.prioritized);
+  const bool exclusive =
+      env.priority.order(ctx.prioritized, ctx.now, ctx.priority_keys);
+  if (env.config.check_invariants) {
+    DBS_REQUIRE(ctx.prioritized ==
+                    env.priority.prioritize(
+                        eligible_static_jobs(env.server, env.config), ctx.now),
+                "keyed priority order diverged from the comparator sort");
+  }
+  return exclusive;
+}
 
-  ctx.drain = false;
-  for (const rms::Job* job : ctx.prioritized)
-    ctx.drain = ctx.drain || job->spec().exclusive_priority;
+void PrioritizeStage::run(PipelineEnv& env, IterationContext& ctx) {
+  ctx.drain = prioritize_eligible(env, ctx);
+  ctx.stats.eligible_static = ctx.prioritized.size();
 }
 
 }  // namespace dbs::core

@@ -29,7 +29,17 @@ struct CredPriorities {
   std::unordered_map<std::string, double> job_class;
   std::unordered_map<std::string, double> qos;
 
+  /// 0.0 without a lookup when no entity has a priority configured.
   [[nodiscard]] double total_for(const Credentials& cred) const;
+};
+
+/// One job's comparator inputs for PriorityEngine::order.
+struct PriorityKey {
+  bool exclusive = false;
+  double priority = 0.0;
+  Time submit;
+  JobId id;
+  const rms::Job* job = nullptr;
 };
 
 class PriorityEngine {
@@ -40,26 +50,6 @@ class PriorityEngine {
   /// The scalar priority of a queued job at time `now`.
   [[nodiscard]] double priority(const rms::Job& job, Time now) const;
 
-  /// The credential component total of a job's credentials (immutable for
-  /// a job's lifetime, so callers may memoize it per job).
-  [[nodiscard]] double cred_total(const Credentials& cred) const {
-    return cred_.total_for(cred);
-  }
-
-  /// priority() with the credential total supplied by the caller; the
-  /// single compiled expression both paths share, so a memoized credtot
-  /// yields bit-identical priorities.
-  [[nodiscard]] double priority_given_cred(const rms::Job& job, Time now,
-                                           double credtot) const;
-
-  /// True when priority() is a pure function of the job's immutable spec
-  /// and `now` — i.e. the fairshare term (the only component reading
-  /// mutable scheduler state) is inactive. Callers may then memoize keys
-  /// per (job, now).
-  [[nodiscard]] bool spec_only() const {
-    return fairshare_ == nullptr || weights_.fairshare == 0.0;
-  }
-
   /// Sorts jobs by descending priority. Jobs with the exclusive_priority
   /// flag (ESP Z jobs) always sort first. Ties break on submission time,
   /// then id, so the order is total and deterministic.
@@ -67,6 +57,14 @@ class PriorityEngine {
                                                   Time now) const;
   [[nodiscard]] std::vector<const rms::Job*> prioritize(
       std::vector<const rms::Job*> jobs, Time now) const;
+
+  /// prioritize()'s order, in place, with each job's priority computed once
+  /// into `keys` (reused scratch) instead of inside the comparator. The
+  /// sort is skipped when `jobs` already is in order, as a queue in
+  /// submission order is under queue-time-only weights. Returns whether any
+  /// job has exclusive priority.
+  bool order(std::vector<const rms::Job*>& jobs, Time now,
+             std::vector<PriorityKey>& keys) const;
 
  private:
   PriorityWeights weights_;

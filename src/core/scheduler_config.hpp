@@ -43,9 +43,10 @@ struct SchedulerConfig {
   /// Incremental planning (INCREMENTALPLANNING): O(Δ)-in-state-changes
   /// iterations. The physical profile is a persistent structure patched on
   /// job events instead of rebuilt from the running set; the planning
-  /// walks answer their backfill tails from versioned plan caches; the
-  /// priority order reuses the previous iteration's sort. Decisions,
-  /// traces and metrics are byte-identical to the from-scratch path.
+  /// walks judge their backfill tails from a prefix-minimum staircase; the
+  /// priority order computes each job's priority once per pass instead of
+  /// inside the comparator. Decisions, traces and metrics are
+  /// byte-identical to the from-scratch path.
   bool incremental_planning = true;
   /// CHECKINVARIANTS: cross-check every incremental structure against its
   /// from-scratch rebuild each iteration (expensive; tests and debugging).

@@ -110,15 +110,6 @@ void JobQueue::maybe_compact_order() {
   if (order_tombstones_ * 2 <= order_.size()) return;
   std::erase_if(order_, [](const auto& e) { return e.second == nullptr; });
   order_tombstones_ = 0;
-  first_live_ = 0;
-}
-
-std::uint64_t JobQueue::min_live_id(std::uint64_t fallback) const {
-  while (first_live_ < order_.size() &&
-         order_[first_live_].second == nullptr)
-    ++first_live_;
-  if (first_live_ >= order_.size()) return fallback;
-  return order_[first_live_].first.value();
 }
 
 Job& JobQueue::at(JobId id) {

@@ -27,11 +27,6 @@ class JobQueue {
   /// tombstones outnumber live jobs.
   void retire(JobId id);
 
-  /// Lowest live (non-retired) job id; `fallback` when no job is live.
-  /// Monotone non-decreasing over time, so it can serve as the floor for
-  /// caches windowed by job id.
-  [[nodiscard]] std::uint64_t min_live_id(std::uint64_t fallback = 0) const;
-
   /// Jobs retired so far (observability).
   [[nodiscard]] std::uint64_t retired_count() const { return retired_total_; }
 
@@ -100,14 +95,12 @@ class JobQueue {
   // searched position.
   std::vector<const Job*> queued_;
   std::vector<const Job*> running_;
-  // Submission order as (id, job) pairs sorted by id, for all(),
-  // min_live_id() and retire(). Retirement nulls the pointer (the id
-  // stays, keeping the vector binary-searchable) and compaction erases the
-  // tombstones once they outnumber live entries.
+  // Submission order as (id, job) pairs sorted by id, for all() and
+  // retire(). Retirement nulls the pointer (the id stays, keeping the
+  // vector binary-searchable) and compaction erases the tombstones once
+  // they outnumber live entries.
   std::vector<std::pair<JobId, Job*>> order_;
   std::size_t order_tombstones_ = 0;
-  /// Lazily advanced index of the first live entry in order_.
-  mutable std::size_t first_live_ = 0;
   std::uint64_t retired_total_ = 0;
   std::deque<DynRequest> dyn_fifo_;
 };

@@ -64,7 +64,7 @@ inline constexpr std::uint64_t kWalHeaderSize = 8;
 // --- the full serializable system image -----------------------------------
 
 /// Everything the service must persist to resurrect a system mid-flight.
-/// Derived planning state (reservation tables, plan/priority caches,
+/// Derived planning state (reservation tables, the tail staircase,
 /// availability profiles) is deliberately absent: it is rebuilt from this
 /// image on the first post-recovery iteration.
 struct SystemState {

@@ -1,5 +1,5 @@
 // The incremental planning core: the persistent physical profile, the
-// tail staircase and the priority-order cache must be invisible — every
+// tail staircase and the keyed priority order must be invisible — every
 // structure byte-identical to its from-scratch rebuild, every decision
 // stream byte-identical to the from-scratch pipeline.
 //
@@ -20,8 +20,8 @@
 #include "batch/batch_system.hpp"
 #include "core/availability_profile.hpp"
 #include "core/backfill.hpp"
+#include "core/fairshare.hpp"
 #include "core/priority.hpp"
-#include "core/priority_cache.hpp"
 #include "core/tail_staircase.hpp"
 #include "obs/registry.hpp"
 #include "obs/tracer.hpp"
@@ -218,53 +218,86 @@ TEST(PlanCacheDifferential, CachedTailMatchesUncachedWalk) {
   EXPECT_GT(tail_waits, 0u);
 }
 
-// --- Priority-order cache differential ------------------------------------
+// --- Keyed priority order differential -----------------------------------
 
-TEST(PriorityOrderCache, MatchesFullSortUnderChurn) {
+TEST(KeyedPriorityOrder, MatchesFullSortUnderChurn) {
   test::BareSystem sys(1, 4);
   PriorityWeights weights;
   weights.queue_time_per_minute = 1.0;
   weights.xfactor = 5.0;  // short-walltime jobs overtake over time
   weights.per_core = 0.1;
   weights.cred = 2.0;
+  weights.fairshare = 1.0;
   CredPriorities cred;
   cred.user["alice"] = 10.0;
   cred.user["bob"] = -5.0;
-  const PriorityEngine engine(weights, cred, nullptr);
-  PriorityOrderCache cache;
+  FairshareConfig fs_cfg;
+  fs_cfg.enabled = true;
+  fs_cfg.user_targets["alice"] = 40.0;
+  fs_cfg.user_targets["bob"] = 60.0;
+  Fairshare fairshare(fs_cfg);
+  // The weighted engine re-sorts almost every pass; under queue time alone
+  // the queue's submission order already is priority order, except while
+  // the exclusive job is queued.
+  const PriorityEngine weighted(weights, cred, &fairshare);
+  const PriorityEngine queue_time({}, {}, nullptr);
+  std::vector<PriorityKey> keys;
 
   std::vector<JobId> ids;
+  JobId exclusive_id;
   int submitted = 0;
-  const auto submit = [&](Duration wall, CoreCount cores, const char* user) {
+  const auto submit = [&](Duration wall, CoreCount cores, const char* user,
+                          bool exclusive = false) {
     // 64-core asks on a 4-core machine: jobs stay queued forever.
-    ids.push_back(sys.server.submit(
-        test::spec("p" + std::to_string(submitted++), cores, wall, user),
-        test::rigid(wall)));
+    rms::JobSpec s =
+        test::spec("p" + std::to_string(submitted++), cores, wall, user);
+    s.exclusive_priority = exclusive;
+    return sys.server.submit(s, test::rigid(wall));
   };
   for (int i = 0; i < 24; ++i)
-    submit(Duration::minutes(2 + (i * 17) % 45), 64,
-           i % 3 ? "alice" : "bob");
+    ids.push_back(submit(Duration::minutes(2 + (i * 17) % 45), 64 + i % 3,
+                         i % 3 ? "alice" : "bob"));
 
+  int in_order = 0;
+  int resorted = 0;
+  int drained = 0;
   for (int pass = 0; pass < 30; ++pass) {
     const Time now = sys.sim.now();
-    std::vector<const rms::Job*> incremental = sys.server.jobs().queued();
-    std::vector<const rms::Job*> reference =
-        engine.prioritize(sys.server.jobs().queued(), now);
-    cache.order(incremental, engine, now);
-    ASSERT_EQ(incremental, reference) << "pass " << pass;
+    for (const PriorityEngine* engine : {&weighted, &queue_time}) {
+      const std::vector<const rms::Job*>& queued = sys.server.jobs().queued();
+      std::vector<const rms::Job*> keyed = queued;
+      const bool drain = engine->order(keyed, now, keys);
+      const std::vector<const rms::Job*> reference =
+          engine->prioritize(queued, now);
+      ASSERT_EQ(keyed, reference) << "pass " << pass;
+      EXPECT_EQ(drain, reference.front()->spec().exclusive_priority)
+          << "pass " << pass;
+      ++(keyed == queued ? in_order : resorted);
+      drained += drain ? 1 : 0;
+    }
 
-    // Churn: arrivals, departures, and enough time for xfactor drift to
-    // reorder neighbours (exercising the full-sort fallback).
-    if (pass % 3 == 0) submit(Duration::minutes(1 + pass), 64, "bob");
+    // Churn: arrivals, cancels, usage that moves the fairshare term, an
+    // exclusive job queued for a while, and enough time for xfactor drift
+    // to reorder neighbours.
+    if (pass % 3 == 0)
+      ids.push_back(submit(Duration::minutes(1 + pass), 64, "bob"));
     if (pass % 4 == 1 && !ids.empty()) {
       sys.server.cancel(ids.back());
       ids.pop_back();
     }
+    if (pass == 10)
+      exclusive_id =
+          submit(Duration::minutes(30), 64, "bob", /*exclusive=*/true);
+    if (pass == 20) sys.server.cancel(exclusive_id);
+    fairshare.record_usage({pass % 2 ? "alice" : "bob", "", "", "", ""},
+                           600.0 * (pass % 5), now);
     sys.sim.run_until(now + Duration::minutes(7));
   }
-  // Both regimes must actually have been exercised.
-  EXPECT_GT(cache.merged_passes(), 0u);
-  EXPECT_GT(cache.resorted_passes(), 0u);
+  // Both regimes and both drain states must actually have been exercised.
+  EXPECT_GT(in_order, 0);
+  EXPECT_GT(resorted, 0);
+  EXPECT_GT(drained, 0);
+  EXPECT_LT(drained, in_order + resorted);
 }
 
 // --- Event-storm byte-identity --------------------------------------------
@@ -284,7 +317,10 @@ std::string drop_lines(const std::string& text, const std::string& needle) {
 /// One seeded storm: synthetic evolving workload plus node failures,
 /// restores and cancels injected mid-run. check_invariants on the
 /// incremental side asserts, inside every iteration, that the tracker
-/// profile and the cached priority order equal their rebuilds.
+/// profile and the keyed priority order equal their rebuilds. Odd seeds
+/// weigh xfactor, cores, a user priority and fairshare, so the keyed order
+/// re-sorts; even seeds keep the queue-time-only default, under which the
+/// submission order already is priority order.
 std::string run_storm(std::uint64_t seed, bool incremental) {
   batch::SystemConfig cfg;
   cfg.cluster.node_count = 8;
@@ -296,6 +332,16 @@ std::string run_storm(std::uint64_t seed, bool incremental) {
   cfg.scheduler.dynamic_partition_cores = (seed % 4 == 1) ? 8 : 0;
   cfg.scheduler.incremental_planning = incremental;
   cfg.scheduler.check_invariants = incremental;
+  if (seed % 2 == 1) {
+    cfg.scheduler.weights.xfactor = 10.0;
+    cfg.scheduler.weights.per_core = 0.01;
+    cfg.scheduler.weights.cred = 1.0;
+    cfg.scheduler.cred_priorities.user["user1"] = 50.0;
+    cfg.scheduler.weights.fairshare = 1.0;
+    cfg.scheduler.fairshare.enabled = true;
+    cfg.scheduler.fairshare.user_targets["user0"] = 30.0;
+    cfg.scheduler.fairshare.user_targets["user2"] = 10.0;
+  }
 
   wl::SyntheticParams wp;
   wp.job_count = 50;

@@ -61,21 +61,6 @@ TEST(JobQueue, RetireDestroysRecordAndForgetsId) {
   EXPECT_THROW((void)q.at(JobId{1}), precondition_error);
 }
 
-TEST(JobQueue, MinLiveIdAdvancesAndFallsBack) {
-  JobQueue q;
-  EXPECT_EQ(q.min_live_id(77), 77u);
-  q.add(job(1));
-  q.add(job(2));
-  q.add(job(3));
-  EXPECT_EQ(q.min_live_id(), 1u);
-  finish(q, JobId{1});
-  q.retire(JobId{1});
-  EXPECT_EQ(q.min_live_id(), 2u);
-  finish(q, JobId{2});
-  q.retire(JobId{2});
-  EXPECT_EQ(q.min_live_id(), 3u);
-}
-
 TEST(JobQueue, CompactionKeepsScansAndLookupsIntact) {
   // Crosses the compaction floor (1024 tombstones) mid-way, then checks
   // every view still reflects exactly the live tail.
@@ -89,7 +74,6 @@ TEST(JobQueue, CompactionKeepsScansAndLookupsIntact) {
   }
   EXPECT_EQ(q.size(), kJobs - kRetire);
   EXPECT_EQ(q.retired_count(), kRetire);
-  EXPECT_EQ(q.min_live_id(), kRetire + 1);
   EXPECT_FALSE(q.contains(JobId{kRetire}));
   EXPECT_TRUE(q.contains(JobId{kRetire + 1}));
   const auto queued = q.queued();

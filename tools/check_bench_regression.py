@@ -60,8 +60,13 @@ GATES = {
         # Holds appended in time order take the push_back fast path.
         *(ratio(f"bm_profile_subtract_append/{n}",
                 f"bm_profile_subtract/{n}", 0.5) for n in HOLDS),
-        # No reference twin: growth across sizes catches a worse
-        # complexity.
+        # The tail walk judged from its staircase against the same walk
+        # running earliest_fit for every tail job.
+        ratio("bm_plan_tail/staircase/1000", "bm_plan_tail/generic/1000",
+              0.3),
+        # One priority per job against priorities inside the comparator.
+        ratio("bm_prioritize/500", "bm_prioritize/reference/500", 0.5),
+        # Growth across sizes catches a worse complexity.
         sweep("bm_plan_jobs/{}", 10, 200, 22),
         sweep("bm_prioritize/{}", 50, 500, 25),
         sweep("bm_dfs_admit/{}", 5, 100, 12),
