@@ -1,7 +1,8 @@
 // Concurrent-ingest throughput: N producer threads push submissions
-// through the one-lock IngestQueue while one consumer drains, stamps
-// admissions (the service loop's monotone rule) and — in the WAL-on rows —
-// appends + fsyncs every drained batch through a WalWriter. The consumer
+// through the one-lock IngestQueue while one consumer drains whole chunks
+// once depth() shows records queued, stamps admissions (the service
+// loop's monotone rule) and — in the WAL-on rows — appends + fsyncs every
+// drained batch through a WalWriter. The consumer
 // re-implements that part of ServiceLoop::admit_pending rather than
 // calling it, so a slower IngestQueue or WalWriter shows here, a change to
 // the loop itself does not (perfbench's service_durable runs the loop).
@@ -102,18 +103,22 @@ void bm_ingest(benchmark::State& state) {
     go.store(true, std::memory_order_release);
     std::uint64_t consumed = 0;
     Time last_admitted;
-    std::vector<svc::IngestRecord> batch;
+    std::vector<svc::IngestChunk> batch;
     while (consumed < total) {
-      batch.clear();
-      const std::size_t n = queue.drain(batch);
-      if (n == 0) {
+      // An idle consumer watches depth(), which takes no lock, and drains
+      // only once something is queued.
+      if (queue.depth() == 0) {
         std::this_thread::yield();
         continue;
       }
-      for (auto& r : batch) {
-        last_admitted = max(r.requested, last_admitted);
-        r.admitted = last_admitted;
-        if (wal) wal->append_ingest(r);
+      batch.clear();
+      const std::size_t n = queue.drain(batch);
+      for (svc::IngestChunk& chunk : batch) {
+        for (svc::IngestRecord& r : chunk) {
+          last_admitted = max(r.requested, last_admitted);
+          r.admitted = last_admitted;
+          if (wal) wal->append_ingest(r);
+        }
       }
       if (wal) {
         wal->flush();

@@ -2,13 +2,17 @@
 //
 // Producer threads (qsub shims, trace feeders, RPC handlers) push
 // submissions and cancels; the single-threaded scheduler loop drains them
-// in batches at iteration boundaries. One mutex guards one vector: a push
-// draws its ticket and appends its record in the same critical section,
-// so the vector always holds a contiguous run of tickets and a drain,
-// which swaps it out, yields the exact ticket sequence 0,1,2,... whatever
-// the thread interleaving. Replaying that sequence single-threaded
-// through the same Submission lane is byte-identical to the live run (the
-// differential test in tests/svc exercises exactly this).
+// in batches at iteration boundaries. One mutex guards the queued records,
+// stored in chunks of at most kIngestChunk: a push draws its ticket and
+// appends its record to the last chunk in the same critical section, so
+// the chunks always hold a contiguous run of tickets, and a drain, which
+// hands the chunks over whole, yields the exact ticket sequence 0,1,2,...
+// whatever the thread interleaving. Replaying that sequence
+// single-threaded through the same Submission lane is byte-identical to
+// the live run (the differential test in tests/svc exercises exactly
+// this). A chunk never grows past kIngestChunk records, so a backlog of
+// any size is held once: no doubling copies more than one chunk of it,
+// and a consumer frees each chunk as soon as it is done with it.
 #pragma once
 
 #include <atomic>
@@ -45,6 +49,24 @@ struct IngestRecord {
   [[nodiscard]] bool operator==(const IngestRecord&) const = default;
 };
 
+/// Running totals over a sequence of ingest records: how many, and the
+/// submits among them with their summed core weight (max(cores, 1) per
+/// submit, the shard router's charging rule).
+struct IngestTotals {
+  std::uint64_t records = 0;
+  std::uint64_t submits = 0;
+  std::uint64_t submit_cores = 0;
+
+  void add(const IngestRecord& r);
+};
+
+/// Records in ticket order, at most kIngestChunk of them: the unit the
+/// queue stores and drain() hands over. A chunk grows as a vector does,
+/// so a drain of a few records hands over a small one, and the queue
+/// starts the next chunk at kIngestChunk records.
+using IngestChunk = std::vector<IngestRecord>;
+inline constexpr std::size_t kIngestChunk = 256;
+
 class IngestQueue {
  public:
   IngestQueue() = default;
@@ -67,10 +89,11 @@ class IngestQueue {
   }
 
   // --- consumer side (single-threaded) ------------------------------------
-  /// Moves everything queued into `out` (appended), in ticket order: each
+  /// Moves every queued chunk onto the end of `out`, in ticket order: each
   /// batch continues the sequence 0,1,2,... exactly where the previous
-  /// one ended. Returns the number of records released.
-  std::size_t drain(std::vector<IngestRecord>& out);
+  /// one ended. Returns the number of records released. Callers that are
+  /// idle when nothing is queued read depth() first and skip the lock.
+  std::size_t drain(std::vector<IngestChunk>& out);
 
   /// Records queued and not yet drained: never more than pushed() minus
   /// the records drained so far.
@@ -86,7 +109,7 @@ class IngestQueue {
   std::uint64_t push(IngestRecord&& r);
 
   std::mutex mutex_;
-  std::vector<IngestRecord> items_;  ///< guarded by mutex_
+  std::vector<IngestChunk> chunks_;  ///< guarded by mutex_
   /// Both written under mutex_ only; atomic so depth() and pushed() read
   /// them without it.
   std::atomic<std::uint64_t> ticket_{0};

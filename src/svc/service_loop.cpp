@@ -1,6 +1,5 @@
 #include "svc/service_loop.hpp"
 
-#include <algorithm>
 #include <filesystem>
 #include <thread>
 #include <utility>
@@ -14,6 +13,10 @@
 
 namespace dbs::svc {
 namespace {
+
+/// The recovery cursors read only the prefix the counting pass validated,
+/// so one that runs out early read a file that changed since.
+constexpr const char* kWalChanged = "WAL changed while recovery read it";
 
 [[nodiscard]] bool is_zero_latency(const rms::LatencyModel& m) {
   return m.client_to_server.is_zero() && m.server_to_mom.is_zero() &&
@@ -66,12 +69,11 @@ bool ServiceLoop::open() {
 
   std::filesystem::create_directories(config_.state_dir);
   const std::string wal_file = wal_path(config_.state_dir);
-  WalContents wal = read_wal(wal_file);
+  const WalSummary wal = scan_wal(wal_file);
   const bool had_state = wal.valid_bytes != 0;
 
-  std::optional<SystemState> snap =
-      load_best_snapshot(config_.state_dir, wal.ingest.size(),
-                         wal.decisions.size());
+  std::optional<SystemState> snap = load_best_snapshot(
+      config_.state_dir, wal.ingest.records, wal.decisions);
   std::uint64_t done_ingest = 0;
   std::uint64_t done_decisions = 0;
   if (snap) {
@@ -85,8 +87,7 @@ bool ServiceLoop::open() {
   // crash mid-append leaves a torn tail; everything before it is law).
   wal_ = std::make_unique<WalWriter>(wal_file,
                                      had_state ? wal.valid_bytes : 0);
-  wal_ingest_total_ = wal.ingest.size();
-  for (const IngestRecord& r : wal.ingest) count_submit(r);
+  wal_ingest_ = wal.ingest;
   wal_decision_total_ = done_decisions;
   decisions_at_snapshot_ = done_decisions;
   ingest_fired_total_ = done_ingest;
@@ -94,11 +95,12 @@ bool ServiceLoop::open() {
   // Re-feed the unfired ingest tail at its RECORDED admission times: the
   // admission stamp is a pure function of the drained sequence (see the
   // header), so these are exactly the times the crashed process chose.
-  for (std::size_t i = done_ingest; i < wal.ingest.size(); ++i) {
-    const IngestRecord& r = wal.ingest[i];
-    schedule_record(r);
-    pending_admits_.push_back(r.admitted);
-    last_admitted_ = max(last_admitted_, r.admitted);
+  // The tail enters the same window live records do, read as it refills.
+  if (wal.ingest.records > done_ingest) {
+    tail_ = std::make_unique<WalReader>(wal_file, wal.valid_bytes);
+    DBS_REQUIRE(tail_->skip(kWalIngest, done_ingest), kWalChanged);
+    tail_left_ = wal.ingest.records - done_ingest;
+    arm_window();
   }
 
   // Deterministic re-execution: run the tail forward and compare every
@@ -106,54 +108,66 @@ bool ServiceLoop::open() {
   // Each horizon is the next logged decision's own timestamp — never a
   // tick-sized overshoot, which would run the clock past the admission
   // watermark and shift the stamps of everything admitted after recovery.
-  expected_.assign(wal.decisions.begin() +
-                       static_cast<std::ptrdiff_t>(done_decisions),
-                   wal.decisions.end());
-  expected_next_ = 0;
-  while (expected_next_ < expected_.size()) {
+  if (wal.decisions > done_decisions) {
+    logged_ = std::make_unique<WalReader>(wal_file, wal.valid_bytes);
+    DBS_REQUIRE(logged_->skip(kWalDecision, done_decisions) &&
+                    logged_->next(kWalDecision),
+                kWalChanged);
+    logged_left_ = wal.decisions - done_decisions;
+  }
+  while (logged_left_ > 0) {
     DBS_REQUIRE(!system_.simulator().idle(),
                 "recovery ran dry before re-making every WAL decision");
-    const std::size_t before = expected_next_;
-    system_.run_until(Time::from_micros(expected_[expected_next_].t_us));
-    DBS_REQUIRE(expected_next_ > before,
+    const std::uint64_t before = logged_left_;
+    system_.run_until(Time::from_micros(logged_->decision().t_us));
+    DBS_REQUIRE(logged_left_ < before,
                 "recovery diverged: no decision re-made at a logged time");
   }
-  expected_.clear();
-  expected_next_ = 0;
+  logged_.reset();
+  // What the re-run left unfired is held like a drained backlog.
+  while (tail_left_ > 0) hold_tail_record();
+  tail_.reset();
 
   recovered_ = had_state;
   return had_state;
 }
 
 std::size_t ServiceLoop::admit_pending() {
-  drain_buf_.clear();
-  const std::size_t n = ingest_.drain(drain_buf_);
+  // Let go of the chunks whose records all fired.
+  if (armed_ == 0) {
+    held_.clear();
+    fire_ = arm_ = Cursor{};
+  } else if (fire_.chunk > 0) {
+    held_.erase(held_.begin(),
+                held_.begin() + static_cast<std::ptrdiff_t>(fire_.chunk));
+    arm_.chunk -= fire_.chunk;
+    fire_.chunk = 0;
+  }
+  const std::size_t first = held_.size();
+  const std::size_t n = ingest_.drain(held_);
   if (n == 0) return 0;
 
   const Time now = system_.simulator().now();
-  for (auto& r : drain_buf_) {
-    // Monotone admission: never before a previously admitted record and
-    // always on an instant the simulator has not yet fired. The tick
-    // pacing keeps now < last_admitted_ once anything was admitted, so
-    // past bootstrap this reduces to max(requested, last_admitted_) — a
-    // pure function of the drained sequence, reproducible from the WAL.
-    const Time admitted =
-        max(r.requested, max(now + Duration::micros(1), last_admitted_));
-    r.admitted = admitted;
-    last_admitted_ = admitted;
-    if (wal_) wal_->append_ingest(r);
+  for (std::size_t c = first; c < held_.size(); ++c) {
+    for (IngestRecord& r : held_[c]) {
+      // Monotone admission: never before a previously admitted record and
+      // always on an instant the simulator has not yet fired. The tick
+      // pacing keeps now < last_admitted_ once anything was admitted, so
+      // past bootstrap this reduces to max(requested, last_admitted_) — a
+      // pure function of the drained sequence, reproducible from the WAL.
+      const Time admitted =
+          max(r.requested, max(now + Duration::micros(1), last_admitted_));
+      r.admitted = admitted;
+      last_admitted_ = admitted;
+      if (wal_) wal_->append_ingest(r);
+      wal_ingest_.add(r);
+    }
   }
   if (wal_) {  // durable BEFORE any of them can fire
     wal_->flush();
     wal_->fsync();
   }
-
-  for (const auto& r : drain_buf_) {
-    schedule_record(r);
-    count_submit(r);
-    if (durable_) pending_admits_.push_back(r.admitted);
-  }
-  wal_ingest_total_ += n;
+  arm_window();
 
   obs::Registry& reg = registry();
   if (instruments_.admitted == nullptr) {
@@ -165,6 +179,65 @@ std::size_t ServiceLoop::admit_pending() {
   return n;
 }
 
+void ServiceLoop::arm_window() {
+  sim::Simulator& sim = system_.simulator();
+  const Duration latency = system_.config().latency.client_to_server;
+  while (armed_ < kSubmissionWindow) {
+    while (arm_.chunk + 1 < held_.size() &&
+           arm_.pos == held_[arm_.chunk].size()) {
+      ++arm_.chunk;
+      arm_.pos = 0;
+    }
+    if (held_.empty() || arm_.pos == held_[arm_.chunk].size()) {
+      if (tail_left_ == 0) return;
+      hold_tail_record();
+      continue;
+    }
+    // Everything rides the Submission lane — the same lane the one-shot
+    // workload drivers use — so live ingest, WAL replay and a
+    // single-threaded re-run of the drained sequence produce identical
+    // event orderings.
+    const IngestRecord& r = held_[arm_.chunk][arm_.pos++];
+    sim.schedule_submission(r.admitted + latency, [this] { fire_next(); });
+    ++armed_;
+  }
+}
+
+void ServiceLoop::fire_next() {
+  // Events fire in the order they were armed, which is held_'s order, so
+  // the oldest held record is this event's. An armed record lies at or
+  // after fire_, so the chunks stepped over here all fired: free them.
+  while (fire_.pos == held_[fire_.chunk].size()) {
+    held_[fire_.chunk] = IngestChunk{};
+    ++fire_.chunk;
+    fire_.pos = 0;
+  }
+  IngestRecord& r = held_[fire_.chunk][fire_.pos++];
+  const IngestKind kind = r.kind;
+  const JobId job = r.job;
+  const wl::Behavior behavior = r.behavior;
+  rms::JobSpec spec = std::move(r.spec);
+  --armed_;
+  ++ingest_fired_total_;
+  arm_window();  // refill before submitting, as submit_stream's pump does
+  if (kind == IngestKind::Submit)
+    system_.server().submit(
+        std::move(spec),
+        apps::make_application(behavior, system_.config().speedup));
+  else
+    system_.server().cancel(job);  // false (unknown/finished) is fine
+}
+
+void ServiceLoop::hold_tail_record() {
+  DBS_REQUIRE(tail_->next(kWalIngest), kWalChanged);
+  --tail_left_;
+  IngestRecord& r = tail_->ingest();
+  last_admitted_ = max(last_admitted_, r.admitted);
+  if (held_.empty() || held_.back().size() == kIngestChunk)
+    held_.emplace_back();
+  held_.back().push_back(std::move(r));
+}
+
 obs::Registry& ServiceLoop::registry() {
   // Svc counters land in the system's own registry (falling back to the
   // global one): concurrently ticking shard loops must never share one.
@@ -173,38 +246,16 @@ obs::Registry& ServiceLoop::registry() {
   return reg;
 }
 
-void ServiceLoop::schedule_record(const IngestRecord& r) {
-  sim::Simulator& sim = system_.simulator();
-  const Time fire_at =
-      r.admitted + system_.config().latency.client_to_server;
-  // Everything rides the Submission lane — the same lane the one-shot
-  // workload drivers use — so live ingest, WAL replay and a
-  // single-threaded re-run of the drained sequence produce identical
-  // event orderings.
-  if (r.kind == IngestKind::Submit) {
-    sim.schedule_submission(
-        fire_at, [this, spec = r.spec, behavior = r.behavior]() mutable {
-          system_.server().submit(
-              std::move(spec),
-              apps::make_application(behavior, system_.config().speedup));
-        });
-  } else {
-    sim.schedule_submission(fire_at, [this, job = r.job]() {
-      system_.server().cancel(job);  // false (unknown/finished) is fine
-    });
-  }
-}
-
 void ServiceLoop::on_decision(const rms::Decision& d) {
   const Time now = system_.simulator().now();
   const std::uint64_t iteration = system_.scheduler().iterations();
-  if (expected_next_ < expected_.size()) {
+  if (logged_left_ > 0) {
     DBS_REQUIRE(
-        obs::rec::decision_record(now, iteration, d) ==
-            expected_[expected_next_],
+        obs::rec::decision_record(now, iteration, d) == logged_->decision(),
         "recovery divergence: a re-made decision differs from the WAL");
-    ++expected_next_;
     ++wal_decision_total_;
+    if (--logged_left_ > 0)
+      DBS_REQUIRE(logged_->next(kWalDecision), kWalChanged);
     return;
   }
   wal_->append_decision(now, iteration, d);
@@ -278,13 +329,6 @@ void ServiceLoop::maybe_snapshot(bool force) {
   // snapshot must never claim WAL counts the file does not durably hold,
   // or recovery would (correctly, but wastefully) refuse to use it.
   wal_->flush();
-  // A WAL ingest record is part of the snapshot image only once its
-  // submission event fired; the rest stay in the replayable tail.
-  const Time now = system_.simulator().now();
-  while (!pending_admits_.empty() && pending_admits_.front() <= now) {
-    pending_admits_.pop_front();
-    ++ingest_fired_total_;
-  }
   decisions_at_snapshot_ = wal_decision_total_;
   // The writer reads only the capture it owns, the WAL's descriptor and
   // the config, none of which this thread changes while it runs.
@@ -314,13 +358,6 @@ void ServiceLoop::join_writer() {
 void ServiceLoop::finalize() {
   maybe_snapshot(true);
   join_writer();
-}
-
-void ServiceLoop::count_submit(const IngestRecord& r) {
-  if (r.kind != IngestKind::Submit) return;
-  ++wal_submit_total_;
-  wal_submit_cores_ +=
-      static_cast<std::uint64_t>(std::max<CoreCount>(r.spec.cores, 1));
 }
 
 }  // namespace dbs::svc

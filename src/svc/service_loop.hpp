@@ -7,7 +7,10 @@
 //      (monotone: max(requested, now + 1us, previous admission)),
 //   2. appends + fsyncs the records to the WAL — inputs become durable
 //      BEFORE they can influence any decision,
-//   3. schedules them on the simulator's Submission lane,
+//   3. holds them, in the chunks the queue handed over, behind the
+//      records not yet fired, and keeps at most kSubmissionWindow of
+//      them armed on the simulator's Submission lane: each armed event
+//      fires the oldest held record in place and arms the next,
 //   4. advances virtual time by one tick — while the ingest is open, never
 //      up to the admission watermark: staying strictly below it keeps
 //      every simulated instant atomic, so a later drain can never stamp a
@@ -37,7 +40,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <memory>
 #include <string>
@@ -59,6 +61,11 @@ class Registry;
 }  // namespace dbs::obs
 
 namespace dbs::svc {
+
+/// Admitted records a ServiceLoop keeps armed as Submission-lane events
+/// at any instant; the rest wait in the chunks the ingest queue handed
+/// over.
+inline constexpr std::size_t kSubmissionWindow = 1024;
 
 struct ServiceConfig {
   /// Durable-state directory (WAL + snapshots). Empty = run without
@@ -94,11 +101,14 @@ class ServiceLoop {
   ServiceLoop& operator=(const ServiceLoop&) = delete;
 
   /// Recovers durable state (durable config only; call once, before
-  /// run()): restores the newest usable snapshot, re-feeds the WAL's
-  /// unfired ingest tail at the recorded admission times, re-runs it while
-  /// comparing every re-made decision record with the logged one, then
-  /// truncates the torn tail (if any) and reopens the WAL for appending.
-  /// Returns true when prior state was found (false = cold start).
+  /// run()): counts the WAL in one pass, restores the newest usable
+  /// snapshot, truncates the torn tail (if any) and reopens the WAL for
+  /// appending, then re-runs the WAL's unfired ingest tail at the recorded
+  /// admission times while comparing every re-made decision record with
+  /// the logged one. Two cursors stream the log meanwhile: one feeds the
+  /// tail into the submission window, the other supplies the next logged
+  /// decision. Returns true when prior state was found (false = cold
+  /// start).
   bool open();
 
   /// Drain cycles until the ingest is closed and fully drained and the
@@ -130,7 +140,7 @@ class ServiceLoop {
   /// Ingest records in the WAL (recovered + appended). A restarted trace
   /// feeder skips this many records to resume where it left off.
   [[nodiscard]] std::uint64_t wal_ingest_total() const {
-    return wal_ingest_total_;
+    return wal_ingest_.records;
   }
   [[nodiscard]] std::uint64_t wal_decision_total() const {
     return wal_decision_total_;
@@ -141,10 +151,10 @@ class ServiceLoop {
   /// so a reopened service keeps routing exactly where a never-restarted
   /// one would.
   [[nodiscard]] std::uint64_t wal_submit_total() const {
-    return wal_submit_total_;
+    return wal_ingest_.submits;
   }
   [[nodiscard]] std::uint64_t wal_submit_cores() const {
-    return wal_submit_cores_;
+    return wal_ingest_.submit_cores;
   }
   /// Snapshots published (on disk under their final name).
   [[nodiscard]] std::uint64_t snapshots_written() const {
@@ -155,15 +165,26 @@ class ServiceLoop {
   [[nodiscard]] const ServiceConfig& config() const { return config_; }
 
  private:
-  /// Stamps, logs and schedules everything currently queued. Returns the
-  /// number of records admitted.
+  /// A held record's place: held_[chunk][pos].
+  struct Cursor {
+    std::size_t chunk = 0;
+    std::size_t pos = 0;
+  };
+
+  /// Drains, stamps and logs everything currently queued, then holds it
+  /// and refills the window. Returns the number of records admitted.
   std::size_t admit_pending();
-  /// Schedules one (already admitted) record on the Submission lane.
-  void schedule_record(const IngestRecord& r);
-  /// DecisionApplier sink: verify against the recovery tail, then append.
+  /// Arms held records (reading the recovery tail when they run out)
+  /// until kSubmissionWindow are armed or none is left.
+  void arm_window();
+  /// The armed events' action: fires the oldest held record, after
+  /// refilling the window.
+  void fire_next();
+  /// Reads the recovery tail's next record into held_.
+  void hold_tail_record();
+  /// DecisionApplier sink: verify against the logged decisions, then
+  /// append.
   void on_decision(const rms::Decision& d);
-  /// Maintains the wal_submit_* counters for one WAL-bound record.
-  void count_submit(const IngestRecord& r);
   /// At a snapshot point: writes the WAL's buffered records, captures the
   /// state and hands it to a new writer thread.
   void maybe_snapshot(bool force);
@@ -181,14 +202,19 @@ class ServiceLoop {
 
   std::unique_ptr<WalWriter> wal_;
   Time last_admitted_;
-  /// Admission times of WAL-logged records whose submission event has not
-  /// fired yet (monotone). A snapshot only counts an ingest record as
-  /// "covered" once its event fired; the rest form the replayable tail.
-  std::deque<Time> pending_admits_;
+  /// Admitted records not yet fired, in admission order, in the chunks
+  /// IngestQueue::drain() handed over (while open() runs: the recovery
+  /// tail read so far). fire_ is the oldest; the armed_ records from it on
+  /// are armed, min(kSubmissionWindow, held) of them, and arm_ is the
+  /// next to arm. A chunk is freed once every record in it fired.
+  std::vector<IngestChunk> held_;
+  Cursor fire_;
+  Cursor arm_;
+  std::size_t armed_ = 0;
+  /// Records whose submission event fired: a snapshot covers an ingest
+  /// record only once it fired; the rest form the replayable tail.
   std::uint64_t ingest_fired_total_ = 0;
-  std::uint64_t wal_ingest_total_ = 0;
-  std::uint64_t wal_submit_total_ = 0;
-  std::uint64_t wal_submit_cores_ = 0;
+  IngestTotals wal_ingest_;
   std::uint64_t wal_decision_total_ = 0;
   std::uint64_t decisions_at_snapshot_ = 0;
   std::uint64_t snapshots_written_ = 0;
@@ -196,11 +222,15 @@ class ServiceLoop {
   bool opened_ = false;
   bool recovered_ = false;
 
-  /// Recovery verification window: logged decisions not yet re-made.
-  std::vector<obs::rec::PackedRecord> expected_;
-  std::size_t expected_next_ = 0;
+  /// While open() runs: the cursor over the WAL's unfired ingest tail and
+  /// how many of its records are not read yet.
+  std::unique_ptr<WalReader> tail_;
+  std::uint64_t tail_left_ = 0;
+  /// While open() runs: the cursor whose current frame is the next logged
+  /// decision, and how many logged decisions are not re-made yet.
+  std::unique_ptr<WalReader> logged_;
+  std::uint64_t logged_left_ = 0;
 
-  std::vector<IngestRecord> drain_buf_;
   std::atomic<bool> stop_{false};
 
   /// Svc instrument handles, each resolved on first use in `registry`.

@@ -53,12 +53,14 @@ bool ShardedService::open() {
 void ShardedService::route_pending() {
   route_buf_.clear();
   ingest_.drain(route_buf_);
-  for (const IngestRecord& r : route_buf_) {
-    DBS_REQUIRE(r.kind == IngestKind::Submit,
-                "sharded ingest routes submits only; use "
-                "ShardedService::cancel(shard, ...) for qdel");
-    const std::size_t k = system_.router().route(r.spec);
-    queues_[k]->submit(r.requested, r.spec, r.behavior);
+  for (IngestChunk& chunk : route_buf_) {
+    for (IngestRecord& r : chunk) {
+      DBS_REQUIRE(r.kind == IngestKind::Submit,
+                  "sharded ingest routes submits only; use "
+                  "ShardedService::cancel(shard, ...) for qdel");
+      const std::size_t k = system_.router().route(r.spec);
+      queues_[k]->submit(r.requested, std::move(r.spec), r.behavior);
+    }
   }
   if (!closed_shards_ && ingest_.closed() && ingest_.depth() == 0) {
     for (auto& q : queues_) q->close();

@@ -86,7 +86,7 @@ class ShardedService {
   ServiceConfig config_;
   std::vector<std::unique_ptr<IngestQueue>> queues_;
   std::vector<std::unique_ptr<ServiceLoop>> loops_;
-  std::vector<IngestRecord> route_buf_;
+  std::vector<IngestChunk> route_buf_;
   bool closed_shards_ = false;
   bool recovered_ = false;
   std::uint64_t ticks_ = 0;

@@ -1,10 +1,12 @@
 #include "svc/state_store.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
@@ -127,6 +129,9 @@ void fields(auto& io, Of<svc::IngestRecord> auto& r) {
 
 namespace dbs::svc {
 namespace {
+
+/// Frame header: [type u8][len u32].
+constexpr std::size_t kFrameHeader = 5;
 
 // --- file helpers ----------------------------------------------------------
 
@@ -366,6 +371,7 @@ void WalWriter::append_frame(std::uint8_t type, const Payload& payload) {
   write(payload);
   codec::store_le(buffer_.data() + start - 4,
                   static_cast<std::uint32_t>(buffer_.size() - start));
+  if (buffer_.size() >= kWalFlushBytes) flush();
 }
 
 void WalWriter::append_ingest(const IngestRecord& r) {
@@ -389,46 +395,143 @@ void WalWriter::fsync() const { fsync_checked(fd_, path_); }
 
 // --- WAL reader ------------------------------------------------------------
 
+WalReader::WalReader(const std::string& path, std::uint64_t end)
+    : path_(path), buf_(kWalReadBytes) {
+  fd_ = ::open(path.c_str(), O_RDONLY);
+  DBS_REQUIRE(fd_ >= 0, "cannot open WAL: " + path);
+  try {
+    struct stat st {};
+    DBS_REQUIRE(::fstat(fd_, &st) == 0, "cannot stat WAL: " + path);
+    end_ = std::min(end, static_cast<std::uint64_t>(st.st_size));
+    DBS_REQUIRE(end_ >= kWalHeaderSize, "WAL shorter than its header");
+    fill(kWalHeaderSize);
+    std::uint32_t magic = 0;
+    std::uint32_t version = 0;
+    codec::ByteReader header(buf_.data(), kWalHeaderSize, "WAL header");
+    header(magic, version);
+    DBS_REQUIRE(magic == kWalMagic, "not a DBSW WAL");
+    DBS_REQUIRE(version == kWalVersion,
+                "unsupported WAL version " + std::to_string(version));
+  } catch (...) {
+    ::close(fd_);
+    throw;
+  }
+  head_ = kWalHeaderSize;
+  offset_ = kWalHeaderSize;
+}
+
+WalReader::~WalReader() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+void WalReader::fill(std::size_t need) {
+  if (tail_ - head_ >= need) return;
+  if (buf_.size() - head_ < need) {
+    std::memmove(buf_.data(), buf_.data() + head_, tail_ - head_);
+    tail_ -= head_;
+    head_ = 0;
+    if (buf_.size() < need) buf_.resize(need);
+  }
+  while (tail_ - head_ < need) {
+    const auto want = static_cast<std::size_t>(std::min<std::uint64_t>(
+        buf_.size() - tail_, end_ - file_pos_));
+    const ssize_t n = ::pread(fd_, buf_.data() + tail_, want,
+                              static_cast<off_t>(file_pos_));
+    if (n < 0 && errno == EINTR) continue;
+    DBS_REQUIRE(n > 0, "read failed: " + path_);
+    tail_ += static_cast<std::size_t>(n);
+    file_pos_ += static_cast<std::uint64_t>(n);
+  }
+}
+
+bool WalReader::peek(std::uint8_t& type, std::uint64_t& size) {
+  if (end_ - offset_ < kFrameHeader) return false;
+  fill(kFrameHeader);
+  type = buf_[head_];
+  size = kFrameHeader +
+         std::uint64_t{codec::load_le<std::uint32_t>(buf_.data() + head_ + 1)};
+  return end_ - offset_ >= size;
+}
+
+void WalReader::step(std::uint64_t size) {
+  const std::size_t buffered = tail_ - head_;
+  if (size <= buffered) {
+    head_ += static_cast<std::size_t>(size);
+  } else {
+    head_ = tail_ = 0;
+    file_pos_ += size - buffered;
+  }
+  offset_ += size;
+}
+
+bool WalReader::next(std::uint8_t only) {
+  // Anything that fails to parse is a torn tail from a crash mid-append:
+  // stop at the last complete frame rather than throw.
+  std::uint8_t type = 0;
+  std::uint64_t size = 0;
+  for (;;) {
+    if (!peek(type, size)) return false;
+    if (only == 0 || type == only) break;
+    step(size);
+  }
+  fill(static_cast<std::size_t>(size));
+  const unsigned char* payload = buf_.data() + head_ + kFrameHeader;
+  const std::size_t len = static_cast<std::size_t>(size) - kFrameHeader;
+  if (type == kWalIngest) {
+    try {
+      ingest_ = decode_ingest(payload, len);
+    } catch (const precondition_error&) {
+      return false;
+    }
+  } else if (type == kWalDecision && len == obs::rec::kRecordSize) {
+    decision_ = obs::rec::decode_record(payload);
+  } else {
+    return false;
+  }
+  type_ = type;
+  step(size);
+  return true;
+}
+
+bool WalReader::skip(std::uint8_t type, std::uint64_t count) {
+  std::uint8_t at = 0;
+  std::uint64_t size = 0;
+  while (count > 0) {
+    if (!peek(at, size)) return false;
+    if (at == type) --count;
+    step(size);
+  }
+  return true;
+}
+
+WalSummary scan_wal(const std::string& path) {
+  WalSummary out;
+  if (!std::filesystem::exists(path)) return out;
+  WalReader reader(path);
+  while (reader.next()) {
+    if (reader.type() == kWalIngest)
+      out.ingest.add(reader.ingest());
+    else
+      ++out.decisions;
+  }
+  out.valid_bytes = reader.offset();
+  return out;
+}
+
 WalContents read_wal(const std::string& path) {
   WalContents out;
   if (!std::filesystem::exists(path)) {
     out.valid_bytes = 0;
     return out;
   }
-  const std::vector<unsigned char> data = read_file(path);
-  DBS_REQUIRE(data.size() >= kWalHeaderSize, "WAL shorter than its header");
-  std::uint32_t magic = 0;
-  std::uint32_t version = 0;
-  codec::ByteReader header(data.data(), kWalHeaderSize, "WAL header");
-  header(magic, version);
-  DBS_REQUIRE(magic == kWalMagic, "not a DBSW WAL");
-  DBS_REQUIRE(version == kWalVersion,
-              "unsupported WAL version " + std::to_string(version));
-
-  std::size_t pos = kWalHeaderSize;
-  // Anything that fails to parse past this point is a torn tail from a
-  // crash mid-append: stop at the last complete record rather than throw.
-  while (pos + 5 <= data.size()) {
-    const std::uint8_t type = data[pos];
-    const auto len = codec::load_le<std::uint32_t>(data.data() + pos + 1);
-    if (pos + 5 + len > data.size()) break;
-    const unsigned char* payload = data.data() + pos + 5;
-    if (type == kWalIngest) {
-      IngestRecord rec;
-      try {
-        rec = decode_ingest(payload, len);
-      } catch (const precondition_error&) {
-        break;
-      }
-      out.ingest.push_back(std::move(rec));
-    } else if (type == kWalDecision && len == obs::rec::kRecordSize) {
-      out.decisions.push_back(obs::rec::decode_record(payload));
-    } else {
-      break;
-    }
-    pos += 5 + len;
+  WalReader reader(path);
+  while (reader.next()) {
+    if (reader.type() == kWalIngest)
+      out.ingest.push_back(std::move(reader.ingest()));
+    else
+      out.decisions.push_back(reader.decision());
   }
-  out.valid_bytes = pos;
+  out.valid_bytes = reader.offset();
   return out;
 }
 

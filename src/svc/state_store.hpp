@@ -19,14 +19,15 @@
 //
 // Every layout is one field list on the common codec (common/codec.hpp).
 //
-// Recovery = load the newest snapshot consistent with the WAL (its
-// recorded WAL counts must not exceed what the log actually holds — a
-// crash can lose a snapshot's tail but never un-write the log), re-arm
-// pending events, re-schedule the WAL's unfired ingest tail at the
-// RECORDED admitted times, then re-run. Determinism makes the re-made
-// decisions identical to the logged ones, which the service loop verifies
-// record against record before switching the WAL back to append mode.
-// Format details: DESIGN.md §13.
+// Recovery = count the WAL in one pass, load the newest snapshot
+// consistent with it (its recorded WAL counts must not exceed what the log
+// actually holds — a crash can lose a snapshot's tail but never un-write
+// the log), re-arm pending events, re-feed the WAL's unfired ingest tail
+// at the RECORDED admitted times, then re-run. Determinism makes the
+// re-made decisions identical to the logged ones, which the service loop
+// verifies record against record before switching the WAL back to append
+// mode. The log is read frame by frame (WalReader), never whole. Format
+// details: DESIGN.md §13.
 #pragma once
 
 #include <array>
@@ -60,6 +61,10 @@ inline constexpr std::uint32_t kWalVersion = 2;
 inline constexpr std::uint32_t kWalMagic = 0x57534244;
 /// Bytes of the WAL header (magic + version).
 inline constexpr std::uint64_t kWalHeaderSize = 8;
+/// A WalWriter writes its buffer out once it holds this many bytes.
+inline constexpr std::size_t kWalFlushBytes = 64 * 1024;
+/// A WalReader's read buffer (grown only for a larger frame).
+inline constexpr std::size_t kWalReadBytes = 64 * 1024;
 
 // --- the full serializable system image -----------------------------------
 
@@ -149,6 +154,9 @@ class WalWriter {
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
+  /// The appends buffer their frame and write the buffer out (flush(), no
+  /// fsync) whenever it passes a constant size, so the buffer stays
+  /// bounded however many records one batch appends.
   void append_ingest(const IngestRecord& r);
   /// Appends decision_record(at, iteration, d).
   void append_decision(Time at, std::uint64_t iteration,
@@ -179,18 +187,99 @@ class WalWriter {
   std::uint64_t decisions_ = 0;
 };
 
-/// A fully parsed WAL. `valid_bytes` is the offset just past the last
-/// complete record — a torn tail (partial record after a crash mid-write)
-/// is tolerated and cut there on reopen.
+/// Reads a WAL's frames in file order through a read buffer of a constant
+/// size (grown only to hold a frame larger than it), so a log of any
+/// length is read holding one frame at a time. Recovery runs one reader
+/// to count the log and two more as cursors over its ingest and decision
+/// frames.
+class WalReader {
+ public:
+  /// Opens `path` and checks its header: throws precondition_error when
+  /// the file cannot be opened or is shorter than the header, on bad magic
+  /// and on a version other than kWalVersion (a v1 log is rejected, naming
+  /// its version). Frames are read up to `end` bytes into the file, or to
+  /// its end.
+  explicit WalReader(const std::string& path,
+                     std::uint64_t end = UINT64_MAX);
+  ~WalReader();
+
+  WalReader(const WalReader&) = delete;
+  WalReader& operator=(const WalReader&) = delete;
+
+  /// Advances to the next complete frame and decodes it. Returns false at
+  /// the end, or at a torn tail — an incomplete frame, an unknown type, an
+  /// ingest payload that does not decode or a decision of the wrong size —
+  /// which a crash mid-append leaves; offset() then is the valid prefix.
+  /// With `only` set to a frame type, frames of the other type are
+  /// stepped over undecoded: for a prefix an earlier pass validated.
+  bool next(std::uint8_t only = 0);
+  /// Steps over the next `count` frames of type `type`, and the frames of
+  /// the other type among them, without decoding any; next() then reads
+  /// the frame after them. False when the frames end first.
+  bool skip(std::uint8_t type, std::uint64_t count);
+
+  /// The current frame's type (kWalIngest or kWalDecision).
+  [[nodiscard]] std::uint8_t type() const { return type_; }
+  /// The current ingest frame's record; the reader's own copy, so the
+  /// caller may move from it.
+  [[nodiscard]] IngestRecord& ingest() { return ingest_; }
+  /// The current decision frame's record.
+  [[nodiscard]] const obs::rec::PackedRecord& decision() const {
+    return decision_;
+  }
+  /// Bytes up to the end of the current frame (the header's size before
+  /// the first frame).
+  [[nodiscard]] std::uint64_t offset() const { return offset_; }
+
+ private:
+  /// Reads the header of the frame at offset(): false when no complete
+  /// frame fits before end_.
+  bool peek(std::uint8_t& type, std::uint64_t& size);
+  /// Moves offset() past the `size`-byte frame there, reading none of it
+  /// that is not buffered yet.
+  void step(std::uint64_t size);
+  /// Makes `need` bytes from offset() on readable at buf_[head_]; the
+  /// caller has checked that they lie before end_.
+  void fill(std::size_t need);
+
+  int fd_ = -1;
+  std::string path_;
+  std::uint64_t end_ = 0;
+  std::vector<unsigned char> buf_;
+  std::size_t head_ = 0;  ///< buf_[head_] is the byte at offset_
+  std::size_t tail_ = 0;  ///< buf_[tail_] is the byte at file_pos_
+  std::uint64_t offset_ = 0;
+  std::uint64_t file_pos_ = 0;
+  std::uint8_t type_ = 0;
+  IngestRecord ingest_;
+  obs::rec::PackedRecord decision_{};
+};
+
+/// What one pass over a WAL's valid prefix counts: what recovery needs
+/// before it picks a snapshot and reopens the log.
+struct WalSummary {
+  /// Just past the last complete frame; 0 when there is no WAL file
+  /// (recovery then cold-starts).
+  std::uint64_t valid_bytes = 0;
+  IngestTotals ingest;
+  std::uint64_t decisions = 0;
+};
+
+/// Counts `path` frame by frame (see WalSummary). Throws like WalReader
+/// on a bad header; a missing file is an empty summary.
+[[nodiscard]] WalSummary scan_wal(const std::string& path);
+
+/// A fully materialized WAL, for tests and offline inspection (recovery
+/// streams the log through WalReader instead). `valid_bytes` is the
+/// offset just past the last complete record.
 struct WalContents {
   std::vector<IngestRecord> ingest;
   std::vector<obs::rec::PackedRecord> decisions;
   std::uint64_t valid_bytes = kWalHeaderSize;
 };
 
-/// Reads `path`; a missing file yields empty contents with valid_bytes 0
-/// (recovery then cold-starts). Throws on bad magic or a version other
-/// than kWalVersion (a v1 log is rejected, naming its version).
+/// Reads every frame of `path` through one WalReader; a missing file
+/// yields empty contents with valid_bytes 0. Throws like WalReader.
 [[nodiscard]] WalContents read_wal(const std::string& path);
 
 // --- state directory layout ------------------------------------------------

@@ -1,6 +1,7 @@
 // IngestQueue contract: whatever the producer interleaving, drain()
 // releases the exact ticket sequence 0,1,2,... — the total order every
-// replay (WAL recovery, single-threaded differential) reproduces. The
+// replay (WAL recovery, single-threaded differential) reproduces — in
+// chunks of at most kIngestChunk records, handed over whole. The
 // concurrent tests drain while several producers push: every batch must
 // continue the sequence where the last one ended, and depth() must never
 // count more records than were pushed and not yet drained.
@@ -17,6 +18,14 @@
 
 namespace dbs::svc {
 namespace {
+
+/// The drained records, in order, across their chunks.
+std::vector<IngestRecord> flatten(const std::vector<IngestChunk>& chunks) {
+  std::vector<IngestRecord> out;
+  for (const IngestChunk& chunk : chunks)
+    out.insert(out.end(), chunk.begin(), chunk.end());
+  return out;
+}
 
 IngestRecord submit_record(IngestQueue& q, std::int64_t at_us,
                            const std::string& name) {
@@ -40,10 +49,12 @@ TEST(IngestQueue, SingleThreadedDrainYieldsPushOrder) {
   EXPECT_EQ(q.depth(), 3u);
   EXPECT_EQ(q.pushed(), 3u);
 
-  std::vector<IngestRecord> out;
-  EXPECT_EQ(q.drain(out), 3u);
-  ASSERT_EQ(out.size(), 3u);
+  std::vector<IngestChunk> chunks;
+  EXPECT_EQ(q.drain(chunks), 3u);
+  ASSERT_EQ(chunks.size(), 1u);
   EXPECT_EQ(q.depth(), 0u);
+  const std::vector<IngestRecord> out = flatten(chunks);
+  ASSERT_EQ(out.size(), 3u);
 
   EXPECT_EQ(out[0].seq, 0u);
   EXPECT_EQ(out[0].kind, IngestKind::Submit);
@@ -56,20 +67,56 @@ TEST(IngestQueue, SingleThreadedDrainYieldsPushOrder) {
   EXPECT_EQ(out[2].job, JobId(7));
 
   // Drain on an empty queue releases nothing and appends nothing.
-  EXPECT_EQ(q.drain(out), 0u);
-  EXPECT_EQ(out.size(), 3u);
+  EXPECT_EQ(q.drain(chunks), 0u);
+  EXPECT_EQ(chunks.size(), 1u);
 }
 
 TEST(IngestQueue, DrainAppendsToExistingOutput) {
   IngestQueue q;
   submit_record(q, 10, "first");
-  std::vector<IngestRecord> out;
+  std::vector<IngestChunk> out;
   q.drain(out);
   submit_record(q, 20, "second");
   q.drain(out);
+  // A record pushed after a drain starts a new chunk: the handed-over one
+  // is the consumer's.
   ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].seq, 0u);
-  EXPECT_EQ(out[1].seq, 1u);
+  ASSERT_EQ(out[0].size(), 1u);
+  ASSERT_EQ(out[1].size(), 1u);
+  EXPECT_EQ(out[0][0].seq, 0u);
+  EXPECT_EQ(out[1][0].seq, 1u);
+}
+
+// One drain across chunk boundaries: full chunks of kIngestChunk records
+// and a partial last one, the tickets continuous across them, no chunk
+// grown past kIngestChunk, and the next drain continuing the sequence
+// from a fresh chunk.
+TEST(IngestQueue, DrainsAcrossAChunkBoundary) {
+  IngestQueue q;
+  const std::size_t total = 2 * kIngestChunk + 3;
+  for (std::size_t i = 0; i < total; ++i)
+    submit_record(q, static_cast<std::int64_t>(i), "j");
+  EXPECT_EQ(q.depth(), total);
+
+  std::vector<IngestChunk> chunks;
+  ASSERT_EQ(q.drain(chunks), total);
+  ASSERT_EQ(chunks.size(), 3u);
+  EXPECT_EQ(chunks[0].size(), kIngestChunk);
+  EXPECT_EQ(chunks[1].size(), kIngestChunk);
+  EXPECT_EQ(chunks[2].size(), 3u);
+  for (const IngestChunk& chunk : chunks)
+    EXPECT_LE(chunk.capacity(), kIngestChunk);
+  const std::vector<IngestRecord> out = flatten(chunks);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    ASSERT_EQ(out[i].seq, i);
+    ASSERT_EQ(out[i].requested.as_micros(), static_cast<std::int64_t>(i));
+  }
+
+  submit_record(q, 1'000'000, "next");
+  std::vector<IngestChunk> more;
+  ASSERT_EQ(q.drain(more), 1u);
+  ASSERT_EQ(more.size(), 1u);
+  EXPECT_EQ(more[0][0].seq, total);
 }
 
 TEST(IngestQueue, CloseRejectsFurtherPushes) {
@@ -83,7 +130,7 @@ TEST(IngestQueue, CloseRejectsFurtherPushes) {
                         wl::Behavior{}),
                precondition_error);
   // What was queued before close() still drains.
-  std::vector<IngestRecord> out;
+  std::vector<IngestChunk> out;
   EXPECT_EQ(q.drain(out), 1u);
 }
 
@@ -123,7 +170,7 @@ TEST(IngestQueue, ConcurrentProducersDrainInTicketOrder) {
   }
 
   std::uint64_t next_seq = 0;
-  std::vector<IngestRecord> batch;
+  std::vector<IngestChunk> batch;
   std::size_t drains = 0;
   std::size_t partial_drains = 0;
   go.store(true, std::memory_order_release);
@@ -133,9 +180,12 @@ TEST(IngestQueue, ConcurrentProducersDrainInTicketOrder) {
         << "depth() counts records that were never pushed";
     batch.clear();
     const std::size_t n = q.drain(batch);
-    ASSERT_EQ(n, batch.size());
+    const std::vector<IngestRecord> records = flatten(batch);
+    ASSERT_EQ(n, records.size());
+    for (const IngestChunk& chunk : batch)
+      ASSERT_LE(chunk.size(), kIngestChunk);
     for (std::size_t i = 0; i < n; ++i)
-      ASSERT_EQ(batch[i].seq, next_seq + i)
+      ASSERT_EQ(records[i].seq, next_seq + i)
           << "drain released a non-contiguous ticket";
     next_seq += n;
     ++drains;
@@ -177,8 +227,9 @@ TEST(IngestQueue, DrainPreservesPerProducerOrder) {
   }
   for (auto& p : producers) p.join();
 
-  std::vector<IngestRecord> out;
-  ASSERT_EQ(q.drain(out), kThreads * kPerThread);
+  std::vector<IngestChunk> chunks;
+  ASSERT_EQ(q.drain(chunks), kThreads * kPerThread);
+  const std::vector<IngestRecord> out = flatten(chunks);
   std::vector<std::int64_t> last_index(kThreads, -1);
   for (std::size_t i = 0; i < out.size(); ++i) {
     ASSERT_EQ(out[i].seq, i);

@@ -53,10 +53,19 @@ batch::SystemConfig durable_config() {
   return cfg;
 }
 
-wl::Workload make_workload(std::uint64_t jobs, std::uint64_t seed) {
+/// By default the jobs are drawn for a 1024-core machine and clamped to
+/// the 64-core test cluster, which they overload (the queue deepens for
+/// the whole run); `cluster_sized` draws them for 64 cores, spaced so the
+/// queue stays a few hours deep.
+wl::Workload make_workload(std::uint64_t jobs, std::uint64_t seed,
+                           bool cluster_sized = false) {
   wl::swf::SwfGenParams gp;
   gp.jobs = jobs;
   gp.seed = seed;
+  if (cluster_sized) {
+    gp.max_procs = 64;
+    gp.mean_interarrival_s = 300;
+  }
   std::ostringstream out;
   wl::swf::generate_swf(out, gp);
 
@@ -291,43 +300,74 @@ std::string drop_lines(const std::string& text, const std::string& needle) {
   return out;
 }
 
+/// Records a workload above three submission windows: the loop refills
+/// its window, steps across ingest chunks and, reopened without its
+/// snapshots, re-runs a recovery tail longer than the window. Its jobs are
+/// sized for the test cluster, which keeps the run short.
+constexpr std::uint64_t kWindowsJobs = 3500;
+static_assert(kWindowsJobs > 3 * kSubmissionWindow);
+
+/// The first line where two texts differ, or "" when they are equal. A
+/// failure names it instead of printing a full diff, which for traces of
+/// thousands of jobs would need memory quadratic in their length.
+std::string first_difference(const std::string& a, const std::string& b) {
+  std::istringstream in_a(a);
+  std::istringstream in_b(b);
+  std::string line_a;
+  std::string line_b;
+  for (std::size_t line = 1;; ++line) {
+    const bool more_a = static_cast<bool>(std::getline(in_a, line_a));
+    const bool more_b = static_cast<bool>(std::getline(in_b, line_b));
+    if (!more_a && !more_b) return "";
+    if (more_a != more_b || line_a != line_b)
+      return "line " + std::to_string(line) + ": " +
+             (more_a ? line_a : "<end>") + " | " + (more_b ? line_b : "<end>");
+  }
+}
+
 TEST(ServiceLoop, MatchesOneShotStreamingReplay) {
-  const wl::Workload workload = make_workload(120, 5);
+  for (const std::uint64_t jobs : {std::uint64_t{120}, kWindowsJobs}) {
+    SCOPED_TRACE(std::to_string(jobs) + " jobs");
+    const wl::Workload workload =
+        make_workload(jobs, 5, /*cluster_sized=*/jobs == kWindowsJobs);
 
-  // One-shot reference: the streaming replay path.
-  batch::BatchSystem oneshot(durable_config());
-  obs::Registry reg_a;
-  std::ostringstream trace_a;
-  obs::Tracer tracer_a;
-  tracer_a.attach_stream(trace_a, obs::TraceFormat::Jsonl);
-  oneshot.set_sinks({&tracer_a, &reg_a});
-  oneshot.submit_workload(workload);
-  oneshot.run();
-  tracer_a.close();
+    // One-shot reference: the streaming replay path.
+    batch::BatchSystem oneshot(durable_config());
+    obs::Registry reg_a;
+    std::ostringstream trace_a;
+    obs::Tracer tracer_a;
+    tracer_a.attach_stream(trace_a, obs::TraceFormat::Jsonl);
+    oneshot.set_sinks({&tracer_a, &reg_a});
+    oneshot.submit_workload(workload);
+    oneshot.run();
+    tracer_a.close();
 
-  // Service mode on the same jobs, one producer thread, no durability.
-  IngestQueue ingest;
-  batch::BatchSystem served(durable_config());
-  obs::Registry reg_b;
-  std::ostringstream trace_b;
-  obs::Tracer tracer_b;
-  tracer_b.attach_stream(trace_b, obs::TraceFormat::Jsonl);
-  served.set_sinks({&tracer_b, &reg_b});
-  served.attach_ingest(ingest, service_config(""));
-  std::thread producer([&]() {
-    for (const auto& s : workload.jobs)
-      ingest.submit(s.at, s.spec, s.behavior);
-    ingest.close();
-  });
-  served.run_service();
-  producer.join();
-  tracer_b.close();
+    // Service mode on the same jobs, one producer thread, no durability.
+    IngestQueue ingest;
+    batch::BatchSystem served(durable_config());
+    obs::Registry reg_b;
+    std::ostringstream trace_b;
+    obs::Tracer tracer_b;
+    tracer_b.attach_stream(trace_b, obs::TraceFormat::Jsonl);
+    served.set_sinks({&tracer_b, &reg_b});
+    served.attach_ingest(ingest, service_config(""));
+    std::thread producer([&]() {
+      for (const auto& s : workload.jobs)
+        ingest.submit(s.at, s.spec, s.behavior);
+      ingest.close();
+    });
+    served.run_service();
+    producer.join();
+    tracer_b.close();
 
-  expect_summaries_equal(metrics::summarize(served.recorder()),
-                         metrics::summarize(oneshot.recorder()));
-  EXPECT_EQ(drop_lines(trace_b.str(), "wall_us"),
-            drop_lines(trace_a.str(), "wall_us"))
-      << "service mode changed the decision/trace stream";
+    EXPECT_EQ(metrics::summarize(served.recorder()).jobs_completed, jobs);
+    expect_summaries_equal(metrics::summarize(served.recorder()),
+                           metrics::summarize(oneshot.recorder()));
+    EXPECT_EQ(first_difference(drop_lines(trace_b.str(), "wall_us"),
+                               drop_lines(trace_a.str(), "wall_us")),
+              "")
+        << "service mode changed the decision/trace stream";
+  }
 }
 
 TEST(ServiceLoop, DurableModeRequiresZeroLatencyAndStreamingMetrics) {
@@ -398,21 +438,27 @@ TEST(ServiceLoop, ConcurrentIngestReplaysByteIdentical) {
 
 // --- clean shutdown / reopen ------------------------------------------------
 
-TEST(ServiceLoop, CleanShutdownAndReopenContinuesToTheSameResult) {
-  TempDir dir("reopen");
-  const wl::Workload workload = make_workload(80, 13);
-
+/// Runs `workload` uninterrupted, then again stopped after `max_ticks`
+/// and reopened (with the state dir's snapshots removed when
+/// `drop_snapshots`, so recovery re-runs the whole WAL): the reopened run
+/// must finish on the uninterrupted summary and decision stream.
+void expect_reopen_continues(const TempDir& dir, const wl::Workload& workload,
+                             std::uint64_t max_ticks, bool drop_snapshots) {
   const ServiceResult baseline =
       run_service(workload, service_config(dir.sub("base")));
   ASSERT_EQ(baseline.summary.jobs_completed, workload.jobs.size());
 
   // First run: stop after a bounded number of drain cycles, mid-workload.
   ServiceConfig stopped = service_config(dir.sub("split"));
-  stopped.max_ticks = 40;
+  stopped.max_ticks = max_ticks;
   const ServiceResult first = run_service(workload, stopped);
   ASSERT_LT(first.wal_decisions, baseline.wal_decisions)
       << "max_ticks did not stop mid-run; shrink it";
   EXPECT_FALSE(first.recovered);
+  if (drop_snapshots) {
+    for (const auto& entry : fs::directory_iterator(dir.sub("split")))
+      if (entry.path().extension() == ".dbss") fs::remove(entry.path());
+  }
 
   // Second run: reopen the same directory and finish.
   const ServiceResult second =
@@ -428,6 +474,23 @@ TEST(ServiceLoop, CleanShutdownAndReopenContinuesToTheSameResult) {
   for (std::size_t i = 0; i < base_stream.size(); ++i)
     ASSERT_EQ(split_stream[i], base_stream[i])
         << "decision " << i << " diverged across the shutdown";
+}
+
+TEST(ServiceLoop, CleanShutdownAndReopenContinuesToTheSameResult) {
+  {
+    SCOPED_TRACE("80 jobs");
+    TempDir dir("reopen");
+    expect_reopen_continues(dir, make_workload(80, 13), 40, false);
+  }
+  {
+    // One record per tick: the first run logs 2,500 records, and with no
+    // snapshot left all of them are the recovery tail.
+    SCOPED_TRACE(std::to_string(kWindowsJobs) + " jobs, snapshots removed");
+    TempDir dir("reopen_windows");
+    expect_reopen_continues(
+        dir, make_workload(kWindowsJobs, 13, /*cluster_sized=*/true), 2500,
+        true);
+  }
 }
 
 // --- crash injection --------------------------------------------------------
@@ -590,6 +653,33 @@ std::map<std::string, std::vector<unsigned char>> dir_contents(
   for (const auto& entry : fs::directory_iterator(dir))
     out[entry.path().filename().string()] = read_file(entry.path().string());
   return out;
+}
+
+// The loop arms a window of the records it holds, not its whole backlog:
+// a closed loop queues every record before the first tick, and the event
+// queue still holds no more than the window plus the running jobs' events.
+TEST(ServiceLoop, ClosedLoopArmsAWindowNotItsBacklog) {
+  TempDir dir("window");
+  constexpr std::size_t kJobs = 5000;
+  constexpr std::size_t kBound = kJobs / 2;
+  static_assert(kSubmissionWindow < kBound);
+  const wl::Workload workload =
+      make_workload(kJobs, 17, /*cluster_sized=*/true);
+  IngestQueue ingest;
+  batch::BatchSystem system(durable_config());
+  ServiceLoop& service =
+      system.attach_ingest(ingest, service_config(dir.path(), 0));
+  ASSERT_FALSE(system.open_state());
+  queue_all(ingest, workload);
+  service.tick();
+  EXPECT_EQ(service.wal_ingest_total(), kJobs);
+  EXPECT_LT(system.simulator().pending_events(), kBound);
+  while (!service.drained()) {
+    service.tick();
+    ASSERT_LT(system.simulator().pending_events(), kBound);
+  }
+  service.finalize();
+  EXPECT_EQ(metrics::summarize(system.recorder()).jobs_completed, kJobs);
 }
 
 // Snapshots are published by a writer thread, but the state dir is read

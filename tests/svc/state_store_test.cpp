@@ -415,6 +415,7 @@ TEST(Wal, ToleratesTruncationAtEveryByteOffset) {
       // A crash inside the 8-byte header loses the log's identity; that is
       // a hard error, not a torn tail.
       EXPECT_THROW((void)read_wal(cut_path), precondition_error);
+      EXPECT_THROW((void)scan_wal(cut_path), precondition_error);
       continue;
     }
     // The longest frame boundary that fits the prefix.
@@ -427,7 +428,165 @@ TEST(Wal, ToleratesTruncationAtEveryByteOffset) {
         << "prefix of " << keep << " bytes";
     EXPECT_EQ(wal.valid_bytes, boundaries[complete])
         << "prefix of " << keep << " bytes";
+    // The counting pass recovery runs agrees at every cut: the frames are
+    // ingest/decision pairs, so the first `complete` split evenly.
+    const WalSummary scan = scan_wal(cut_path);
+    EXPECT_EQ(scan.ingest.records, (complete + 1) / 2)
+        << "prefix of " << keep << " bytes";
+    EXPECT_EQ(scan.decisions, complete / 2)
+        << "prefix of " << keep << " bytes";
+    EXPECT_EQ(scan.valid_bytes, boundaries[complete])
+        << "prefix of " << keep << " bytes";
   }
+}
+
+// Recovery reads one log through two cursors, one per frame type: each
+// yields its own frames in file order, stepping over the other type, and
+// skip() lands where a snapshot's counts say the tail begins. The two
+// advance independently over one file.
+TEST(Wal, CursorsReadInterleavedFramesByType) {
+  TempDir dir("wal_cursors");
+  const std::string path = wal_path(dir.path());
+  std::vector<IngestRecord> ingests;
+  std::vector<obs::rec::PackedRecord> decisions;
+  {
+    WalWriter writer(path);
+    // Uneven runs of each type: 1 ingest, 2 decisions, 3 ingests, ...
+    std::uint64_t i = 0;
+    std::uint64_t d = 0;
+    for (std::uint64_t run = 1; run <= 6; ++run) {
+      for (std::uint64_t k = 0; k < run; ++k) {
+        if (run % 2 == 1) {
+          IngestRecord r = (i % 3 == 2) ? sample_cancel(i) : sample_submit(i);
+          writer.append_ingest(r);
+          ingests.push_back(std::move(r));
+          ++i;
+        } else {
+          const Time at = Time::from_micros(static_cast<std::int64_t>(d));
+          writer.append_decision(at, d, sample_decision(d));
+          decisions.push_back(
+              obs::rec::decision_record(at, d, sample_decision(d)));
+          ++d;
+        }
+      }
+    }
+  }
+  ASSERT_EQ(ingests.size(), 9u);
+  ASSERT_EQ(decisions.size(), 12u);
+
+  const WalSummary scan = scan_wal(path);
+  EXPECT_EQ(scan.ingest.records, ingests.size());
+  EXPECT_EQ(scan.ingest.submits, 6u);
+  EXPECT_EQ(scan.ingest.submit_cores, 6u * 4u);
+  EXPECT_EQ(scan.decisions, decisions.size());
+  EXPECT_EQ(scan.valid_bytes, fs::file_size(path));
+
+  WalReader ingest_cursor(path, scan.valid_bytes);
+  WalReader decision_cursor(path, scan.valid_bytes);
+  std::size_t next_ingest = 0;
+  std::size_t next_decision = 0;
+  // Alternate unevenly between the cursors until both run out.
+  while (next_ingest < ingests.size() || next_decision < decisions.size()) {
+    for (int k = 0; k < 2 && next_decision < decisions.size(); ++k) {
+      ASSERT_TRUE(decision_cursor.next(kWalDecision));
+      ASSERT_EQ(decision_cursor.type(), kWalDecision);
+      EXPECT_TRUE(decision_cursor.decision() == decisions[next_decision++]);
+    }
+    if (next_ingest < ingests.size()) {
+      ASSERT_TRUE(ingest_cursor.next(kWalIngest));
+      ASSERT_EQ(ingest_cursor.type(), kWalIngest);
+      EXPECT_TRUE(ingest_cursor.ingest() == ingests[next_ingest++]);
+    }
+  }
+  EXPECT_FALSE(ingest_cursor.next(kWalIngest));
+  EXPECT_FALSE(decision_cursor.next(kWalDecision));
+  EXPECT_EQ(ingest_cursor.offset(), scan.valid_bytes);
+
+  // skip() steps over a counted prefix of one type; next() reads on.
+  for (const std::uint64_t done : {0u, 1u, 4u, 9u}) {
+    WalReader tail(path, scan.valid_bytes);
+    ASSERT_TRUE(tail.skip(kWalIngest, done));
+    for (std::size_t k = done; k < ingests.size(); ++k) {
+      ASSERT_TRUE(tail.next(kWalIngest));
+      EXPECT_TRUE(tail.ingest() == ingests[k]) << "after skipping " << done;
+    }
+    EXPECT_FALSE(tail.next(kWalIngest));
+  }
+  WalReader logged(path, scan.valid_bytes);
+  ASSERT_TRUE(logged.skip(kWalDecision, 7));
+  ASSERT_TRUE(logged.next(kWalDecision));
+  EXPECT_TRUE(logged.decision() == decisions[7]);
+  WalReader past(path, scan.valid_bytes);
+  EXPECT_FALSE(past.skip(kWalDecision, decisions.size() + 1));
+}
+
+// A frame larger than the read buffer is read whole (the buffer grows to
+// hold it), stepped over by a cursor of the other type, counted by the
+// scan, and, cut short, ends the valid prefix just before itself.
+TEST(Wal, ReadsAFrameLargerThanTheReadBuffer) {
+  TempDir dir("wal_big_frame");
+  const std::string path = wal_path(dir.path());
+  IngestRecord big = sample_submit(1);
+  big.spec.name.assign(kWalReadBytes + 1000, 'x');
+  const std::vector<IngestRecord> ingests{sample_submit(0), big,
+                                          sample_cancel(2)};
+  std::uint64_t big_start = 0;
+  {
+    WalWriter writer(path);
+    writer.append_ingest(ingests[0]);
+    writer.append_decision(Time::from_micros(1), 1, sample_decision(1));
+    writer.flush();
+    big_start = fs::file_size(path);
+    writer.append_ingest(ingests[1]);
+    writer.append_decision(Time::from_micros(2), 2, sample_decision(2));
+    writer.append_ingest(ingests[2]);
+  }
+
+  const WalContents wal = read_wal(path);
+  ASSERT_EQ(wal.ingest.size(), 3u);
+  for (std::size_t i = 0; i < ingests.size(); ++i)
+    EXPECT_TRUE(wal.ingest[i] == ingests[i]) << "record " << i;
+  ASSERT_EQ(wal.decisions.size(), 2u);
+  EXPECT_EQ(wal.decisions[1].t_us, 2);
+  EXPECT_EQ(wal.valid_bytes, fs::file_size(path));
+
+  WalReader decision_cursor(path);
+  ASSERT_TRUE(decision_cursor.next(kWalDecision));
+  ASSERT_TRUE(decision_cursor.next(kWalDecision));
+  EXPECT_EQ(decision_cursor.decision().t_us, 2);
+  EXPECT_FALSE(decision_cursor.next(kWalDecision));
+
+  const WalSummary scan = scan_wal(path);
+  EXPECT_EQ(scan.ingest.records, 3u);
+  EXPECT_EQ(scan.decisions, 2u);
+  EXPECT_EQ(scan.valid_bytes, wal.valid_bytes);
+
+  // Cut inside the big frame: it is the torn tail.
+  fs::resize_file(path, big_start + kWalReadBytes / 2);
+  const WalSummary cut = scan_wal(path);
+  EXPECT_EQ(cut.ingest.records, 1u);
+  EXPECT_EQ(cut.decisions, 1u);
+  EXPECT_EQ(cut.valid_bytes, big_start);
+}
+
+// The writer's buffer stays bounded: once it passes kWalFlushBytes the
+// appends write it out, before any flush() or fsync().
+TEST(Wal, WriterWritesItsBufferOutPastAConstantSize) {
+  TempDir dir("wal_bounded");
+  const std::string path = wal_path(dir.path());
+  WalWriter writer(path);
+  const std::uint64_t frame = 5 + encode_ingest(sample_submit(0)).size();
+  std::uint64_t appended = 0;
+  while (appended < kWalFlushBytes - frame) {
+    writer.append_ingest(sample_submit(0));
+    appended += frame;
+  }
+  EXPECT_EQ(fs::file_size(path), kWalHeaderSize) << "flushed too early";
+  writer.append_ingest(sample_submit(0));
+  writer.append_ingest(sample_submit(0));
+  EXPECT_GT(fs::file_size(path), kWalHeaderSize + kWalFlushBytes - frame);
+  EXPECT_EQ((fs::file_size(path) - kWalHeaderSize) % frame, 0u)
+      << "the buffer was written out mid-frame";
 }
 
 // --- state directory policies ----------------------------------------------
