@@ -1,5 +1,7 @@
 #include "batch/batch_system.hpp"
 
+#include <algorithm>
+
 #include "common/assert.hpp"
 #include "obs/recorder/recorder.hpp"
 #include "obs/registry.hpp"
@@ -63,56 +65,73 @@ void BatchSystem::submit_at(
                    });
 }
 
-void BatchSystem::schedule_submission(const wl::SubmitSpec& s) {
-  sim_.schedule_submission(
-      s.at + config_.latency.client_to_server,
-      [this, spec = s.spec, behavior = s.behavior]() mutable {
-        server_.submit(std::move(spec),
-                       apps::make_application(behavior, config_.speedup));
-      });
+void BatchSystem::deliver(wl::SubmitSpec&& s) {
+  if (s.cancel.valid()) {
+    (void)server_.cancel(s.cancel);  // false (unknown/finished) is fine
+    return;
+  }
+  server_.submit(std::move(s.spec),
+                 apps::make_application(s.behavior, config_.speedup));
 }
 
 void BatchSystem::submit_workload(const wl::Workload& workload) {
-  for (const wl::SubmitSpec& s : workload.jobs) schedule_submission(s);
-}
-
-// Each in-flight arrival event carries the pump: when it fires it first
-// pulls the next record beyond the window and schedules it, then submits
-// its own job. Pulls happen in trace order from a single chain of
-// events, so submission-lane sequence numbers stay in trace order and
-// the ordering matches the materialized path exactly.
-struct BatchSystem::StreamPump {
-  wl::SubmissionSource* source = nullptr;
-  Time last_at = Time::epoch();
-  bool exhausted = false;
-};
-
-void BatchSystem::pump_stream(const std::shared_ptr<StreamPump>& pump) {
-  if (pump->exhausted) return;
-  wl::SubmitSpec s;
-  if (!pump->source->next(s)) {
-    pump->exhausted = true;
-    return;
-  }
-  DBS_REQUIRE(s.at >= pump->last_at,
-              "submission source must yield non-decreasing times");
-  pump->last_at = s.at;
-  sim_.schedule_submission(
-      s.at + config_.latency.client_to_server,
-      [this, pump, spec = s.spec, behavior = s.behavior]() mutable {
-        pump_stream(pump);  // refill the window before submitting
-        server_.submit(std::move(spec),
-                       apps::make_application(behavior, config_.speedup));
-      });
+  for (const wl::SubmitSpec& s : workload.jobs)
+    sim_.schedule_submission(s.at + config_.latency.client_to_server,
+                             [this, s = s]() mutable { deliver(std::move(s)); });
 }
 
 void BatchSystem::submit_stream(wl::SubmissionSource& source,
                                 std::size_t window) {
   DBS_REQUIRE(window > 0, "look-ahead window must be positive");
-  auto pump = std::make_shared<StreamPump>();
-  pump->source = &source;
-  for (std::size_t i = 0; i < window && !pump->exhausted; ++i)
-    pump_stream(pump);
+  DBS_REQUIRE(source_ == nullptr || source_ == &source ||
+                  (source_dry_ && armed_ == 0),
+              "another submission source is still streaming");
+  source_ = &source;
+  source_dry_ = false;
+  window_ = window;
+  fill_window();
+}
+
+// Arrivals are pulled in source order from a single chain (the initial
+// fill, then each fired event refilling before it delivers), so their
+// Submission-lane sequence numbers stay in source order and the ordering
+// matches the materialized path exactly.
+void BatchSystem::fill_window() {
+  while (!source_dry_ && armed_ < window_) {
+    if (armed_ == ring_.size()) {  // full: unwrap it, oldest first, grow
+      std::rotate(ring_.begin(),
+                  ring_.begin() + static_cast<std::ptrdiff_t>(head_),
+                  ring_.end());
+      head_ = 0;
+      // One allocation, made by the second slot: doubling would also touch
+      // every smaller block. A slot is touched once it is used.
+      if (!ring_.empty()) ring_.reserve(window_);
+      ring_.emplace_back();
+    }
+    // A fresh slot: a source may set one field at a time (SwfSource does),
+    // and a reused slot would keep whatever it does not set.
+    wl::SubmitSpec& s = ring_[(head_ + armed_) % ring_.size()];
+    s = wl::SubmitSpec{};
+    if (!source_->next(s)) {
+      source_dry_ = true;
+      return;
+    }
+    DBS_REQUIRE(s.at >= last_armed_,
+                "submission source must yield non-decreasing times");
+    last_armed_ = s.at;
+    ++armed_;
+    sim_.schedule_submission(s.at + config_.latency.client_to_server,
+                             [this] { fire_window(); });
+  }
+}
+
+void BatchSystem::fire_window() {
+  // The slot is refilled before the arrival is delivered, so move it out.
+  wl::SubmitSpec s = std::move(ring_[head_]);
+  head_ = (head_ + 1) % ring_.size();
+  --armed_;
+  fill_window();
+  deliver(std::move(s));
 }
 
 void BatchSystem::run() {

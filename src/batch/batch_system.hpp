@@ -3,8 +3,10 @@
 // entry point a downstream user of the library interacts with.
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "apps/app_model.hpp"
 #include "cluster/cluster.hpp"
@@ -23,6 +25,9 @@ struct ServiceConfig;
 }
 
 namespace dbs::batch {
+
+/// Arrivals submit_stream keeps armed at any instant unless told otherwise.
+inline constexpr std::size_t kSubmissionWindow = 1024;
 
 struct SystemConfig {
   cluster::ClusterSpec cluster;
@@ -58,15 +63,21 @@ class BatchSystem {
   /// Injects a whole workload (ESP, synthetic or trace).
   void submit_workload(const wl::Workload& workload);
 
-  /// Streams submissions from `source`, keeping at most `window` future
-  /// arrivals scheduled in the event queue at any instant — O(window)
-  /// driver memory for a trace of any length. The source must yield
-  /// non-decreasing submission times. Produces the exact event ordering
-  /// of submit_workload on the same jobs: both paths use the event
-  /// queue's Submission lane, which fires before same-time events
-  /// scheduled during the run regardless of push order. `source` must
-  /// outlive the run() that drains it.
-  void submit_stream(wl::SubmissionSource& source, std::size_t window = 1024);
+  /// Streams submissions from `source`, keeping at most `window` of them
+  /// armed in the event queue at any instant — O(window) memory for a
+  /// trace of any length. The source must yield non-decreasing
+  /// submission times. Produces the exact event ordering of
+  /// submit_workload on the same jobs: both paths use the event queue's
+  /// Submission lane, which fires before same-time events scheduled
+  /// during the run regardless of push order. Throws while another source
+  /// is live: it has not returned false, or its arrivals have not all
+  /// fired. Called again with the attached source, it re-arms it: a
+  /// source that returned false is asked again only then, once its owner
+  /// has more to yield. `source` must outlive the run() that drains it.
+  void submit_stream(wl::SubmissionSource& source,
+                     std::size_t window = kSubmissionWindow);
+  /// Arrivals yielded and armed, not yet fired.
+  [[nodiscard]] std::size_t armed_submissions() const { return armed_; }
 
   /// Runs the simulation to completion (all events drained).
   void run();
@@ -107,15 +118,13 @@ class BatchSystem {
   void set_sinks(const obs::Sinks& sinks);
 
  private:
-  /// Schedules one workload arrival on the event queue's Submission lane
-  /// (client→server latency applied). Shared by the materialized and
-  /// streaming paths so both produce identical orderings.
-  void schedule_submission(const wl::SubmitSpec& s);
-
-  struct StreamPump;
-  /// Pulls one record from the stream and schedules it; the scheduled
-  /// event re-enters here first when it fires, keeping the window full.
-  void pump_stream(const std::shared_ptr<StreamPump>& pump);
+  /// Hands one arrival to the server: a qdel when `s.cancel` is set, else
+  /// a qsub. Shared by the materialized and streaming paths.
+  void deliver(wl::SubmitSpec&& s);
+  /// Arms arrivals from the source until `window_` are armed or it is dry.
+  void fill_window();
+  /// An armed event: takes the oldest arrival, refills, then delivers it.
+  void fire_window();
 
   SystemConfig config_;
   sim::Simulator sim_;
@@ -125,6 +134,16 @@ class BatchSystem {
   metrics::Recorder recorder_;
   core::MauiScheduler scheduler_;
   obs::Tracer* tracer_ = nullptr;  ///< last sinks' tracer; flushed after run()
+  // The submission window. Arrivals fire in the order they were armed, so
+  // the armed_ of them wait in a ring from ring_[head_]; it gains a slot
+  // only while every slot is armed, to at most window_ slots.
+  wl::SubmissionSource* source_ = nullptr;
+  bool source_dry_ = false;  ///< returned false; asked again once re-armed
+  std::size_t window_ = kSubmissionWindow;
+  std::vector<wl::SubmitSpec> ring_;
+  std::size_t head_ = 0;
+  std::size_t armed_ = 0;
+  Time last_armed_;
   /// shared_ptr so this header needs no complete svc::ServiceLoop type
   /// (the control block owns the deleter, captured where it is complete).
   std::shared_ptr<svc::ServiceLoop> service_;

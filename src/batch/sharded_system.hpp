@@ -77,13 +77,14 @@ class ShardedSystem {
   void submit_workload(const wl::Workload& workload);
 
   /// Routes the whole stream up front into per-shard submission lists,
-  /// then streams each shard's list with a bounded look-ahead `window`
-  /// (per shard). Routing must see the stream in order before the shards
-  /// run — a lock-step shared pump would serialize them — so the routed
-  /// specs are materialized: driver memory is O(total jobs) while each
-  /// shard's event queue stays O(window). The source is drained by this
-  /// call and need not outlive run().
-  void submit_stream(wl::SubmissionSource& source, std::size_t window = 1024);
+  /// then streams each shard's list through its own `window`
+  /// (BatchSystem::submit_stream). Routing must see the stream in order
+  /// before the shards run — one window shared in lock-step would
+  /// serialize them — so the routed specs are materialized: routing holds
+  /// O(total jobs) while each shard's event queue stays O(window). The
+  /// source is drained by this call and need not outlive run().
+  void submit_stream(wl::SubmissionSource& source,
+                     std::size_t window = kSubmissionWindow);
 
   /// Runs every shard to completion, concurrently on `threads` workers.
   void run();
@@ -106,8 +107,8 @@ class ShardedSystem {
   core::ShardRouter router_;
   std::vector<std::unique_ptr<obs::Registry>> registries_;
   std::vector<std::unique_ptr<BatchSystem>> systems_;
-  /// Routed per-shard submission lists pinned for streaming runs (the
-  /// shard's StreamPump reads them during run()).
+  /// Routed per-shard submission lists pinned for streaming runs (each
+  /// shard's window reads its list during run()).
   std::vector<wl::Workload> routed_;
   std::vector<std::unique_ptr<wl::WorkloadSource>> routed_sources_;
   exec::ThreadPool pool_;

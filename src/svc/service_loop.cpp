@@ -4,7 +4,6 @@
 #include <thread>
 #include <utility>
 
-#include "apps/app_model.hpp"
 #include "batch/batch_system.hpp"
 #include "common/assert.hpp"
 #include "common/log.hpp"
@@ -90,7 +89,7 @@ bool ServiceLoop::open() {
   wal_ingest_ = wal.ingest;
   wal_decision_total_ = done_decisions;
   decisions_at_snapshot_ = done_decisions;
-  ingest_fired_total_ = done_ingest;
+  handed_out_ = done_ingest;
 
   // Re-feed the unfired ingest tail at its RECORDED admission times: the
   // admission stamp is a pure function of the drained sequence (see the
@@ -100,7 +99,7 @@ bool ServiceLoop::open() {
     tail_ = std::make_unique<WalReader>(wal_file, wal.valid_bytes);
     DBS_REQUIRE(tail_->skip(kWalIngest, done_ingest), kWalChanged);
     tail_left_ = wal.ingest.records - done_ingest;
-    arm_window();
+    system_.submit_stream(*this);
   }
 
   // Deterministic re-execution: run the tail forward and compare every
@@ -124,8 +123,13 @@ bool ServiceLoop::open() {
                 "recovery diverged: no decision re-made at a logged time");
   }
   logged_.reset();
-  // What the re-run left unfired is held like a drained backlog.
-  while (tail_left_ > 0) hold_tail_record();
+  // What the re-run left of the tail is held like a drained backlog, so
+  // last_admitted_ is the tail's last stamp before any new drain.
+  while (tail_left_ > 0) {
+    if (held_.empty() || held_.back().size() == kIngestChunk)
+      held_.emplace_back();
+    held_.back().push_back(std::move(read_tail()));
+  }
   tail_.reset();
 
   recovered_ = had_state;
@@ -133,16 +137,10 @@ bool ServiceLoop::open() {
 }
 
 std::size_t ServiceLoop::admit_pending() {
-  // Let go of the chunks whose records all fired.
-  if (armed_ == 0) {
-    held_.clear();
-    fire_ = arm_ = Cursor{};
-  } else if (fire_.chunk > 0) {
-    held_.erase(held_.begin(),
-                held_.begin() + static_cast<std::ptrdiff_t>(fire_.chunk));
-    arm_.chunk -= fire_.chunk;
-    fire_.chunk = 0;
-  }
+  // Let go of the chunks whose records all went to the window.
+  held_.erase(held_.begin(),
+              held_.begin() + static_cast<std::ptrdiff_t>(next_chunk_));
+  next_chunk_ = 0;
   const std::size_t first = held_.size();
   const std::size_t n = ingest_.drain(held_);
   if (n == 0) return 0;
@@ -167,7 +165,7 @@ std::size_t ServiceLoop::admit_pending() {
     wal_->flush();
     wal_->fsync();
   }
-  arm_window();
+  system_.submit_stream(*this);
 
   obs::Registry& reg = registry();
   if (instruments_.admitted == nullptr) {
@@ -179,63 +177,28 @@ std::size_t ServiceLoop::admit_pending() {
   return n;
 }
 
-void ServiceLoop::arm_window() {
-  sim::Simulator& sim = system_.simulator();
-  const Duration latency = system_.config().latency.client_to_server;
-  while (armed_ < kSubmissionWindow) {
-    while (arm_.chunk + 1 < held_.size() &&
-           arm_.pos == held_[arm_.chunk].size()) {
-      ++arm_.chunk;
-      arm_.pos = 0;
-    }
-    if (held_.empty() || arm_.pos == held_[arm_.chunk].size()) {
-      if (tail_left_ == 0) return;
-      hold_tail_record();
-      continue;
-    }
-    // Everything rides the Submission lane — the same lane the one-shot
-    // workload drivers use — so live ingest, WAL replay and a
-    // single-threaded re-run of the drained sequence produce identical
-    // event orderings.
-    const IngestRecord& r = held_[arm_.chunk][arm_.pos++];
-    sim.schedule_submission(r.admitted + latency, [this] { fire_next(); });
-    ++armed_;
+bool ServiceLoop::next(wl::SubmitSpec& out) {
+  const bool from_tail = tail_left_ > 0;
+  if (!from_tail && next_chunk_ == held_.size()) return false;
+  IngestRecord& r = from_tail ? read_tail() : held_[next_chunk_][next_pos_];
+  out.at = r.admitted;
+  out.spec = std::move(r.spec);
+  out.behavior = r.behavior;
+  out.cancel = r.kind == IngestKind::Cancel ? r.job : JobId{};
+  ++handed_out_;
+  if (!from_tail && ++next_pos_ == held_[next_chunk_].size()) {
+    held_[next_chunk_++] = IngestChunk{};  // every record in it went out
+    next_pos_ = 0;
   }
+  return true;
 }
 
-void ServiceLoop::fire_next() {
-  // Events fire in the order they were armed, which is held_'s order, so
-  // the oldest held record is this event's. An armed record lies at or
-  // after fire_, so the chunks stepped over here all fired: free them.
-  while (fire_.pos == held_[fire_.chunk].size()) {
-    held_[fire_.chunk] = IngestChunk{};
-    ++fire_.chunk;
-    fire_.pos = 0;
-  }
-  IngestRecord& r = held_[fire_.chunk][fire_.pos++];
-  const IngestKind kind = r.kind;
-  const JobId job = r.job;
-  const wl::Behavior behavior = r.behavior;
-  rms::JobSpec spec = std::move(r.spec);
-  --armed_;
-  ++ingest_fired_total_;
-  arm_window();  // refill before submitting, as submit_stream's pump does
-  if (kind == IngestKind::Submit)
-    system_.server().submit(
-        std::move(spec),
-        apps::make_application(behavior, system_.config().speedup));
-  else
-    system_.server().cancel(job);  // false (unknown/finished) is fine
-}
-
-void ServiceLoop::hold_tail_record() {
+IngestRecord& ServiceLoop::read_tail() {
   DBS_REQUIRE(tail_->next(kWalIngest), kWalChanged);
   --tail_left_;
   IngestRecord& r = tail_->ingest();
   last_admitted_ = max(last_admitted_, r.admitted);
-  if (held_.empty() || held_.back().size() == kIngestChunk)
-    held_.emplace_back();
-  held_.back().push_back(std::move(r));
+  return r;
 }
 
 obs::Registry& ServiceLoop::registry() {
@@ -313,7 +276,7 @@ std::uint64_t ServiceLoop::run() {
 SystemState ServiceLoop::capture_full() const {
   SystemState s = capture_state(system_);
   s.last_admitted = last_admitted_;
-  s.wal_ingest = ingest_fired_total_;
+  s.wal_ingest = handed_out_ - system_.armed_submissions();
   s.wal_decisions = wal_decision_total_;
   return s;
 }

@@ -7,10 +7,10 @@
 //      (monotone: max(requested, now + 1us, previous admission)),
 //   2. appends + fsyncs the records to the WAL — inputs become durable
 //      BEFORE they can influence any decision,
-//   3. holds them, in the chunks the queue handed over, behind the
-//      records not yet fired, and keeps at most kSubmissionWindow of
-//      them armed on the simulator's Submission lane: each armed event
-//      fires the oldest held record in place and arms the next,
+//   3. holds them, in the chunks the queue handed over, and re-arms the
+//      system's submission window, which the loop feeds as its source
+//      (the recovery tail first, then the held records) and which keeps
+//      at most batch::kSubmissionWindow of them armed,
 //   4. advances virtual time by one tick — while the ingest is open, never
 //      up to the admission watermark: staying strictly below it keeps
 //      every simulated instant atomic, so a later drain can never stamp a
@@ -49,6 +49,7 @@
 #include "common/time.hpp"
 #include "svc/ingest.hpp"
 #include "svc/state_store.hpp"
+#include "workload/source.hpp"
 
 namespace dbs::batch {
 class BatchSystem;
@@ -61,11 +62,6 @@ class Registry;
 }  // namespace dbs::obs
 
 namespace dbs::svc {
-
-/// Admitted records a ServiceLoop keeps armed as Submission-lane events
-/// at any instant; the rest wait in the chunks the ingest queue handed
-/// over.
-inline constexpr std::size_t kSubmissionWindow = 1024;
 
 struct ServiceConfig {
   /// Durable-state directory (WAL + snapshots). Empty = run without
@@ -89,13 +85,13 @@ struct ServiceConfig {
   std::uint64_t max_ticks = 0;
 };
 
-class ServiceLoop {
+class ServiceLoop final : public wl::SubmissionSource {
  public:
   /// Wires the loop between `system` (not yet run) and `ingest`. With a
   /// durable config, requires zero latency and streaming metrics.
   ServiceLoop(batch::BatchSystem& system, IngestQueue& ingest,
               ServiceConfig config);
-  ~ServiceLoop();
+  ~ServiceLoop() override;
 
   ServiceLoop(const ServiceLoop&) = delete;
   ServiceLoop& operator=(const ServiceLoop&) = delete;
@@ -165,23 +161,15 @@ class ServiceLoop {
   [[nodiscard]] const ServiceConfig& config() const { return config_; }
 
  private:
-  /// A held record's place: held_[chunk][pos].
-  struct Cursor {
-    std::size_t chunk = 0;
-    std::size_t pos = 0;
-  };
-
+  /// The window's pull: the recovery tail's next record while open()
+  /// reads one, else the oldest held record, moved into `out`. False when
+  /// neither is left, until open() or admit_pending() re-arms the window.
+  bool next(wl::SubmitSpec& out) override;
   /// Drains, stamps and logs everything currently queued, then holds it
-  /// and refills the window. Returns the number of records admitted.
+  /// and re-arms the window. Returns the number of records admitted.
   std::size_t admit_pending();
-  /// Arms held records (reading the recovery tail when they run out)
-  /// until kSubmissionWindow are armed or none is left.
-  void arm_window();
-  /// The armed events' action: fires the oldest held record, after
-  /// refilling the window.
-  void fire_next();
-  /// Reads the recovery tail's next record into held_.
-  void hold_tail_record();
+  /// Reads the recovery tail's next record, taking its stamp.
+  IngestRecord& read_tail();
   /// DecisionApplier sink: verify against the logged decisions, then
   /// append.
   void on_decision(const rms::Decision& d);
@@ -202,18 +190,16 @@ class ServiceLoop {
 
   std::unique_ptr<WalWriter> wal_;
   Time last_admitted_;
-  /// Admitted records not yet fired, in admission order, in the chunks
-  /// IngestQueue::drain() handed over (while open() runs: the recovery
-  /// tail read so far). fire_ is the oldest; the armed_ records from it on
-  /// are armed, min(kSubmissionWindow, held) of them, and arm_ is the
-  /// next to arm. A chunk is freed once every record in it fired.
+  /// Admitted records not yet handed to the window, in the chunks
+  /// IngestQueue::drain() handed over (after open(): the recovery tail's
+  /// rest). held_[next_chunk_][next_pos_] goes out next; a chunk is freed
+  /// when its last record goes out and erased at the next drain.
   std::vector<IngestChunk> held_;
-  Cursor fire_;
-  Cursor arm_;
-  std::size_t armed_ = 0;
-  /// Records whose submission event fired: a snapshot covers an ingest
-  /// record only once it fired; the rest form the replayable tail.
-  std::uint64_t ingest_fired_total_ = 0;
+  std::size_t next_chunk_ = 0;
+  std::size_t next_pos_ = 0;
+  /// Records handed to the window. A snapshot covers those that fired:
+  /// all but the window's armed ones, which belong to the replayable tail.
+  std::uint64_t handed_out_ = 0;
   IngestTotals wal_ingest_;
   std::uint64_t wal_decision_total_ = 0;
   std::uint64_t decisions_at_snapshot_ = 0;

@@ -10,6 +10,7 @@
 
 #include "common/rng.hpp"
 #include "common/time.hpp"
+#include "common/types.hpp"
 #include "rms/job.hpp"
 
 namespace dbs::wl {
@@ -29,11 +30,13 @@ struct Behavior {
   [[nodiscard]] bool operator==(const Behavior&) const = default;
 };
 
-/// One job to inject into the batch system.
+/// One job to inject into the batch system, or, when `cancel` is set, a
+/// qdel of that job at `at` (spec and behavior unused).
 struct SubmitSpec {
   Time at;
   rms::JobSpec spec;
   Behavior behavior;
+  JobId cancel;  ///< invalid for a qsub
 };
 
 /// A full workload plus bookkeeping for reports.

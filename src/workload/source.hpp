@@ -14,11 +14,13 @@ class SubmissionSource {
  public:
   virtual ~SubmissionSource() = default;
 
-  /// Yields the next submission into `out`; false when the source is
-  /// exhausted (out is untouched). Calls after exhaustion keep returning
-  /// false. Successive submissions must have non-decreasing `at` — the
-  /// streaming driver schedules each arrival as it is pulled, so an
-  /// out-of-order arrival would land in the simulator's past.
+  /// Yields the next submission into `out` (default-constructed by the
+  /// window); false when there is nothing more (out is untouched), and
+  /// then nothing more until the source's owner re-arms the window
+  /// (BatchSystem::submit_stream again). Successive submissions must have
+  /// non-decreasing `at` — the window arms each arrival as it is pulled,
+  /// and they fire in that order, so an out-of-order one would land in
+  /// the simulator's past.
   virtual bool next(SubmitSpec& out) = 0;
 };
 

@@ -3,14 +3,17 @@
 // same jobs, and the O(live) modes (job retirement, streaming metrics)
 // change no decision and no summary digit. This is what makes the
 // bounded-memory replay engine trustworthy: its output is defined to be
-// the materialized run's output.
+// the materialized run's output. The SubmissionWindow tests pin what the
+// window promises the sources that feed it, the service loop among them.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "batch/batch_system.hpp"
+#include "common/assert.hpp"
 #include "metrics/report.hpp"
 #include "obs/registry.hpp"
 #include "obs/tracer.hpp"
@@ -55,6 +58,21 @@ struct RunOutput {
   std::string trace;
   metrics::WorkloadSummary summary;
   std::uint64_t retired = 0;
+  std::size_t next_calls = 0;
+};
+
+/// Counts the calls made to the source it wraps.
+class CountingSource final : public wl::SubmissionSource {
+ public:
+  explicit CountingSource(wl::SubmissionSource& inner) : inner_(inner) {}
+  bool next(wl::SubmitSpec& out) override {
+    ++calls;
+    return inner_.next(out);
+  }
+  std::size_t calls = 0;
+
+ private:
+  wl::SubmissionSource& inner_;
 };
 
 /// window == 0 selects the materialized path (submit_workload).
@@ -63,8 +81,9 @@ RunOutput run_replay(const std::string& swf_text, std::size_t window,
   wl::swf::SwfSourceConfig scfg;
   scfg.overlay_dynamic_fraction = 0.3;
   std::istringstream in(swf_text);
-  wl::swf::SwfSource source(in, scfg);
-  source.set_max_cores(16 * 8);
+  wl::swf::SwfSource swf(in, scfg);
+  swf.set_max_cores(16 * 8);
+  CountingSource source(swf);
 
   batch::BatchSystem system(base_config(retire, streaming_metrics));
   obs::Registry registry;
@@ -88,6 +107,7 @@ RunOutput run_replay(const std::string& swf_text, std::size_t window,
   out.trace = drop_lines(trace.str(), "wall_us");
   out.summary = metrics::summarize(system.recorder());
   out.retired = system.server().jobs().retired_count();
+  out.next_calls = source.calls;
   return out;
 }
 
@@ -209,6 +229,184 @@ TEST(ReplayEquivalence, CancelledJobsRetireAndStopCountingUsage) {
   EXPECT_EQ(full.summary.jobs_submitted, 3u);
   EXPECT_EQ(full.summary.jobs_completed, 1u);
   EXPECT_EQ(full.summary.evolving_jobs, 1u);
+}
+
+// --- the submission window's contract ---------------------------------------
+
+/// Names of the jobs the server took in and cancelled, in order.
+struct ArrivalLog final : rms::ServerObserver {
+  std::vector<std::string> submitted;
+  std::vector<std::string> cancelled;
+  void on_submit(const rms::Job& job) override {
+    submitted.push_back(job.spec().name);
+  }
+  void on_cancel(const rms::Job& job, CoreCount) override {
+    cancelled.push_back(job.spec().name);
+  }
+};
+
+wl::SubmitSpec job_at(const std::string& name, std::int64_t at_s,
+                      std::int64_t runtime_s = 30) {
+  wl::SubmitSpec s;
+  s.at = Time::from_seconds(at_s);
+  s.spec.name = name;
+  s.spec.cred = {"user", "grp", "", "batch", ""};
+  s.spec.cores = 8;
+  s.spec.walltime = Duration::seconds(2 * runtime_s);
+  s.behavior.static_runtime = Duration::seconds(runtime_s);
+  return s;
+}
+
+wl::SubmitSpec qdel_at(std::int64_t at_s, JobId job) {
+  wl::SubmitSpec s;
+  s.at = Time::from_seconds(at_s);
+  s.cancel = job;
+  return s;
+}
+
+/// Yields a list the test may extend between runs, setting one field at a
+/// time as SwfSource does (and `cancel` only on a qdel), and counts the
+/// calls it gets.
+class ListSource final : public wl::SubmissionSource {
+ public:
+  bool next(wl::SubmitSpec& out) override {
+    ++calls;
+    if (pos_ == jobs.size()) return false;
+    const wl::SubmitSpec& s = jobs[pos_++];
+    out.at = s.at;
+    if (s.cancel.valid()) {
+      out.cancel = s.cancel;
+      return true;
+    }
+    out.spec.name = s.spec.name;
+    out.spec.cred = s.spec.cred;
+    out.spec.cores = s.spec.cores;
+    out.spec.walltime = s.spec.walltime;
+    out.behavior.static_runtime = s.behavior.static_runtime;
+    return true;
+  }
+
+  std::vector<wl::SubmitSpec> jobs;
+  std::size_t calls = 0;
+
+ private:
+  std::size_t pos_ = 0;
+};
+
+TEST(SubmissionWindow, SecondSourceWhileOneIsLiveThrows) {
+  batch::BatchSystem system(base_config(false, false));
+  ArrivalLog log;
+  system.server().add_observer(&log);
+  ListSource first;
+  first.jobs = {job_at("a0", 0), job_at("a1", 10), job_at("a2", 20)};
+  ListSource second;
+  second.jobs = {job_at("b0", 10'000)};
+
+  system.submit_stream(first, 2);
+  EXPECT_THROW(system.submit_stream(second), precondition_error);
+  // a1's event pulls the false, but a2 is still armed: still live.
+  system.run_until(Time::from_seconds(15));
+  EXPECT_EQ(first.calls, 4u);
+  EXPECT_EQ(system.armed_submissions(), 1u);
+  EXPECT_THROW(system.submit_stream(second), precondition_error);
+  system.run();
+
+  system.submit_stream(second);
+  system.run();
+  EXPECT_EQ(log.submitted, (std::vector<std::string>{"a0", "a1", "a2", "b0"}));
+  EXPECT_EQ(first.calls, 4u);
+  EXPECT_EQ(second.calls, 2u);
+}
+
+TEST(SubmissionWindow, RearmedSourceFiresWhatArrivedLaterInOrder) {
+  batch::BatchSystem system(base_config(false, false));
+  ArrivalLog log;
+  system.server().add_observer(&log);
+  ListSource source;
+  source.jobs = {job_at("j0", 0), job_at("j1", 5), job_at("j2", 5)};
+  system.submit_stream(source, 2);
+  system.run();
+  EXPECT_EQ(source.calls, 4u);
+
+  // More records arrive after the source ran dry: the window does not ask
+  // until the owner re-arms it.
+  for (const char* name : {"j3", "j4", "j5"})
+    source.jobs.push_back(job_at(name, 10'000));
+  EXPECT_EQ(system.armed_submissions(), 0u);
+  EXPECT_EQ(source.calls, 4u);
+  system.submit_stream(source, 2);  // re-arms the attached source
+  EXPECT_EQ(system.armed_submissions(), 2u);
+  system.run();
+  EXPECT_EQ(source.calls, 8u);
+  EXPECT_EQ(log.submitted,
+            (std::vector<std::string>{"j0", "j1", "j2", "j3", "j4", "j5"}));
+}
+
+TEST(SubmissionWindow, DecreasingTimeFails) {
+  // Window 4 pulls both records while it attaches, window 1 the second
+  // one when the first fires.
+  for (const std::size_t window : {std::size_t{1}, std::size_t{4}}) {
+    batch::BatchSystem system(base_config(false, false));
+    ListSource source;
+    source.jobs = {job_at("late", 20), job_at("early", 10)};
+    std::string error;
+    try {
+      system.submit_stream(source, window);
+      system.run();
+    } catch (const precondition_error& e) {
+      error = e.what();
+    }
+    EXPECT_NE(error.find("submission source must yield non-decreasing times"),
+              std::string::npos)
+        << "window " << window << ": " << error;
+  }
+}
+
+TEST(SubmissionWindow, ReplayAsksOncePerJobPlusOnce) {
+  const std::string swf = make_trace();
+  for (const std::size_t window : {std::size_t{0}, std::size_t{1},
+                                   std::size_t{7}, std::size_t{64},
+                                   std::size_t{100000}}) {
+    const RunOutput out = run_replay(swf, window, false, false);
+    ASSERT_GT(out.summary.jobs_submitted, 0u);
+    EXPECT_EQ(out.next_calls, out.summary.jobs_submitted + 1)
+        << "window " << window;
+  }
+}
+
+// The window pulls each arrival into a fresh slot: a source that never sets
+// `cancel` (as SwfSource does not) fires no qdel, even through slots that
+// held one.
+TEST(SubmissionWindow, SourceThatNeverSetsCancelFiresNone) {
+  batch::BatchSystem system(base_config(false, false));
+  ArrivalLog log;
+  system.server().add_observer(&log);
+  ListSource first;
+  first.jobs = {job_at("a", 0, 1000), qdel_at(50, JobId{0}),
+                qdel_at(60, JobId{7}), job_at("b", 70)};
+  system.submit_stream(first, 2);
+  system.run();
+  EXPECT_EQ(log.cancelled, (std::vector<std::string>{"a"}));
+
+  ListSource second;
+  for (const char* name : {"c", "d", "e", "f"})
+    second.jobs.push_back(job_at(name, 10'000));
+  system.submit_stream(second, 2);
+  system.run();
+  EXPECT_EQ(log.cancelled, (std::vector<std::string>{"a"}));
+  EXPECT_EQ(log.submitted,
+            (std::vector<std::string>{"a", "b", "c", "d", "e", "f"}));
+
+  // The materialized path delivers the same qdels.
+  batch::BatchSystem materialized(base_config(false, false));
+  ArrivalLog reference;
+  materialized.server().add_observer(&reference);
+  wl::Workload workload;
+  workload.jobs = first.jobs;
+  materialized.submit_workload(workload);
+  materialized.run();
+  EXPECT_EQ(reference.cancelled, (std::vector<std::string>{"a"}));
+  EXPECT_EQ(reference.submitted, (std::vector<std::string>{"a", "b"}));
 }
 
 }  // namespace

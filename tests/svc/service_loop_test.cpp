@@ -92,6 +92,15 @@ ServiceConfig service_config(const std::string& state_dir,
   return scfg;
 }
 
+/// Every qdel the server carries out: job name -> the cores it released
+/// (0 when the job was still queued).
+struct CancelLog final : rms::ServerObserver {
+  std::map<std::string, CoreCount> cancelled;
+  void on_cancel(const rms::Job& job, CoreCount released) override {
+    cancelled[job.spec().name] = released;
+  }
+};
+
 struct ServiceResult {
   metrics::WorkloadSummary summary;
   bool recovered = false;
@@ -99,7 +108,16 @@ struct ServiceResult {
   std::uint64_t wal_decisions = 0;
   std::uint64_t snapshots = 0;
   std::uint64_t ticks = 0;
+  std::map<std::string, CoreCount> cancelled;
 };
+
+/// Pushes one workload record: a qdel when it names a job to cancel.
+void push(IngestQueue& ingest, const wl::SubmitSpec& s) {
+  if (s.cancel.valid())
+    ingest.cancel(s.at, s.cancel);
+  else
+    ingest.submit(s.at, s.spec, s.behavior);
+}
 
 /// Runs `workload` through ingest + ServiceLoop to completion (or
 /// max_ticks). With a state_dir, recovers first; the producer skips the
@@ -114,8 +132,10 @@ struct ServiceResult {
 ServiceResult run_service(const wl::Workload& workload,
                           const ServiceConfig& scfg,
                           std::size_t producer_threads = 1) {
+  CancelLog cancels;
   IngestQueue ingest;
   batch::BatchSystem system(durable_config());
+  system.server().add_observer(&cancels);
   ServiceLoop& service = system.attach_ingest(ingest, scfg);
 
   ServiceResult r;
@@ -130,8 +150,7 @@ ServiceResult run_service(const wl::Workload& workload,
     };
     for (std::size_t i = skip; i < workload.jobs.size() && budget_left();
          ++i) {
-      const auto& s = workload.jobs[i];
-      ingest.submit(s.at, s.spec, s.behavior);
+      push(ingest, workload.jobs[i]);
       service.tick();
     }
     if (budget_left()) {
@@ -148,10 +167,8 @@ ServiceResult run_service(const wl::Workload& workload,
     for (std::size_t t = 0; t < producer_threads; ++t) {
       producers.emplace_back([&, t]() {
         for (std::size_t i = t; i < workload.jobs.size();
-             i += producer_threads) {
-          const auto& s = workload.jobs[i];
-          ingest.submit(s.at, s.spec, s.behavior);
-        }
+             i += producer_threads)
+          push(ingest, workload.jobs[i]);
         if (live.fetch_sub(1) == 1) ingest.close();
       });
     }
@@ -164,6 +181,8 @@ ServiceResult run_service(const wl::Workload& workload,
   r.wal_decisions = service.wal_decision_total();
   r.snapshots = service.snapshots_written();
   r.ticks = service.ticks();
+  r.cancelled = cancels.cancelled;
+  system.server().remove_observer(&cancels);
   return r;
 }
 
@@ -305,7 +324,7 @@ std::string drop_lines(const std::string& text, const std::string& needle) {
 /// snapshots, re-runs a recovery tail longer than the window. Its jobs are
 /// sized for the test cluster, which keeps the run short.
 constexpr std::uint64_t kWindowsJobs = 3500;
-static_assert(kWindowsJobs > 3 * kSubmissionWindow);
+static_assert(kWindowsJobs > 3 * batch::kSubmissionWindow);
 
 /// The first line where two texts differ, or "" when they are equal. A
 /// failure names it instead of printing a full diff, which for traces of
@@ -493,6 +512,71 @@ TEST(ServiceLoop, CleanShutdownAndReopenContinuesToTheSameResult) {
   }
 }
 
+// --- qdel through the submission window -------------------------------------
+
+/// Two whole-machine jobs (the first runs, the second queues behind it) and
+/// a small one queued behind both; then qdels of the queued wide job, the
+/// running one and an id no job has, each a record of its own in ticket
+/// order; then a few jobs that run once the machine is free.
+wl::Workload cancel_workload() {
+  const auto job = [](const std::string& name, std::int64_t at_s,
+                      CoreCount cores) {
+    wl::SubmitSpec s;
+    s.at = Time::from_seconds(at_s);
+    s.spec.name = name;
+    s.spec.cred = {"user", "grp", "", "batch", ""};
+    s.spec.cores = cores;
+    s.spec.walltime = Duration::seconds(2000);
+    s.behavior.static_runtime = Duration::seconds(1000);
+    return s;
+  };
+  const auto qdel = [](std::int64_t at_s, std::uint64_t id) {
+    wl::SubmitSpec s;
+    s.at = Time::from_seconds(at_s);
+    s.cancel = JobId{id};
+    return s;
+  };
+  wl::Workload w;
+  w.jobs = {job("wide0", 1, 64), job("wide1", 1, 64), job("small2", 10, 8),
+            qdel(100, 1),        qdel(200, 0),        qdel(300, 999)};
+  for (int i = 0; i < 6; ++i)
+    w.jobs.push_back(job("tail" + std::to_string(i), 400 + 50 * i, 24));
+  return w;
+}
+
+// A qdel rides the window in its ticket order, like a qsub: fed in
+// lockstep it cancels the queued job and the running one, and an id no job
+// has changes nothing. Reopened with its snapshots removed, recovery
+// re-runs the whole WAL, so the same qdels fire again from the recovery
+// tail, each re-made decision checked against the log.
+TEST(ServiceLoop, QdelsFireThroughTheWindowAndAgainFromTheRecoveryTail) {
+  TempDir dir("qdel");
+  const wl::Workload workload = cancel_workload();
+  const std::map<std::string, CoreCount> expected{{"wide0", 64},
+                                                  {"wide1", 0}};
+
+  const ServiceResult live = run_service(workload, service_config(dir.path()));
+  EXPECT_EQ(live.cancelled, expected);
+  EXPECT_EQ(live.summary.jobs_submitted, workload.jobs.size() - 3);
+  EXPECT_EQ(live.summary.jobs_completed, workload.jobs.size() - 5);
+  EXPECT_EQ(live.wal_ingest, workload.jobs.size());
+  const auto live_stream = decision_stream(dir.path());
+
+  for (const auto& entry : fs::directory_iterator(dir.path()))
+    if (entry.path().extension() == ".dbss") fs::remove(entry.path());
+  const ServiceResult reopened =
+      run_service(workload, service_config(dir.path()));
+  EXPECT_TRUE(reopened.recovered);
+  EXPECT_EQ(reopened.cancelled, expected);
+  expect_summaries_equal(reopened.summary, live.summary);
+  EXPECT_EQ(reopened.wal_ingest, live.wal_ingest);
+  EXPECT_EQ(reopened.wal_decisions, live.wal_decisions);
+  const auto reopened_stream = decision_stream(dir.path());
+  ASSERT_EQ(reopened_stream.size(), live_stream.size());
+  for (std::size_t i = 0; i < live_stream.size(); ++i)
+    ASSERT_EQ(reopened_stream[i], live_stream[i]) << "decision " << i;
+}
+
 // --- crash injection --------------------------------------------------------
 
 // For EVERY decision index k of a finished durable run, simulate a crash
@@ -662,7 +746,7 @@ TEST(ServiceLoop, ClosedLoopArmsAWindowNotItsBacklog) {
   TempDir dir("window");
   constexpr std::size_t kJobs = 5000;
   constexpr std::size_t kBound = kJobs / 2;
-  static_assert(kSubmissionWindow < kBound);
+  static_assert(batch::kSubmissionWindow < kBound);
   const wl::Workload workload =
       make_workload(kJobs, 17, /*cluster_sized=*/true);
   IngestQueue ingest;

@@ -79,7 +79,6 @@ void print_stage_breakdown(const obs::Registry& registry) {
 int run(int argc, char** argv) {
   std::string trace_path;
   std::string swf_path;
-  std::size_t swf_window = 1024;
   double swf_overlay_pct = 0.0;
   wl::swf::SwfSourceConfig swf_config;
   bool swf_materialize = false;
@@ -101,8 +100,6 @@ int run(int argc, char** argv) {
              "workload trace (src/workload/trace.hpp)");
   flags.text("--swf", swf_path, "FILE",
              "Standard Workload Format trace, streamed");
-  flags.integer("--swf-window", swf_window, 1, "N",
-                "SWF jobs read ahead of the simulation");
   flags.number("--swf-overlay-dynamic", swf_overlay_pct, 0, 100, "PCT",
                "percent of SWF jobs replayed as evolving");
   flags.integer("--swf-seed", swf_config.overlay_seed, 0, "S",
@@ -249,7 +246,7 @@ int run(int argc, char** argv) {
         sharded.set_shard_sinks(k, shard_tracer, recorder_of(k));
     }
     if (stream)
-      sharded.submit_stream(*swf_source, swf_window);
+      sharded.submit_stream(*swf_source);
     else
       sharded.submit_workload(workload);
     sharded.run();
@@ -263,7 +260,7 @@ int run(int argc, char** argv) {
     batch::BatchSystem system(system_config);
     system.set_sinks({trace_sink, &registry, recorder_of(0)});
     if (stream)
-      system.submit_stream(*swf_source, swf_window);
+      system.submit_stream(*swf_source);
     else
       system.submit_workload(workload);
     // Pause mid-run (after the first quarter of the submission window) for
@@ -335,7 +332,7 @@ int run(int argc, char** argv) {
               << swf_source->distinct_groups() << " groups / "
               << swf_source->distinct_queues() << " queues, window "
               << (swf_materialize ? std::string("materialized")
-                                  : std::to_string(swf_window))
+                                  : std::to_string(batch::kSubmissionWindow))
               << "\n";
   }
   if (shards > 1) {
