@@ -2,6 +2,8 @@
 // servicing strategies — idle-only (the paper's choice), preemption of
 // backfilled jobs, and a reserved dynamic partition — on the dynamic ESP
 // workload under the Dyn-600 policy.
+// tests/integration/esp_experiment_test.cpp pins its grants, requeues and
+// shrinks.
 #include "bench_common.hpp"
 #include "workload/synthetic.hpp"
 

@@ -13,8 +13,10 @@ int main() {
       "Ablation: walltime overestimation vs fairness accuracy (Dyn-600)",
       "the §III-D walltime discussion");
 
-  TextTable table({"Walltime factor", "Time [mins]", "Satisfied", "Util [%]",
-                   "AvgWait [s]", "MaxWait [s]"});
+  // Satisfied: evolving jobs whose every request was granted (Table II's
+  // strict count). Granted: dynamic requests granted.
+  TextTable table({"Walltime factor", "Time [mins]", "Satisfied", "Granted",
+                   "Util [%]", "AvgWait [s]", "MaxWait [s]"});
   for (const double factor : {1.0, 1.2, 1.5, 2.0, 3.0}) {
     batch::EspExperimentParams params;
     params.workload.walltime_factor = factor;
@@ -22,6 +24,7 @@ int main() {
     table.add_row({TextTable::num(factor, 1),
                    TextTable::num(r.summary.makespan.as_minutes(), 2),
                    TextTable::num(static_cast<std::int64_t>(r.summary.satisfied_dyn_jobs)),
+                   TextTable::num(static_cast<std::int64_t>(r.summary.granted_dyn_requests)),
                    TextTable::num(r.summary.utilization, 2),
                    TextTable::num(r.summary.avg_wait.as_seconds(), 0),
                    TextTable::num(r.summary.max_wait.as_seconds(), 0)});

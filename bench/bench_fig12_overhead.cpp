@@ -70,8 +70,8 @@ void bm_dynamic_request_path(benchmark::State& state) {
   for (auto _ : state) {
     const core::DynHold hold = core::make_hold(owner, request, now);
     auto m = core::measure_dynamic_request(
-        hold, jobs, core::protected_subset(jobs, baseline, 5), baseline,
-        planning, 120, opts);
+        hold, core::protected_subset(baseline, 5), baseline, planning, 120,
+        opts);
     const auto verdict = dfs.admit(owner.spec().cred, m.delays);
     benchmark::DoNotOptimize(verdict);
     benchmark::DoNotOptimize(m.delays.data());

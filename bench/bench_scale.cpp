@@ -36,6 +36,10 @@ using namespace dbs;
 
 constexpr CoreCount kCoresPerNode = 8;
 constexpr std::int64_t kNodeCounts[] = {16, 1024, 16384, 65536};
+/// Repetitions of each deep-queue row. A 1k-job dry run takes ~0.1 ms, so
+/// one timing of it moves ±20% with the host; the gates read each
+/// repeated row's median.
+constexpr int kQueueRepetitions = 5;
 
 template <class C>
 C make_cluster(std::size_t nodes);
@@ -354,18 +358,19 @@ int main(int argc, char** argv) {
         ("bm_scale_queue_depth/" + impl).c_str(), bm_queue_depth, inc,
         /*fragmented=*/false);
     for (const std::int64_t d : {1000, 10000, 100000}) depth->Arg(d);
-    depth->Unit(benchmark::kMillisecond);
+    depth->Unit(benchmark::kMillisecond)->Repetitions(kQueueRepetitions);
 
     auto* frag = benchmark::RegisterBenchmark(
         ("bm_scale_queue_frag/" + impl).c_str(), bm_queue_depth, inc,
         /*fragmented=*/true);
     for (const std::int64_t d : {10000, 100000}) frag->Arg(d);
-    frag->Unit(benchmark::kMillisecond);
+    frag->Unit(benchmark::kMillisecond)->Repetitions(kQueueRepetitions);
 
     benchmark::RegisterBenchmark(("bm_scale_queue_churn/" + impl).c_str(),
                                  bm_queue_churn, inc)
         ->Arg(100000)
-        ->Unit(benchmark::kMillisecond);
+        ->Unit(benchmark::kMillisecond)
+        ->Repetitions(kQueueRepetitions);
   }
 
   benchmark::Initialize(&argc, argv);

@@ -29,7 +29,7 @@ void plan_tail(const std::vector<const rms::Job*>& prioritized,
     const Time start = options.now;
     const Time end = start + wall;
     out.profile.subtract(start, end, job->spec().cores);
-    out.table.add(Reservation{job->id(), start, end, job->spec().cores,
+    out.table.add(Reservation{job, start, end, job->spec().cores,
                               /*start_now=*/true, /*backfilled=*/true});
     staircase.rebuild(out.profile, options.now);
   }
@@ -92,7 +92,7 @@ void plan_into(const std::vector<const rms::Job*>& prioritized,
     }
 
     out.profile.subtract(start, start + walltime, cores);
-    out.table.add(Reservation{job->id(), start, start + walltime, cores,
+    out.table.add(Reservation{job, start, start + walltime, cores,
                               is_start_now, is_backfill});
     if (exclusive) exclusive_latest_start = max(exclusive_latest_start, start);
     if (!is_start_now) someone_waits = true;

@@ -33,7 +33,9 @@ struct PlanOptions {
 };
 
 struct Plan {
-  /// Planned jobs in priority order. start == options.now means StartNow.
+  /// Planned jobs in priority order: every walk below adds reservations in
+  /// the order of its input and visits each job once, so the table is a
+  /// subsequence of that input. start == options.now means StartNow.
   ReservationTable table;
   /// The base profile with every planned job subtracted.
   AvailabilityProfile profile;
@@ -58,7 +60,9 @@ void plan_jobs_into(const std::vector<const rms::Job*>& prioritized,
 
 /// Re-plans exactly the given jobs (no depth cutoff, nothing skipped) onto a
 /// different base profile; used to measure the delays a tentative dynamic
-/// allocation would cause. Jobs must be in priority order.
+/// allocation would cause. Jobs must be in priority order. Given a
+/// baseline table's jobs, the result is index-aligned with that baseline:
+/// a hold ends, so every job the baseline planned still fits after it.
 [[nodiscard]] ReservationTable replan_all(
     const std::vector<const rms::Job*>& jobs, AvailabilityProfile base,
     const PlanOptions& options);

@@ -1,7 +1,5 @@
 #include "core/delay_measurement.hpp"
 
-#include <utility>
-
 #include "common/assert.hpp"
 #include "obs/json.hpp"
 #include "obs/tracer.hpp"
@@ -46,17 +44,24 @@ void diff_plans_into(const std::vector<const rms::Job*>& jobs,
                      std::vector<DelayedJob>& out) {
   out.clear();
   out.reserve(jobs.size());
-  for (const rms::Job* job : jobs) {
-    const Reservation* old_r = before.find(job->id());
-    const Reservation* new_r = after.find(job->id());
-    if (old_r == nullptr) continue;  // was never planned: not protected
-    DBS_ASSERT(new_r != nullptr, "replan lost a protected job");
+  const std::vector<Reservation>& old_items = before.items();
+  const std::vector<Reservation>& new_items = after.items();
+  DBS_ASSERT(new_items.size() == old_items.size(),
+             "replan planned a different set of jobs");
+  std::size_t next = 0;  // jobs[next] is the next job to pick up
+  for (std::size_t i = 0; i < old_items.size(); ++i) {
+    const Reservation& old_r = old_items[i];
+    DBS_ASSERT(new_items[i].job == old_r.job,
+               "replan is not aligned with its baseline");
+    if (next == jobs.size() || jobs[next] != old_r.job) continue;
     // Negative diffs are possible: pushing a big job back can let a small
     // one slip in earlier. Only positive delays matter for fairness; the
     // DFS engine ignores the rest.
-    const Duration delay = new_r->start - old_r->start;
-    out.push_back(DelayedJob{job, delay});
+    out.push_back(DelayedJob{old_r.job, new_items[i].start - old_r.start});
+    ++next;
   }
+  DBS_REQUIRE(next == jobs.size(),
+              "jobs must be a subsequence of the baseline plan");
 }
 
 std::vector<DelayedJob> diff_plans(const std::vector<const rms::Job*>& jobs,
@@ -67,29 +72,23 @@ std::vector<DelayedJob> diff_plans(const std::vector<const rms::Job*>& jobs,
   return delays;
 }
 
-void protected_subset_into(const std::vector<const rms::Job*>& prioritized,
-                           const ReservationTable& baseline,
+void protected_subset_into(const ReservationTable& baseline,
                            std::size_t delay_depth,
                            std::vector<const rms::Job*>& out) {
   out.clear();
   std::size_t later_seen = 0;
-  for (std::size_t i = 0; i < prioritized.size(); ++i) {
-    if (i + 8 < prioritized.size()) __builtin_prefetch(prioritized[i + 8]);
-    const rms::Job* job = prioritized[i];
-    const Reservation* r = baseline.find(job->id());
-    if (r == nullptr) continue;
-    if (r->start_now)
-      out.push_back(job);
+  for (const Reservation& r : baseline.items()) {
+    if (r.start_now)
+      out.push_back(r.job);
     else if (later_seen++ < delay_depth)
-      out.push_back(job);
+      out.push_back(r.job);
   }
 }
 
-std::vector<const rms::Job*> protected_subset(
-    const std::vector<const rms::Job*>& prioritized,
-    const ReservationTable& baseline, std::size_t delay_depth) {
+std::vector<const rms::Job*> protected_subset(const ReservationTable& baseline,
+                                              std::size_t delay_depth) {
   std::vector<const rms::Job*> out;
-  protected_subset_into(prioritized, baseline, delay_depth, out);
+  protected_subset_into(baseline, delay_depth, out);
   return out;
 }
 
@@ -128,8 +127,7 @@ void emit_measure_trace(const DynHold& hold, std::size_t protected_count,
 }  // namespace
 
 void measure_dynamic_request_into(
-    const DynHold& hold, const std::vector<const rms::Job*>& candidate_jobs,
-    const std::vector<const rms::Job*>& protected_jobs,
+    const DynHold& hold, const std::vector<const rms::Job*>& protected_jobs,
     const ReservationTable& baseline,
     const AvailabilityProfile& planning_profile, CoreCount physical_free_now,
     const PlanOptions& options, obs::Tracer* tracer, MeasureScratch& scratch,
@@ -152,9 +150,9 @@ void measure_dynamic_request_into(
   // for the space the hold removes) — but only the protected jobs have
   // their delays reported to the fairness engine.
   scratch.planned.clear();
-  scratch.planned.reserve(candidate_jobs.size());
-  for (const rms::Job* job : candidate_jobs)
-    if (baseline.find(job->id()) != nullptr) scratch.planned.push_back(job);
+  scratch.planned.reserve(baseline.size());
+  for (const Reservation& r : baseline.items())
+    scratch.planned.push_back(r.job);
 
   // Clamped: with a reserved dynamic partition the planning profile may
   // already sit at zero while the physical cores for the hold come out of
@@ -164,26 +162,22 @@ void measure_dynamic_request_into(
   out.profile_after = planning_profile;
   out.profile_after.subtract_clamped(hold.from, hold.until, hold.extra_cores);
   replan_all_into(scratch.planned, out.profile_after, options, scratch.replan);
-  std::swap(out.replanned, scratch.replan.table);
-  scratch.still_protected.clear();
-  scratch.still_protected.reserve(protected_jobs.size());
-  for (const rms::Job* job : protected_jobs)
-    if (baseline.find(job->id()) != nullptr)
-      scratch.still_protected.push_back(job);
-  diff_plans_into(scratch.still_protected, baseline, out.replanned, out.delays);
+  // Copy-assigned, not swapped: each table keeps its own storage, so no
+  // request after the first allocates.
+  out.replanned = scratch.replan.table;
+  diff_plans_into(protected_jobs, baseline, out.replanned, out.delays);
   emit_measure_trace(hold, protected_jobs.size(), physical_free_now,
                      scratch.planned.size(), out, options, tracer, scratch.json);
 }
 
 DelayMeasurement measure_dynamic_request(
-    const DynHold& hold, const std::vector<const rms::Job*>& candidate_jobs,
-    const std::vector<const rms::Job*>& protected_jobs,
+    const DynHold& hold, const std::vector<const rms::Job*>& protected_jobs,
     const ReservationTable& baseline,
     const AvailabilityProfile& planning_profile, CoreCount physical_free_now,
     const PlanOptions& options, obs::Tracer* tracer) {
   MeasureScratch scratch;
   DelayMeasurement out;
-  measure_dynamic_request_into(hold, candidate_jobs, protected_jobs, baseline,
+  measure_dynamic_request_into(hold, protected_jobs, baseline,
                                planning_profile, physical_free_now, options,
                                tracer, scratch, out);
   // Preserve the documented value-returning contract: the profile always

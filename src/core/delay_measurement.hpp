@@ -35,10 +35,14 @@ struct DynHold {
 
 /// The outcome of evaluating one dynamic request against the current plan.
 struct DelayMeasurement {
-  bool feasible = false;               ///< enough idle cores right now
-  std::vector<DelayedJob> delays;      ///< per protected job (delay >= 0)
-  ReservationTable replanned;          ///< new starts with the hold applied
-  AvailabilityProfile profile_after;   ///< planning profile with the hold
+  bool feasible = false;  ///< enough idle cores right now
+  /// Per protected job, in priority order. A delay may be negative: pushing
+  /// a big job back can let a small one start earlier. The DFS engine
+  /// counts only positive delays.
+  std::vector<DelayedJob> delays;
+  /// New starts with the hold applied, index-aligned with the baseline.
+  ReservationTable replanned;
+  AvailabilityProfile profile_after;  ///< planning profile with the hold
 };
 
 /// Reusable working storage for measure_dynamic_request_into: the scheduler
@@ -46,23 +50,22 @@ struct DelayMeasurement {
 /// nothing after the first request.
 struct MeasureScratch {
   std::vector<const rms::Job*> planned;
-  std::vector<const rms::Job*> still_protected;
   Plan replan;
   std::string json;
 };
 
 /// The jobs whose delays the fairness policies consider (paper §III-C,
 /// Fig. 5): every StartNow job plus the first `delay_depth`
-/// (ReservationDelayDepth) StartLater reservations, per the step-10
-/// classification in `baseline`. The set is computed once per iteration and
-/// stays fixed while that iteration's dynamic requests are processed.
+/// (ReservationDelayDepth) StartLater reservations of `baseline`, in its
+/// (priority) order. The classify stage computes the set from the step-10
+/// plan. A grant keeps it, though the replanned baseline it adopts may
+/// classify jobs differently; a malleable steal or a preemption re-plans
+/// and recomputes it.
 [[nodiscard]] std::vector<const rms::Job*> protected_subset(
-    const std::vector<const rms::Job*>& prioritized,
     const ReservationTable& baseline, std::size_t delay_depth);
 
 /// Scratch-reusing variant (clears and refills `out`).
-void protected_subset_into(const std::vector<const rms::Job*>& prioritized,
-                           const ReservationTable& baseline,
+void protected_subset_into(const ReservationTable& baseline,
                            std::size_t delay_depth,
                            std::vector<const rms::Job*>& out);
 
@@ -72,13 +75,14 @@ void protected_subset_into(const std::vector<const rms::Job*>& prioritized,
 /// idle cores (the feasibility test of step 12/13).
 ///
 /// All jobs planned in `baseline` are replanned (they all compete for
-/// space), but delays are reported only for `protected_jobs`.
+/// space), but delays are reported only for `protected_jobs`, which must
+/// be a subsequence of the baseline's jobs (protected_subset of it or of
+/// a baseline it replanned).
 /// When `tracer` is attached, every measurement publishes a "measure"
 /// event carrying the hold, the feasibility test result and the measured
 /// per-protected-job delays (the paper's per-decision audit data).
 [[nodiscard]] DelayMeasurement measure_dynamic_request(
-    const DynHold& hold, const std::vector<const rms::Job*>& candidate_jobs,
-    const std::vector<const rms::Job*>& protected_jobs,
+    const DynHold& hold, const std::vector<const rms::Job*>& protected_jobs,
     const ReservationTable& baseline, const AvailabilityProfile& planning_profile,
     CoreCount physical_free_now, const PlanOptions& options,
     obs::Tracer* tracer = nullptr);
@@ -89,8 +93,7 @@ void protected_subset_into(const std::vector<const rms::Job*>& prioritized,
 /// When `out.feasible` is false, `out.replanned`/`out.profile_after` are
 /// stale leftovers from an earlier call and must not be read.
 void measure_dynamic_request_into(
-    const DynHold& hold, const std::vector<const rms::Job*>& candidate_jobs,
-    const std::vector<const rms::Job*>& protected_jobs,
+    const DynHold& hold, const std::vector<const rms::Job*>& protected_jobs,
     const ReservationTable& baseline,
     const AvailabilityProfile& planning_profile, CoreCount physical_free_now,
     const PlanOptions& options, obs::Tracer* tracer, MeasureScratch& scratch,
@@ -103,7 +106,9 @@ void measure_dynamic_request_into(
 /// Appending variant for reused string buffers on the trace path.
 void delays_to_json(const std::vector<DelayedJob>& delays, std::string& out);
 
-/// Per-job start-time differences between two plans covering the same jobs.
+/// Start-time differences (after - before) of `jobs`, a subsequence of
+/// `before`'s jobs, in their order. `after` must plan the same jobs as
+/// `before` at the same indexes, as replan_all over `before`'s jobs does.
 [[nodiscard]] std::vector<DelayedJob> diff_plans(
     const std::vector<const rms::Job*>& jobs, const ReservationTable& before,
     const ReservationTable& after);

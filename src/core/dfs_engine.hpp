@@ -36,7 +36,9 @@ namespace dbs::core {
 /// One queued job delayed by a candidate dynamic allocation.
 struct DelayedJob {
   const rms::Job* job = nullptr;
-  Duration delay;  ///< additional wait vs. the current plan (>= 0)
+  /// Additional wait vs. the current plan; negative when the job moves
+  /// earlier. Only positive delays count.
+  Duration delay;
 };
 
 /// Why a request was rejected (for logging/metrics/negotiation).

@@ -18,7 +18,7 @@ void ids_json(const ReservationTable& table, bool start_now, std::string& out) {
   for (const Reservation& r : table.items()) {
     if (r.start_now != start_now) continue;
     if (out.size() > begin + 1) out += ',';
-    out += std::to_string(r.job.value());
+    out += std::to_string(r.job->id().value());
   }
   out += ']';
 }
@@ -46,9 +46,10 @@ void ClassifyStage::run(PipelineEnv& env, IterationContext& ctx) {
                  ctx.baseline_plan,
                  env.config.incremental_planning ? &ctx.staircase : nullptr);
   // The protected set (StartNow + first ReservationDelayDepth StartLater,
-  // Fig. 5) is fixed by this step-10 classification for the whole
-  // iteration, even as grants shift later plans.
-  protected_subset_into(ctx.prioritized, ctx.baseline_plan.table,
+  // Fig. 5) is read off this step-10 plan, which holds its jobs in
+  // priority order. Grants keep it even as they shift later plans; only a
+  // steal or preemption, which re-plans, recomputes it.
+  protected_subset_into(ctx.baseline_plan.table,
                         env.config.reservation_delay_depth,
                         ctx.protected_jobs);
 

@@ -47,8 +47,8 @@ void DynamicAdmissionStage::run(PipelineEnv& env, IterationContext& ctx) {
     DBS_ASSERT(owner.state() == rms::JobState::DynQueued,
                "FIFO entry for a job that is not dynqueued");
     const DynHold hold = make_hold(owner, req, now);
-    measure_dynamic_request_into(hold, ctx.prioritized, ctx.protected_jobs,
-                                 baseline, ctx.planning, ctx.physical_free,
+    measure_dynamic_request_into(hold, ctx.protected_jobs, baseline,
+                                 ctx.planning, ctx.physical_free,
                                  ctx.measure_opts, tracer, ctx.measure_scratch,
                                  m);
     obs::lazy_histogram(*ctx.sinks.registry, ctx.measure_depth,
@@ -72,11 +72,10 @@ void DynamicAdmissionStage::run(PipelineEnv& env, IterationContext& ctx) {
       plan_jobs_into(
           ctx.prioritized, ctx.planning, ctx.measure_opts, ctx.baseline_plan,
           env.config.incremental_planning ? &ctx.staircase : nullptr);
-      protected_subset_into(ctx.prioritized, baseline,
-                            env.config.reservation_delay_depth,
+      protected_subset_into(baseline, env.config.reservation_delay_depth,
                             ctx.protected_jobs);
-      measure_dynamic_request_into(hold, ctx.prioritized, ctx.protected_jobs,
-                                   baseline, ctx.planning, ctx.physical_free,
+      measure_dynamic_request_into(hold, ctx.protected_jobs, baseline,
+                                   ctx.planning, ctx.physical_free,
                                    ctx.measure_opts, tracer,
                                    ctx.measure_scratch, m);
     };
@@ -182,7 +181,9 @@ void DynamicAdmissionStage::run(PipelineEnv& env, IterationContext& ctx) {
                          .field_json("delays", ctx.json_scratch));
       }
       // Adopt the tentative state: the hold is now real. Swaps keep the
-      // measurement's storage alive for the next request.
+      // measurement's storage alive for the next request. The replanned
+      // table is index-aligned with the old baseline, so the protected set
+      // stays a subsequence of the new one.
       ctx.physical.subtract(hold.from, hold.until, hold.extra_cores);
       ctx.physical_free -= hold.extra_cores;
       std::swap(ctx.planning, m.profile_after);

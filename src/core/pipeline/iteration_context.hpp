@@ -120,6 +120,9 @@ struct IterationContext {
   TailStaircase staircase;
   /// PriorityEngine::order's keys, one per eligible job.
   std::vector<PriorityKey> priority_keys;
+  /// The Fig. 5 protected set, in priority order: read off the step-10
+  /// plan, kept across grants, recomputed by a steal's or preemption's
+  /// re-plan.
   std::vector<const rms::Job*> protected_jobs;
   std::vector<rms::DynRequest> requests;  ///< FIFO snapshot of this pass
   DelayMeasurement measure;

@@ -28,8 +28,9 @@ void StartBackfillStage::run(PipelineEnv& env, IterationContext& ctx) {
                 "reused step-10 plan diverged from a fresh start walk");
   }
   for (const Reservation& r : ctx.baseline_plan.table.items()) {
+    const JobId job = r.job->id();
     if (!r.start_now) {
-      ctx.applier.reserve(r.job, r.cores, r.start);
+      ctx.applier.reserve(job, r.cores, r.start);
       ++ctx.stats.reservations;
       continue;
     }
@@ -37,17 +38,17 @@ void StartBackfillStage::run(PipelineEnv& env, IterationContext& ctx) {
     // (chunked placement); the job then simply stays queued and is
     // re-planned next iteration — exactly what a real Maui does when the
     // node allocation it asked Torque for cannot be built.
-    if (!ctx.applier.start_job(r.job, r.backfilled)) {
+    if (!ctx.applier.start_job(job, r.backfilled)) {
       ++ctx.stats.start_failed;
       continue;
     }
-    if (!ctx.applier.dry_run()) env.dfs.on_job_started(r.job);
+    if (!ctx.applier.dry_run()) env.dfs.on_job_started(job);
     ++ctx.stats.started;
     if (r.backfilled) {
       ++ctx.stats.backfilled;
       DBS_TRACE_EVENT(ctx.sinks.tracer, obs::TraceEvent(ctx.now, "sched",
                                                         "backfill")
-                                            .field("job", r.job.value()));
+                                            .field("job", job.value()));
     }
   }
 }

@@ -9,25 +9,7 @@ namespace dbs::core {
 void ReservationTable::add(Reservation r) {
   DBS_REQUIRE(r.start < r.end, "reservation interval must be non-empty");
   DBS_REQUIRE(r.cores > 0, "reservation must hold cores");
-  const bool inserted = index_.try_emplace(r.job, items_.size()).second;
-  DBS_REQUIRE(inserted, "job already reserved");
   items_.push_back(r);
-  const auto id = static_cast<std::uint64_t>(r.job.value());
-  if (rebase_pending_) {
-    // Anchor the stamp array at this pass's first id; the array then stays
-    // sized to the live-id range instead of the ever-growing absolute ids.
-    base_ = id;
-    rebase_pending_ = false;
-  }
-  if (id < base_) return;  // below the anchor: find() falls back to the map
-  const auto slot = static_cast<std::size_t>(id - base_);
-  if (member_stamp_.size() <= slot) member_stamp_.resize(slot + 1, 0);
-  member_stamp_[slot] = generation_;
-}
-
-const Reservation* ReservationTable::find_slow(JobId job) const {
-  const auto it = index_.find(job);
-  return it == index_.end() ? nullptr : &items_[it->second];
 }
 
 std::size_t ReservationTable::start_now_count() const {

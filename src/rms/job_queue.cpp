@@ -31,11 +31,11 @@ Job& JobQueue::add(std::unique_ptr<Job> job) {
   DBS_REQUIRE(job != nullptr, "null job");
   const JobId id = job->id();
   DBS_REQUIRE(!jobs_.contains(id), "duplicate job id");
-  DBS_REQUIRE(order_.empty() || order_.back().first < id,
+  DBS_REQUIRE(!last_added_.valid() || last_added_ < id,
               "job ids must be added in increasing order");
   Job& ref = *job;
   jobs_.emplace(id, std::move(job));
-  order_.emplace_back(id, &ref);
+  last_added_ = id;
   // The id is the largest yet, so each index takes it at the back.
   if (ref.state() == JobState::Queued) queued_.push_back(&ref);
   if (ref.is_running()) running_.push_back(&ref);
@@ -90,26 +90,8 @@ void JobQueue::retire(JobId id) {
   auto it = jobs_.find(id);
   DBS_REQUIRE(it != jobs_.end(), "unknown job id");
   DBS_REQUIRE(it->second->finished(), "only finished jobs can be retired");
-  const auto pos = std::lower_bound(
-      order_.begin(), order_.end(), id,
-      [](const auto& entry, JobId key) { return entry.first < key; });
-  DBS_ASSERT(pos != order_.end() && pos->first == id,
-             "order index out of sync");
-  pos->second = nullptr;
-  ++order_tombstones_;
   ++retired_total_;
   jobs_.erase(it);
-  maybe_compact_order();
-}
-
-void JobQueue::maybe_compact_order() {
-  // Amortized: each compaction is O(order_) and removes more than half of
-  // it, so the cost per retirement stays O(1). The floor keeps small
-  // queues from rebuilding constantly.
-  if (order_tombstones_ < 1024) return;
-  if (order_tombstones_ * 2 <= order_.size()) return;
-  std::erase_if(order_, [](const auto& e) { return e.second == nullptr; });
-  order_tombstones_ = 0;
 }
 
 Job& JobQueue::at(JobId id) {
@@ -127,8 +109,9 @@ const Job& JobQueue::at(JobId id) const {
 std::vector<const Job*> JobQueue::all() const {
   std::vector<const Job*> out;
   out.reserve(jobs_.size());
-  for (const auto& [id, j] : order_)
-    if (j != nullptr) out.push_back(j);
+  for (const auto& [id, job] : jobs_) out.push_back(job.get());
+  std::sort(out.begin(), out.end(),
+            [](const Job* a, const Job* b) { return a->id() < b->id(); });
   return out;
 }
 

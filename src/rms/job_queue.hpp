@@ -5,7 +5,6 @@
 #include <deque>
 #include <memory>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "rms/job.hpp"
@@ -22,9 +21,7 @@ class JobQueue {
   /// Destroys a finished job's storage. After this the id is unknown —
   /// at()/contains() behave as if the job never existed — so callers must
   /// only retire once no component will look the id up again (the server
-  /// defers retirement by a latency-derived grace period). Amortized O(1):
-  /// the id-ordered index tombstones the entry and compacts when
-  /// tombstones outnumber live jobs.
+  /// defers retirement by a latency-derived grace period). O(1).
   void retire(JobId id);
 
   /// Jobs retired so far (observability).
@@ -69,7 +66,8 @@ class JobQueue {
   [[nodiscard]] std::size_t running_count() const { return running_.size(); }
   [[nodiscard]] bool has_running() const { return !running_.empty(); }
 
-  /// All live (non-retired) jobs, in id order.
+  /// All live (non-retired) jobs, in id order. Sorts them: for snapshots,
+  /// status listings and a restore, not for the scheduling path.
   [[nodiscard]] std::vector<const Job*> all() const;
 
   /// Live job count (excludes retired jobs).
@@ -87,20 +85,13 @@ class JobQueue {
   [[nodiscard]] const DynRequest* dyn_request_of(JobId job) const;
 
  private:
-  void maybe_compact_order();
-
   std::unordered_map<JobId, std::unique_ptr<Job>> jobs_;
   // Per-state indexes, each sorted by id. Submissions append to queued_
   // (ids only grow); the other transitions insert or erase at a binary-
   // searched position.
   std::vector<const Job*> queued_;
   std::vector<const Job*> running_;
-  // Submission order as (id, job) pairs sorted by id, for all() and
-  // retire(). Retirement nulls the pointer (the id stays, keeping the
-  // vector binary-searchable) and compaction erases the tombstones once
-  // they outnumber live entries.
-  std::vector<std::pair<JobId, Job*>> order_;
-  std::size_t order_tombstones_ = 0;
+  JobId last_added_ = JobId::invalid();  ///< add() takes ids above it
   std::uint64_t retired_total_ = 0;
   std::deque<DynRequest> dyn_fifo_;
 };

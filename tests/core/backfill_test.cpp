@@ -42,7 +42,7 @@ TEST(PlanJobs, StartLaterGetsReservationAtEarliestFit) {
   const Plan plan =
       plan_jobs(jobs, AvailabilityProfile(at(0), 128), {at(0), 5, true, false});
   ASSERT_EQ(plan.table.size(), 2u);
-  const Reservation* r2 = plan.table.find(JobId{2});
+  const Reservation* r2 = test::reservation_of(plan.table, JobId{2});
   ASSERT_NE(r2, nullptr);
   EXPECT_FALSE(r2->start_now);
   EXPECT_EQ(r2->start, at(600));  // after job 1's walltime
@@ -58,7 +58,7 @@ TEST(PlanJobs, ReservationLimitCutsOff) {
   // Job 1 starts now; only 2 StartLater reservations are created.
   EXPECT_EQ(plan.table.start_now_count(), 1u);
   EXPECT_EQ(plan.table.start_later_count(), 2u);
-  EXPECT_EQ(plan.table.find(JobId{5}), nullptr);
+  EXPECT_EQ(test::reservation_of(plan.table, JobId{5}), nullptr);
 }
 
 TEST(PlanJobs, BackfillMarksOutOfOrderStarts) {
@@ -69,11 +69,11 @@ TEST(PlanJobs, BackfillMarksOutOfOrderStarts) {
       f.job(3, 20, Duration::minutes(5))};    // fits now -> backfill
   const Plan plan =
       plan_jobs(jobs, AvailabilityProfile(at(0), 128), {at(0), 5, true, false});
-  const Reservation* r3 = plan.table.find(JobId{3});
+  const Reservation* r3 = test::reservation_of(plan.table, JobId{3});
   ASSERT_NE(r3, nullptr);
   EXPECT_TRUE(r3->start_now);
   EXPECT_TRUE(r3->backfilled);
-  const Reservation* r1 = plan.table.find(JobId{1});
+  const Reservation* r1 = test::reservation_of(plan.table, JobId{1});
   EXPECT_FALSE(r1->backfilled);
 }
 
@@ -85,13 +85,13 @@ TEST(PlanJobs, BackfillNeverDelaysReservations) {
       f.job(3, 28, Duration::minutes(15))};   // would overlap job 2's window
   const Plan plan =
       plan_jobs(jobs, AvailabilityProfile(at(0), 128), {at(0), 5, true, false});
-  const Reservation* r3 = plan.table.find(JobId{3});
+  const Reservation* r3 = test::reservation_of(plan.table, JobId{3});
   ASSERT_NE(r3, nullptr);
   // 28 cores for 15 min starting now would leave only 0 free at t=600 when
   // job 2 needs 100: 128-28=100 -> exactly fits. Bump to check the boundary:
   EXPECT_EQ(r3->start, at(0));
   // Job 2's reservation still at its baseline earliest time.
-  EXPECT_EQ(plan.table.find(JobId{2})->start, at(600));
+  EXPECT_EQ(test::reservation_of(plan.table, JobId{2})->start, at(600));
 }
 
 TEST(PlanJobs, DisallowedBackfillSkipsJob) {
@@ -102,7 +102,7 @@ TEST(PlanJobs, DisallowedBackfillSkipsJob) {
       f.job(3, 20, Duration::minutes(5))};
   const Plan plan = plan_jobs(jobs, AvailabilityProfile(at(0), 128),
                               {at(0), 5, /*allow_backfill=*/false, false});
-  EXPECT_EQ(plan.table.find(JobId{3}), nullptr);
+  EXPECT_EQ(test::reservation_of(plan.table, JobId{3}), nullptr);
 }
 
 TEST(PlanJobs, OversizedJobIsNeverPlanned) {
@@ -112,10 +112,10 @@ TEST(PlanJobs, OversizedJobIsNeverPlanned) {
       f.job(2, 20, Duration::minutes(5))};
   const Plan plan =
       plan_jobs(jobs, AvailabilityProfile(at(0), 128), {at(0), 5, true, false});
-  EXPECT_EQ(plan.table.find(JobId{1}), nullptr);
+  EXPECT_EQ(test::reservation_of(plan.table, JobId{1}), nullptr);
   // Job 2 is a backfill start (someone above it waits).
-  ASSERT_NE(plan.table.find(JobId{2}), nullptr);
-  EXPECT_TRUE(plan.table.find(JobId{2})->backfilled);
+  ASSERT_NE(test::reservation_of(plan.table, JobId{2}), nullptr);
+  EXPECT_TRUE(test::reservation_of(plan.table, JobId{2})->backfilled);
 }
 
 TEST(PlanJobs, DrainHoldsEverythingBehindExclusive) {
@@ -127,10 +127,10 @@ TEST(PlanJobs, DrainHoldsEverythingBehindExclusive) {
   base.subtract(at(0), at(300), 64);  // running job until t=300
   const Plan plan = plan_jobs(jobs, base, {at(0), 5, false, /*drain=*/true});
   // Z waits for the running job; job 2 must not start before Z.
-  const Reservation* z = plan.table.find(JobId{1});
+  const Reservation* z = test::reservation_of(plan.table, JobId{1});
   ASSERT_NE(z, nullptr);
   EXPECT_EQ(z->start, at(300));
-  const Reservation* r2 = plan.table.find(JobId{2});
+  const Reservation* r2 = test::reservation_of(plan.table, JobId{2});
   ASSERT_NE(r2, nullptr);
   EXPECT_GE(r2->start, z->start);
   EXPECT_FALSE(r2->start_now);
@@ -143,8 +143,8 @@ TEST(PlanJobs, DrainEndsWhenExclusiveStartsNow) {
       f.job(2, 8, Duration::minutes(5))};
   const Plan plan = plan_jobs(jobs, AvailabilityProfile(at(0), 128),
                               {at(0), 5, true, /*drain=*/true});
-  EXPECT_TRUE(plan.table.find(JobId{1})->start_now);
-  EXPECT_TRUE(plan.table.find(JobId{2})->start_now);
+  EXPECT_TRUE(test::reservation_of(plan.table, JobId{1})->start_now);
+  EXPECT_TRUE(test::reservation_of(plan.table, JobId{2})->start_now);
 }
 
 TEST(ReplanAll, PlansEveryJobRegardlessOfDepth) {
@@ -157,7 +157,8 @@ TEST(ReplanAll, PlansEveryJobRegardlessOfDepth) {
   EXPECT_EQ(table.size(), 6u);
   // Sequential full-machine jobs: each starts when the previous ends.
   for (std::uint64_t i = 1; i <= 6; ++i)
-    EXPECT_EQ(table.find(JobId{i})->start, at(static_cast<int>(i - 1) * 600));
+    EXPECT_EQ(test::reservation_of(table, JobId{i})->start,
+              at(static_cast<int>(i - 1) * 600));
 }
 
 }  // namespace

@@ -52,7 +52,7 @@ TEST(MeasureDynamicRequest, InfeasibleWithoutIdleCores) {
   Fixture f;
   const DynHold hold{4, at(0), at(600)};
   const DelayMeasurement m = measure_dynamic_request(
-      hold, {}, {}, ReservationTable{}, AvailabilityProfile(at(0), 128),
+      hold, {}, ReservationTable{}, AvailabilityProfile(at(0), 128),
       /*physical_free_now=*/3, {at(0), 5, true, false});
   EXPECT_FALSE(m.feasible);
   EXPECT_TRUE(m.delays.empty());
@@ -61,7 +61,7 @@ TEST(MeasureDynamicRequest, InfeasibleWithoutIdleCores) {
 TEST(MeasureDynamicRequest, NoProtectedJobsNoDelays) {
   const DynHold hold{4, at(0), at(600)};
   const DelayMeasurement m = measure_dynamic_request(
-      hold, {}, {}, ReservationTable{}, AvailabilityProfile(at(0), 128), 128,
+      hold, {}, ReservationTable{}, AvailabilityProfile(at(0), 128), 128,
       {at(0), 5, true, false});
   EXPECT_TRUE(m.feasible);
   EXPECT_TRUE(m.delays.empty());
@@ -82,14 +82,14 @@ TEST(MeasureDynamicRequest, DelayOfDisplacedReservation) {
   const std::vector<const rms::Job*> protected_jobs = {c};
   const PlanOptions opts{at(0), 5, true, false};
   const ReservationTable baseline = plan_jobs(protected_jobs, base, opts).table;
-  ASSERT_NE(baseline.find(JobId{3}), nullptr);
-  EXPECT_EQ(baseline.find(JobId{3})->start, at(4 * 60));
+  ASSERT_NE(test::reservation_of(baseline, JobId{3}), nullptr);
+  EXPECT_EQ(test::reservation_of(baseline, JobId{3})->start, at(4 * 60));
 
   // A (walltime end t=8h) grabs the 16 idle cores.
   const DynHold hold{16, at(0), at(8 * 60)};
   const DelayMeasurement m = measure_dynamic_request(
-      hold, protected_jobs, protected_subset(protected_jobs, baseline, 5),
-      baseline, base, /*physical_free_now=*/16, opts);
+      hold, protected_subset(baseline, 5), baseline, base,
+      /*physical_free_now=*/16, opts);
   ASSERT_TRUE(m.feasible);
   ASSERT_EQ(m.delays.size(), 1u);
   EXPECT_EQ(m.delays[0].job->id(), JobId{3});
@@ -104,11 +104,11 @@ TEST(MeasureDynamicRequest, StartNowJobPushedToLater) {
   const std::vector<const rms::Job*> jobs = {q};
   const PlanOptions opts{at(0), 5, true, false};
   const ReservationTable baseline = plan_jobs(jobs, base, opts).table;
-  EXPECT_TRUE(baseline.find(JobId{1})->start_now);
+  EXPECT_TRUE(test::reservation_of(baseline, JobId{1})->start_now);
 
   const DynHold hold{4, at(0), at(600)};
   const DelayMeasurement m =
-      measure_dynamic_request(hold, jobs, protected_subset(jobs, baseline, 5),
+      measure_dynamic_request(hold, protected_subset(baseline, 5),
                               baseline, base, 6, opts);
   ASSERT_TRUE(m.feasible);
   ASSERT_EQ(m.delays.size(), 1u);
@@ -125,7 +125,7 @@ TEST(MeasureDynamicRequest, UnaffectedJobHasZeroDelay) {
 
   const DynHold hold{4, at(0), at(600)};
   const DelayMeasurement m =
-      measure_dynamic_request(hold, jobs, protected_subset(jobs, baseline, 5),
+      measure_dynamic_request(hold, protected_subset(baseline, 5),
                               baseline, base, 128, opts);
   ASSERT_EQ(m.delays.size(), 1u);
   EXPECT_EQ(m.delays[0].delay, Duration::zero());
@@ -141,12 +141,13 @@ TEST(MeasureDynamicRequest, JobsBeyondDepthAreNotProtected) {
   const std::vector<const rms::Job*> jobs = {q1, q2};
   const PlanOptions opts{at(0), /*reservation_limit=*/1, true, false};
   const ReservationTable baseline = plan_jobs(jobs, base, opts).table;
-  ASSERT_NE(baseline.find(JobId{1}), nullptr);
-  ASSERT_EQ(baseline.find(JobId{2}), nullptr);  // beyond depth
+  ASSERT_NE(test::reservation_of(baseline, JobId{1}), nullptr);
+  // Beyond the depth: not planned.
+  ASSERT_EQ(test::reservation_of(baseline, JobId{2}), nullptr);
 
   const DynHold hold{4, at(0), at(2000)};
   const DelayMeasurement m =
-      measure_dynamic_request(hold, jobs, protected_subset(jobs, baseline, 1),
+      measure_dynamic_request(hold, protected_subset(baseline, 1),
                               baseline, base, 4, opts);
   ASSERT_TRUE(m.feasible);
   // Only job 1's delay is measured; job 2 is invisible to fairness.
@@ -173,6 +174,29 @@ TEST(DiffPlans, NegativeDiffWhenJobSlipsEarlier) {
   ASSERT_EQ(delays.size(), 2u);
   EXPECT_GT(delays[0].delay, Duration::zero());   // big job delayed
   EXPECT_LT(delays[1].delay, Duration::zero());   // small job moved earlier
+}
+
+TEST(DiffPlans, PicksUpJobsInBaselineOrderFromAlignedPlans) {
+  Fixture f;
+  const rms::Job* a = f.queued(1, 8, Duration::minutes(5));
+  const rms::Job* b = f.queued(2, 8, Duration::minutes(5));
+  const std::vector<const rms::Job*> jobs = {a, b};
+  const PlanOptions opts{at(0), 5, true, false};
+  const ReservationTable before =
+      plan_jobs(jobs, AvailabilityProfile(at(0), 8), opts).table;
+  AvailabilityProfile held(at(0), 8);
+  held.subtract(at(0), at(60), 8);
+  const ReservationTable after = replan_all(jobs, held, opts);
+
+  const auto delays = diff_plans({b}, before, after);
+  ASSERT_EQ(delays.size(), 1u);
+  EXPECT_EQ(delays[0].job, b);
+  EXPECT_EQ(delays[0].delay, Duration::seconds(60));
+  // Jobs out of the baseline's order are not a subsequence of it.
+  EXPECT_THROW((void)diff_plans({b, a}, before, after), precondition_error);
+  // A replan that lost a job is not aligned with its baseline.
+  EXPECT_THROW((void)diff_plans({a}, before, replan_all({a}, held, opts)),
+               invariant_error);
 }
 
 }  // namespace

@@ -185,7 +185,7 @@ std::string decision_line(bool start, JobId job, Time at) {
 std::vector<std::string> plan_lines(const ReservationTable& table) {
   std::vector<std::string> lines;
   for (const Reservation& r : table.items())
-    lines.push_back(decision_line(r.start_now, r.job, r.start));
+    lines.push_back(decision_line(r.start_now, r.job->id(), r.start));
   return lines;
 }
 

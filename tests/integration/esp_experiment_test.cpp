@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+
+#include "workload/synthetic.hpp"
 
 namespace dbs::batch {
 namespace {
@@ -43,6 +46,73 @@ TEST(EspExperiment, TableTwoStrictSatisfiedCounts) {
   EXPECT_EQ(get(EspConfig::DynHP).summary.satisfied_dyn_jobs, 28u);
   EXPECT_EQ(get(EspConfig::Dyn500).summary.satisfied_dyn_jobs, 14u);
   EXPECT_EQ(get(EspConfig::Dyn600).summary.satisfied_dyn_jobs, 10u);
+}
+
+TEST(EspExperiment, AblationDelayDepthCounts) {
+  // EXPERIMENTS.md X1 (bench_ablation_depth): Dyn-600 at each
+  // ReservationDelayDepth. Depth 20 protects the largest sets.
+  const std::vector<std::size_t> depths = {0, 1, 2, 5, 10, 20};
+  const std::vector<std::size_t> satisfied = {28, 22, 19, 10, 7, 5};
+  const std::vector<std::size_t> granted = {44, 36, 31, 28, 15, 10};
+  for (std::size_t i = 0; i < depths.size(); ++i) {
+    EspExperimentParams params;
+    params.reservation_delay_depth = depths[i];
+    const RunResult r = run_esp(params, EspConfig::Dyn600);
+    EXPECT_EQ(r.summary.satisfied_dyn_jobs, satisfied[i]) << depths[i];
+    EXPECT_EQ(r.summary.granted_dyn_requests, granted[i]) << depths[i];
+  }
+}
+
+TEST(EspExperiment, AblationStrategyCounts) {
+  // EXPERIMENTS.md X4 (bench_ablation_strategies, same configuration):
+  // idle-only, preemption, malleable steal, partition-8, partition-16.
+  // Each preemption and steal re-plans the pass and its protected set.
+  struct Strategy {
+    bool preemption;
+    bool malleable_steal;
+    CoreCount partition;
+    double preemptible_fraction;
+    double malleable_fraction;
+    int grants, requeues, shrinks;
+  };
+  const std::vector<Strategy> strategies = {
+      {false, false, 0, 0.0, 0.0, 10, 0, 0},
+      {true, false, 0, 0.5, 0.0, 29, 153, 0},
+      {false, true, 0, 0.0, 0.5, 32, 0, 60},
+      {false, false, 8, 0.0, 0.0, 54, 0, 0},
+      {false, false, 16, 0.0, 0.0, 50, 0, 0},
+  };
+  for (std::size_t i = 0; i < strategies.size(); ++i) {
+    const Strategy& s = strategies[i];
+    wl::SyntheticParams wp;
+    wp.job_count = 300;
+    wp.total_cores = 128;
+    wp.evolving_fraction = 0.3;
+    wp.preemptible_fraction = s.preemptible_fraction;
+    wp.malleable_fraction = s.malleable_fraction;
+    wp.seed = 11;
+    SystemConfig cfg;
+    cfg.cluster.node_count = 16;
+    cfg.cluster.cores_per_node = 8;
+    cfg.scheduler.reservation_depth = 5;
+    cfg.scheduler.reservation_delay_depth = 5;
+    cfg.scheduler.allow_preemption = s.preemption;
+    cfg.scheduler.allow_malleable_steal = s.malleable_steal;
+    cfg.scheduler.dynamic_partition_cores = s.partition;
+    cfg.scheduler.dfs.policy = core::DfsPolicy::TargetDelay;
+    cfg.scheduler.dfs.defaults.target_delay = Duration::seconds(600);
+    const RunResult r = run_workload(cfg, wl::generate_synthetic(wp),
+                                     "strategy " + std::to_string(i));
+    int grants = 0, requeues = 0, shrinks = 0;
+    for (const auto& j : r.jobs) {
+      grants += j.dyn_grants;
+      requeues += j.requeues;
+      shrinks += j.malleable_shrinks;
+    }
+    EXPECT_EQ(grants, s.grants) << r.label;
+    EXPECT_EQ(requeues, s.requeues) << r.label;
+    EXPECT_EQ(shrinks, s.shrinks) << r.label;
+  }
 }
 
 TEST(EspExperiment, SatisfiedOrderingMatchesPaper) {

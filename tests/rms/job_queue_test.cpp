@@ -62,8 +62,8 @@ TEST(JobQueue, RetireDestroysRecordAndForgetsId) {
 }
 
 TEST(JobQueue, CompactionKeepsScansAndLookupsIntact) {
-  // Crosses the compaction floor (1024 tombstones) mid-way, then checks
-  // every view still reflects exactly the live tail.
+  // Retires most of 1,200 jobs, then checks every view still reflects
+  // exactly the live tail, all() in id order included.
   constexpr std::uint64_t kJobs = 1200;
   constexpr std::uint64_t kRetire = 1100;
   JobQueue q;
@@ -80,6 +80,23 @@ TEST(JobQueue, CompactionKeepsScansAndLookupsIntact) {
   ASSERT_EQ(queued.size(), kJobs - kRetire);
   EXPECT_EQ(queued.front()->id(), JobId{kRetire + 1});
   EXPECT_EQ(queued.back()->id(), JobId{kJobs});
+  const auto all = q.all();
+  ASSERT_EQ(all.size(), kJobs - kRetire);
+  for (std::size_t i = 0; i < all.size(); ++i)
+    EXPECT_EQ(all[i]->id(), JobId{kRetire + 1 + i});
+}
+
+TEST(JobQueue, IdsStayIncreasingAfterTheNewestJobRetires) {
+  JobQueue q;
+  q.add(job(1));
+  q.add(job(4));
+  finish(q, JobId{4});
+  q.retire(JobId{4});
+  // 4 is gone, but ids still only grow past it.
+  EXPECT_THROW(q.add(job(3)), precondition_error);
+  q.add(job(5));
+  ASSERT_EQ(q.all().size(), 2u);
+  EXPECT_EQ(q.all()[1]->id(), JobId{5});
 }
 
 TEST(JobQueue, StateFiltering) {

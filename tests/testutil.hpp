@@ -6,6 +6,7 @@
 #include "apps/app_model.hpp"
 #include "apps/rigid.hpp"
 #include "cluster/cluster.hpp"
+#include "core/reservation_table.hpp"
 #include "rms/mom.hpp"
 #include "rms/server.hpp"
 #include "sim/simulator.hpp"
@@ -28,6 +29,15 @@ struct BareSystem {
   rms::Server server;
   rms::MomManager moms;
 };
+
+/// The reservation `table` holds for `job`, or nullptr. A linear scan: the
+/// scheduler itself only walks tables in order.
+inline const core::Reservation* reservation_of(
+    const core::ReservationTable& table, JobId job) {
+  for (const core::Reservation& r : table.items())
+    if (r.job->id() == job) return &r;
+  return nullptr;
+}
 
 inline rms::JobSpec spec(std::string name, CoreCount cores, Duration walltime,
                          std::string user = "alice") {

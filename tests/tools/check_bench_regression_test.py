@@ -81,6 +81,19 @@ class CheckBenchRegressionTest(unittest.TestCase):
         doc["benchmarks"] += [dict(doc["benchmarks"][0]), slow, aggregate]
         self.assertEqual(self.run_checker(doc).returncode, 0)
 
+    def test_rows_repeated_in_the_binary_gate_under_their_plain_name(self):
+        num, den, bound = checker.GATES["bench_recorder"][0]
+        doc = results("bench_recorder", {num: 1.0, den: 1.0})
+        rows = []
+        for row in doc["benchmarks"]:
+            rows += [dict(row, name=row["name"] + "/repeats:3")
+                     for _ in range(3)]
+        rows[0]["real_time"] = 100.0 * bound  # one slow run of three
+        doc["benchmarks"] = rows
+        self.assertEqual(self.run_checker(doc).returncode, 0)
+        rows[1]["real_time"] = 100.0 * bound  # now the median is slow
+        self.assertEqual(self.run_checker(doc).returncode, 1)
+
     def test_files_that_cannot_be_gated_exit_2(self):
         bench = "bench_shard"
         values = good_values(checker.GATES[bench])

@@ -14,8 +14,9 @@ real_time, or a named user counter such as bench_replay's peak_rss_mb.
 
 The gates are chosen by the benchmark binary that wrote the file, as
 recorded in its `context.executable`. A row that appears more than once
-(--benchmark_repetitions) counts with its median; aggregate rows are
-ignored.
+(--benchmark_repetitions, or Repetitions(n) in the binary, which names
+each run `<row>/repeats:n`) counts under its plain name with its median;
+aggregate rows are ignored.
 
 Exit status: 0 when every gate holds; 1 when a ratio exceeds its bound;
 2 when the file cannot be gated: it is missing or is not benchmark JSON,
@@ -26,6 +27,7 @@ from its gate silently.
 
 import json
 import os
+import re
 import statistics
 import sys
 
@@ -154,7 +156,7 @@ def load_rows(path):
             raise GateError(f"{path}: a benchmark row is not an object")
         if row.get("run_type") == "aggregate":
             continue
-        name = row.get("name")
+        name = re.sub(r"/repeats:\d+$", "", str(row.get("name")))
         if row.get("error_occurred"):
             raise GateError(f"{path}: row '{name}' reported an error: "
                             f"{row.get('error_message', '')}")
