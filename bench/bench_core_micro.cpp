@@ -123,7 +123,7 @@ void bm_plan_jobs(benchmark::State& state) {
     benchmark::DoNotOptimize(plan.table.size());
   }
 }
-BENCHMARK(bm_plan_jobs)->Arg(10)->Arg(50)->Arg(200);
+BENCHMARK(bm_plan_jobs)->Arg(10)->Arg(50)->Arg(200)->Arg(1000);
 
 /// The walk past its reservation budget over a 256-hold profile: with the
 /// staircase (`/staircase`, what the scheduler runs) each tail job is one

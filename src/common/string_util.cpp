@@ -3,6 +3,7 @@
 #include <cctype>
 #include <charconv>
 #include <cstdlib>
+#include <limits>
 
 namespace dbs {
 
@@ -65,23 +66,18 @@ std::optional<Duration> parse_duration(std::string_view s) {
     return std::nullopt;
   const auto fields = split(s, ":");
   if (fields.empty() || fields.size() > 3) return std::nullopt;
-  // Each colon-separated field must be a plain non-negative integer.
+  // Each colon-separated field must be a plain non-negative integer, and
+  // the total must fit a Duration's microseconds.
+  constexpr std::int64_t kMaxSeconds =
+      std::numeric_limits<std::int64_t>::max() / 1'000'000;
   std::int64_t total = 0;
   for (const auto& f : fields) {
     const auto v = parse_int(f);
-    if (!v) return std::nullopt;
+    if (!v || *v > kMaxSeconds || total > (kMaxSeconds - *v) / 60)
+      return std::nullopt;
     total = total * 60 + *v;
   }
   return Duration::seconds(total);
-}
-
-std::optional<bool> parse_bool(std::string_view s) {
-  s = trim(s);
-  if (s == "1" || iequals(s, "true") || iequals(s, "yes") || iequals(s, "on"))
-    return true;
-  if (s == "0" || iequals(s, "false") || iequals(s, "no") || iequals(s, "off"))
-    return false;
-  return std::nullopt;
 }
 
 std::optional<std::int64_t> parse_int(std::string_view s) {

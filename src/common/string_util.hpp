@@ -28,11 +28,8 @@ namespace dbs {
 [[nodiscard]] std::string to_upper(std::string_view s);
 
 /// Parses "HH:MM:SS", "MM:SS" or plain seconds into a Duration.
-/// Returns nullopt for malformed input.
+/// Returns nullopt for malformed input and for more than a Duration holds.
 [[nodiscard]] std::optional<Duration> parse_duration(std::string_view s);
-
-/// Parses a boolean-ish token: 1/0, true/false, yes/no, on/off.
-[[nodiscard]] std::optional<bool> parse_bool(std::string_view s);
 
 /// Parses a non-negative integer; nullopt on malformed input or overflow.
 [[nodiscard]] std::optional<std::int64_t> parse_int(std::string_view s);

@@ -1,300 +1,207 @@
 #include "config/maui_config.hpp"
 
+#include <algorithm>
+#include <iomanip>
+#include <optional>
+#include <span>
 #include <sstream>
+#include <unordered_map>
 
 #include "common/assert.hpp"
 #include "common/string_util.hpp"
+#include "common/value.hpp"
 
 namespace dbs::cfg {
 
 namespace {
 
-/// Logical lines after comment stripping and '\' continuation joining.
-std::vector<std::pair<int, std::string>> logical_lines(std::string_view text) {
-  std::vector<std::pair<int, std::string>> out;
-  std::istringstream is{std::string(text)};
-  std::string raw;
-  int line_no = 0;
-  int start_line = 0;
-  std::string pending;
-  while (std::getline(is, raw)) {
-    ++line_no;
-    if (const auto hash = raw.find('#'); hash != std::string::npos)
-      raw.erase(hash);
-    std::string_view sv = trim(raw);
-    bool continues = false;
-    if (!sv.empty() && sv.back() == '\\') {
-      continues = true;
-      sv.remove_suffix(1);
-      sv = trim(sv);
-    }
-    if (pending.empty()) {
-      if (sv.empty() && !continues) continue;
-      start_line = line_no;
-      pending = std::string(sv);
-    } else {
-      pending += ' ';
-      pending += std::string(sv);
-    }
-    if (!continues) {
-      if (!trim(pending).empty()) out.emplace_back(start_line, pending);
-      pending.clear();
-    }
-  }
-  if (!trim(pending).empty()) out.emplace_back(start_line, pending);
-  return out;
+/// The entity prefixes of Fig. 6 and the priority map each one's PRIORITY
+/// fills.
+struct Entity {
+  std::string_view prefix;  ///< "USERCFG[", the name and "]" follow
+  core::DfsEntityKind kind;
+  std::unordered_map<std::string, double> core::CredPriorities::*priorities;
+};
+constexpr Entity kEntities[] = {
+    {"USERCFG[", core::DfsEntityKind::User, &core::CredPriorities::user},
+    {"GROUPCFG[", core::DfsEntityKind::Group, &core::CredPriorities::group},
+    {"ACCOUNTCFG[", core::DfsEntityKind::Account,
+     &core::CredPriorities::account},
+    {"CLASSCFG[", core::DfsEntityKind::JobClass,
+     &core::CredPriorities::job_class},
+    {"QOSCFG[", core::DfsEntityKind::Qos, &core::CredPriorities::qos},
+};
+
+/// A key and the field it sets.
+struct Key {
+  std::string_view name;
+  value::Slot slot;
+};
+
+// Where SchedulerConfig::validate, DfsConfig::validate or Fairshare bound a
+// field, its key states the same bound, so the error names the line.
+const value::Words<bool> kSwitch{{{"1", true}, {"0", false}, {"ON", true},
+                                  {"OFF", false}, {"TRUE", true},
+                                  {"FALSE", false}, {"YES", true},
+                                  {"NO", false}},
+                                 true};
+constexpr value::Number kFinite = value::Number::finite();
+constexpr value::Number kFraction{0, 1};
+constexpr value::Span kDelay{Duration::zero(), kMaxDuration};
+constexpr value::Span kInterval{Duration::seconds(1), kMaxDuration};
+
+/// The keys that take one value; those named DFS* are the ones
+/// render_dfs_config writes.
+std::vector<Key> global_keys(core::SchedulerConfig& c) {
+  using value::bind;
+  using Count = value::Integer<std::size_t>;
+  using P = core::DfsPolicy;
+  using A = cluster::AllocationPolicy;
+  const value::Words<P> dfs_policies{
+      {{"NONE", P::None}, {"DFSSINGLEJOBDELAY", P::SingleJobDelay},
+       {"DFSTARGETDELAY", P::TargetDelay},
+       {"DFSSINGLEANDTARGETDELAY", P::SingleAndTargetDelay},
+       {"DFSSINGLETARGETDELAY", P::SingleAndTargetDelay}},
+      true};
+  const value::Words<A> allocation_policies{
+      {{"PACK", A::Pack}, {"SPREAD", A::Spread}, {"FIRSTFIT", A::FirstFit}},
+      true};
+  return {
+      {"DFSPOLICY", bind(dfs_policies, c.dfs.policy)},
+      {"DFSINTERVAL", bind(kInterval, c.dfs.interval)},
+      {"DFSDECAY", bind(kFraction, c.dfs.decay)},
+      {"RESERVATIONDEPTH", bind(Count{}, c.reservation_depth)},
+      {"RESERVATIONDELAYDEPTH", bind(Count{}, c.reservation_delay_depth)},
+      {"BACKFILL", bind(kSwitch, c.enable_backfill)},
+      {"QUEUETIMEWEIGHT", bind(kFinite, c.weights.queue_time_per_minute)},
+      {"XFACTORWEIGHT", bind(kFinite, c.weights.xfactor)},
+      {"RESWEIGHT", bind(kFinite, c.weights.per_core)},
+      {"CREDWEIGHT", bind(kFinite, c.weights.cred)},
+      {"FSWEIGHT", bind(kFinite, c.weights.fairshare)},
+      {"FAIRSHARE", bind(kSwitch, c.fairshare.enabled)},
+      {"FSINTERVAL", bind(kInterval, c.fairshare.interval)},
+      {"FSDEPTH", bind(Count{1}, c.fairshare.depth)},
+      {"FSDECAY", bind(kFraction, c.fairshare.decay)},
+      {"POLLINTERVAL", bind(kInterval, c.poll_interval)},
+      {"PREEMPTION", bind(kSwitch, c.allow_preemption)},
+      {"MALLEABLESTEAL", bind(kSwitch, c.allow_malleable_steal)},
+      {"DYNPARTITION",
+       bind(value::Integer<CoreCount>{}, c.dynamic_partition_cores)},
+      {"MAXJOBSPERUSER", bind(Count{1}, c.max_eligible_per_user)},
+      {"STAGETIMING", bind(kSwitch, c.stage_timing)},
+      {"INCREMENTALPLANNING", bind(kSwitch, c.incremental_planning)},
+      {"CHECKINVARIANTS", bind(kSwitch, c.check_invariants)},
+      {"ALLOCATIONPOLICY", bind(allocation_policies, c.allocation_policy)},
+  };
 }
 
-struct Parser {
-  core::SchedulerConfig config;
-  std::vector<ParseIssue> issues;
+/// The keys of DFS limits: DFSDEFAULTCFG's, and every entity line's.
+std::vector<Key> limit_keys(core::DfsEntityLimits& limits) {
+  return {{"DFSDYNDELAYPERM", value::bind(kSwitch, limits.delay_perm)},
+          {"DFSSINGLEDELAYTIME", value::bind(kDelay, limits.single_delay)},
+          {"DFSTARGETDELAYTIME", value::bind(kDelay, limits.target_delay)}};
+}
 
-  void issue(int line, std::string msg) {
-    issues.push_back({line, std::move(msg)});
-  }
+const Key* find(const std::vector<Key>& keys, std::string_view name) {
+  for (const Key& key : keys)
+    if (key.name == name) return &key;
+  return nullptr;
+}
 
-  template <class T>
-  bool expect(int line, const std::optional<T>& v, std::string_view what) {
-    if (v.has_value()) return true;
-    issue(line, "malformed " + std::string(what));
-    return false;
-  }
+/// Sets `key` from `token`, or reports why it cannot.
+void set(const Key& key, const std::string& token, int line, ParseResult& r) {
+  if (!key.slot.set(token))
+    r.issues.push_back(
+        {line, value::rejected(key.name, key.slot.expects, token)});
+}
 
-  void entity_settings(int line, core::DfsEntityKind kind,
-                       const std::string& name,
-                       const std::vector<std::string>& kvs) {
-    core::DfsEntityLimits limits = config.dfs.limits_of(kind, name);
-    for (const std::string& kv : kvs) {
-      const auto pair = split_once(kv, '=');
-      if (!pair) {
-        issue(line, "expected KEY=VALUE, got '" + kv + "'");
-        continue;
-      }
-      const std::string key = to_upper(pair->first);
-      const std::string& value = pair->second;
-      if (key == "DFSDYNDELAYPERM") {
-        if (const auto b = parse_bool(value); expect(line, b, key))
-          limits.delay_perm = *b;
-      } else if (key == "DFSSINGLEDELAYTIME") {
-        if (const auto d = parse_duration(value); expect(line, d, key))
-          limits.single_delay = *d;
-      } else if (key == "DFSTARGETDELAYTIME") {
-        if (const auto d = parse_duration(value); expect(line, d, key))
-          limits.target_delay = *d;
-      } else if (key == "PRIORITY") {
-        const auto v = parse_double(value);
-        if (!expect(line, v, key)) continue;
-        switch (kind) {
-          case core::DfsEntityKind::User:
-            config.cred_priorities.user[name] = *v; break;
-          case core::DfsEntityKind::Group:
-            config.cred_priorities.group[name] = *v; break;
-          case core::DfsEntityKind::Account:
-            config.cred_priorities.account[name] = *v; break;
-          case core::DfsEntityKind::JobClass:
-            config.cred_priorities.job_class[name] = *v; break;
-          case core::DfsEntityKind::Qos:
-            config.cred_priorities.qos[name] = *v; break;
-        }
-      } else if (key == "FSTARGET") {
-        const auto v = parse_double(value);
-        if (!expect(line, v, key)) continue;
-        if (kind == core::DfsEntityKind::User)
-          config.fairshare.user_targets[name] = *v;
-        else
-          issue(line, "FSTARGET is only supported for USERCFG");
-      } else {
-        issue(line, "unknown entity setting '" + key + "'");
-      }
-    }
-    config.dfs.map_of(kind)[name] = limits;
-  }
-
-  void global_setting(int line, const std::string& key,
-                      const std::vector<std::string>& args) {
-    const auto one = [&]() -> std::optional<std::string> {
-      if (args.size() != 1) {
-        issue(line, key + " expects exactly one value");
-        return std::nullopt;
-      }
-      return args[0];
-    };
-    if (key == "DFSPOLICY") {
-      if (const auto v = one()) {
-        const auto p = core::parse_dfs_policy(*v);
-        if (expect(line, p, key)) config.dfs.policy = *p;
-      }
-    } else if (key == "DFSINTERVAL") {
-      if (const auto v = one())
-        if (const auto d = parse_duration(*v); expect(line, d, key))
-          config.dfs.interval = *d;
-    } else if (key == "DFSDECAY") {
-      if (const auto v = one())
-        if (const auto d = parse_double(*v); expect(line, d, key))
-          config.dfs.decay = *d;
-    } else if (key == "RESERVATIONDEPTH") {
-      if (const auto v = one())
-        if (const auto n = parse_int(*v); expect(line, n, key))
-          config.reservation_depth = static_cast<std::size_t>(*n);
-    } else if (key == "RESERVATIONDELAYDEPTH") {
-      if (const auto v = one())
-        if (const auto n = parse_int(*v); expect(line, n, key))
-          config.reservation_delay_depth = static_cast<std::size_t>(*n);
-    } else if (key == "BACKFILL") {
-      if (const auto v = one())
-        if (const auto b = parse_bool(*v); expect(line, b, key))
-          config.enable_backfill = *b;
-    } else if (key == "QUEUETIMEWEIGHT") {
-      if (const auto v = one())
-        if (const auto d = parse_double(*v); expect(line, d, key))
-          config.weights.queue_time_per_minute = *d;
-    } else if (key == "XFACTORWEIGHT") {
-      if (const auto v = one())
-        if (const auto d = parse_double(*v); expect(line, d, key))
-          config.weights.xfactor = *d;
-    } else if (key == "RESWEIGHT") {
-      if (const auto v = one())
-        if (const auto d = parse_double(*v); expect(line, d, key))
-          config.weights.per_core = *d;
-    } else if (key == "CREDWEIGHT") {
-      if (const auto v = one())
-        if (const auto d = parse_double(*v); expect(line, d, key))
-          config.weights.cred = *d;
-    } else if (key == "FSWEIGHT") {
-      if (const auto v = one())
-        if (const auto d = parse_double(*v); expect(line, d, key))
-          config.weights.fairshare = *d;
-    } else if (key == "FAIRSHARE") {
-      if (const auto v = one())
-        if (const auto b = parse_bool(*v); expect(line, b, key))
-          config.fairshare.enabled = *b;
-    } else if (key == "FSINTERVAL") {
-      if (const auto v = one())
-        if (const auto d = parse_duration(*v); expect(line, d, key))
-          config.fairshare.interval = *d;
-    } else if (key == "FSDEPTH") {
-      if (const auto v = one())
-        if (const auto n = parse_int(*v); expect(line, n, key))
-          config.fairshare.depth = static_cast<std::size_t>(*n);
-    } else if (key == "FSDECAY") {
-      if (const auto v = one())
-        if (const auto d = parse_double(*v); expect(line, d, key))
-          config.fairshare.decay = *d;
-    } else if (key == "POLLINTERVAL") {
-      if (const auto v = one())
-        if (const auto d = parse_duration(*v); expect(line, d, key))
-          config.poll_interval = *d;
-    } else if (key == "PREEMPTION") {
-      if (const auto v = one())
-        if (const auto b = parse_bool(*v); expect(line, b, key))
-          config.allow_preemption = *b;
-    } else if (key == "MALLEABLESTEAL") {
-      if (const auto v = one())
-        if (const auto b = parse_bool(*v); expect(line, b, key))
-          config.allow_malleable_steal = *b;
-    } else if (key == "DYNPARTITION") {
-      if (const auto v = one())
-        if (const auto n = parse_int(*v); expect(line, n, key))
-          config.dynamic_partition_cores = static_cast<CoreCount>(*n);
-    } else if (key == "MAXJOBSPERUSER") {
-      if (const auto v = one())
-        if (const auto n = parse_int(*v); expect(line, n, key))
-          config.max_eligible_per_user = static_cast<std::size_t>(*n);
-    } else if (key == "STAGETIMING") {
-      if (const auto v = one())
-        if (const auto b = parse_bool(*v); expect(line, b, key))
-          config.stage_timing = *b;
-    } else if (key == "INCREMENTALPLANNING") {
-      if (const auto v = one())
-        if (const auto b = parse_bool(*v); expect(line, b, key))
-          config.incremental_planning = *b;
-    } else if (key == "CHECKINVARIANTS") {
-      if (const auto v = one())
-        if (const auto b = parse_bool(*v); expect(line, b, key))
-          config.check_invariants = *b;
-    } else if (key == "ALLOCATIONPOLICY") {
-      if (const auto v = one()) {
-        if (iequals(*v, "PACK"))
-          config.allocation_policy = cluster::AllocationPolicy::Pack;
-        else if (iequals(*v, "SPREAD"))
-          config.allocation_policy = cluster::AllocationPolicy::Spread;
-        else if (iequals(*v, "FIRSTFIT"))
-          config.allocation_policy = cluster::AllocationPolicy::FirstFit;
-        else
-          issue(line, "unknown allocation policy '" + *v + "'");
-      }
-    } else if (key == "DFSDEFAULTCFG") {
-      // Default limits applied to unconfigured entities.
-      core::DfsEntityLimits limits = config.dfs.defaults;
-      for (const std::string& kv : args) {
-        const auto pair = split_once(kv, '=');
-        if (!pair) {
-          issue(line, "expected KEY=VALUE, got '" + kv + "'");
-          continue;
-        }
-        const std::string k = to_upper(pair->first);
-        if (k == "DFSDYNDELAYPERM") {
-          if (const auto b = parse_bool(pair->second); expect(line, b, k))
-            limits.delay_perm = *b;
-        } else if (k == "DFSSINGLEDELAYTIME") {
-          if (const auto d = parse_duration(pair->second); expect(line, d, k))
-            limits.single_delay = *d;
-        } else if (k == "DFSTARGETDELAYTIME") {
-          if (const auto d = parse_duration(pair->second); expect(line, d, k))
-            limits.target_delay = *d;
-        } else {
-          issue(line, "unknown default setting '" + k + "'");
-        }
-      }
-      config.dfs.defaults = limits;
+/// Applies KEY=VALUE pairs, each KEY one of `keys`.
+void set_pairs(const std::vector<Key>& keys,
+               std::span<const std::string> pairs, int line, ParseResult& r) {
+  for (const std::string& kv : pairs) {
+    const auto pair = split_once(kv, '=');
+    if (!pair) {
+      r.issues.push_back({line, "expected KEY=VALUE, got '" + kv + "'"});
+    } else if (const Key* key = find(keys, to_upper(pair->first))) {
+      set(*key, pair->second, line, r);
     } else {
-      issue(line, "unknown key '" + key + "'");
+      r.issues.push_back({line, "unknown setting '" + pair->first + "'"});
     }
   }
+}
 
-  void parse_line(int line, const std::string& content) {
-    const std::vector<std::string> tokens = split(content);
-    if (tokens.empty()) return;
-    const std::string head = to_upper(tokens[0]);
-    const std::vector<std::string> args(tokens.begin() + 1, tokens.end());
+/// An entity line: its DFS limits, PRIORITY and, for users, FSTARGET.
+void set_entity(const Entity& entity, const std::string& name,
+                std::span<const std::string> pairs, int line,
+                ParseResult& r) {
+  core::SchedulerConfig& c = r.config;
+  core::DfsEntityLimits limits = c.dfs.limits_of(entity.kind, name);
+  std::optional<double> priority;
+  std::optional<double> fs_target;
+  std::vector<Key> keys = limit_keys(limits);
+  keys.push_back({"PRIORITY", value::bind(kFinite, priority)});
+  keys.push_back({"FSTARGET", value::bind(kFinite, fs_target)});
+  set_pairs(keys, pairs, line, r);
+  c.dfs.map_of(entity.kind)[name] = limits;
+  if (priority) (c.cred_priorities.*entity.priorities)[name] = *priority;
+  if (fs_target && entity.kind != core::DfsEntityKind::User)
+    r.issues.push_back({line, "FSTARGET is only supported for USERCFG"});
+  else if (fs_target)
+    c.fairshare.user_targets[name] = *fs_target;
+}
 
-    // Entity config: USERCFG[name], GROUPCFG[name], ...
-    static constexpr std::pair<const char*, core::DfsEntityKind> kEntities[] = {
-        {"USERCFG", core::DfsEntityKind::User},
-        {"GROUPCFG", core::DfsEntityKind::Group},
-        {"ACCOUNTCFG", core::DfsEntityKind::Account},
-        {"CLASSCFG", core::DfsEntityKind::JobClass},
-        {"QOSCFG", core::DfsEntityKind::Qos},
-    };
-    for (const auto& [prefix, kind] : kEntities) {
-      const std::string p = std::string(prefix) + "[";
-      if (head.rfind(p, 0) == 0) {
-        if (head.back() != ']') {
-          issue(line, "missing ']' in '" + tokens[0] + "'");
-          return;
-        }
-        // Preserve the original case of the entity name.
-        const std::string name =
-            tokens[0].substr(p.size(), tokens[0].size() - p.size() - 1);
-        if (name.empty()) {
-          issue(line, "empty entity name");
-          return;
-        }
-        entity_settings(line, kind, name, args);
-        return;
-      }
-    }
-    global_setting(line, head, args);
+void parse_line(const std::vector<Key>& globals, const std::string& content,
+                int line, ParseResult& r) {
+  const std::vector<std::string> tokens = split(content);
+  const std::string head = to_upper(tokens[0]);
+  const std::span<const std::string> args(tokens.begin() + 1, tokens.end());
+  if (head == "DFSDEFAULTCFG")
+    return set_pairs(limit_keys(r.config.dfs.defaults), args, line, r);
+  for (const Entity& entity : kEntities) {
+    const std::size_t skip = entity.prefix.size();
+    if (!head.starts_with(entity.prefix)) continue;
+    if (head.back() != ']')
+      return r.issues.push_back({line, "missing ']' in '" + tokens[0] + "'"});
+    // The entity name keeps its case.
+    const std::string name = tokens[0].substr(skip, head.size() - skip - 1);
+    if (name.empty()) return r.issues.push_back({line, "empty entity name"});
+    return set_entity(entity, name, args, line, r);
   }
-};
+  const Key* key = find(globals, head);
+  if (key == nullptr)
+    r.issues.push_back({line, "unknown key '" + head + "'"});
+  else if (args.size() != 1)
+    r.issues.push_back({line, head + " expects exactly one value"});
+  else
+    set(*key, args[0], line, r);
+}
 
 }  // namespace
 
 ParseResult parse_maui_config(std::string_view text) {
-  Parser parser;
-  for (const auto& [line, content] : logical_lines(text))
-    parser.parse_line(line, content);
-  return {std::move(parser.config), std::move(parser.issues)};
+  ParseResult r;
+  const std::vector<Key> globals = global_keys(r.config);
+  std::istringstream is{std::string(text)};
+  std::string raw;
+  std::string logical;  // a line and the lines a '\' joins to it
+  int first = 0;        // the line it starts on
+  for (int line = 1; std::getline(is, raw); ++line) {
+    raw.erase(std::min(raw.find('#'), raw.size()));
+    std::string_view sv = trim(raw);
+    const bool continues = sv.ends_with('\\');
+    if (continues) sv = trim(sv.substr(0, sv.size() - 1));
+    if (logical.empty())
+      first = line;
+    else if (!sv.empty())
+      logical += ' ';
+    logical += sv;
+    if (!continues && !logical.empty()) {
+      parse_line(globals, logical, first, r);
+      logical.clear();
+    }
+  }
+  if (!logical.empty()) parse_line(globals, logical, first, r);
+  return r;
 }
 
 core::SchedulerConfig parse_maui_config_or_throw(std::string_view text) {
@@ -310,24 +217,19 @@ core::SchedulerConfig parse_maui_config_or_throw(std::string_view text) {
 
 std::string render_dfs_config(const core::DfsConfig& dfs) {
   std::ostringstream os;
-  os << "DFSPOLICY    " << core::to_string(dfs.policy) << "\n";
-  os << "DFSINTERVAL  " << dfs.interval.to_hms() << "\n";
-  os << "DFSDECAY     " << dfs.decay << "\n";
-  static constexpr std::pair<const char*, core::DfsEntityKind> kEntities[] = {
-      {"USERCFG", core::DfsEntityKind::User},
-      {"GROUPCFG", core::DfsEntityKind::Group},
-      {"ACCOUNTCFG", core::DfsEntityKind::Account},
-      {"CLASSCFG", core::DfsEntityKind::JobClass},
-      {"QOSCFG", core::DfsEntityKind::Qos},
-  };
-  for (const auto& [prefix, kind] : kEntities) {
-    for (const auto& [name, limits] : dfs.map_of(kind)) {
-      os << prefix << "[" << name << "] DFSDYNDELAYPERM="
-         << (limits.delay_perm ? 1 : 0)
-         << " DFSSINGLEDELAYTIME=" << limits.single_delay.to_hms()
-         << " DFSTARGETDELAYTIME=" << limits.target_delay.to_hms() << "\n";
+  core::SchedulerConfig shown;
+  shown.dfs = dfs;
+  for (const Key& key : global_keys(shown))
+    if (key.name.starts_with("DFS"))
+      os << std::left << std::setw(13) << key.name << key.slot.show() << "\n";
+  for (const Entity& entity : kEntities)
+    for (const auto& [name, limits] : dfs.map_of(entity.kind)) {
+      core::DfsEntityLimits shown_limits = limits;
+      os << entity.prefix << name << "]";
+      for (const Key& key : limit_keys(shown_limits))
+        os << " " << key.name << "=" << key.slot.show();
+      os << "\n";
     }
-  }
   return os.str();
 }
 

@@ -8,12 +8,15 @@
 //   GROUPCFG[group05] DFSTARGETDELAYTIME=04:00:00
 //
 // '#' starts a comment, a '\' ending a line (before any comment) joins
-// the next line to it, keys are case-insensitive, durations are plain
-// seconds or [HH:]MM:SS.
+// the next line to it, keys and words are case-insensitive, durations are
+// plain seconds or [HH:]MM:SS.
 // Besides the DFS parameters the parser understands the scheduler knobs
 // (RESERVATIONDEPTH, RESERVATIONDELAYDEPTH, BACKFILL, priority weights,
 // fairshare, PREEMPTION, DYNPARTITION, ...) and per-entity PRIORITY /
-// FSTARGET settings.
+// FSTARGET settings. Each key is declared once in maui_config.cpp with the
+// field it sets and its value's kind and range (src/common/value.hpp); a
+// value out of range is an issue "<KEY> expects <kind and range>, got
+// '<value>'" at its line.
 #pragma once
 
 #include <string>
@@ -23,6 +26,10 @@
 #include "core/scheduler_config.hpp"
 
 namespace dbs::cfg {
+
+/// The longest duration a key takes, 100 years: added to any time a run
+/// reaches, it cannot overflow the clock.
+inline constexpr Duration kMaxDuration = Duration::hours(24 * 365 * 100);
 
 struct ParseIssue {
   int line = 0;

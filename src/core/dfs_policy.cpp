@@ -1,7 +1,6 @@
 #include "core/dfs_policy.hpp"
 
 #include "common/assert.hpp"
-#include "common/string_util.hpp"
 
 namespace dbs::core {
 
@@ -13,16 +12,6 @@ std::string_view to_string(DfsPolicy p) {
     case DfsPolicy::SingleAndTargetDelay: return "DFSSINGLEANDTARGETDELAY";
   }
   return "?";
-}
-
-std::optional<DfsPolicy> parse_dfs_policy(std::string_view s) {
-  if (iequals(s, "NONE")) return DfsPolicy::None;
-  if (iequals(s, "DFSSINGLEJOBDELAY")) return DfsPolicy::SingleJobDelay;
-  if (iequals(s, "DFSTARGETDELAY")) return DfsPolicy::TargetDelay;
-  if (iequals(s, "DFSSINGLEANDTARGETDELAY") ||
-      iequals(s, "DFSSINGLETARGETDELAY"))
-    return DfsPolicy::SingleAndTargetDelay;
-  return std::nullopt;
 }
 
 std::string_view to_string(DfsEntityKind k) {

@@ -12,7 +12,6 @@
 //     DFSTARGETDELAYTIME max cumulative delay / interval (0 = unlimited)
 #pragma once
 
-#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -30,7 +29,6 @@ enum class DfsPolicy {
 };
 
 [[nodiscard]] std::string_view to_string(DfsPolicy p);
-[[nodiscard]] std::optional<DfsPolicy> parse_dfs_policy(std::string_view s);
 
 [[nodiscard]] constexpr bool has_single(DfsPolicy p) {
   return p == DfsPolicy::SingleJobDelay || p == DfsPolicy::SingleAndTargetDelay;

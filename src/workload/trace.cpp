@@ -5,6 +5,7 @@
 
 #include "common/assert.hpp"
 #include "common/string_util.hpp"
+#include "common/value.hpp"
 
 namespace dbs::wl {
 
@@ -18,6 +19,10 @@ std::string flags_of(const SubmitSpec& s) {
 }
 
 std::string field_or_dash(const std::string& s) { return s.empty() ? "-" : s; }
+
+constexpr value::Integer<std::int64_t> kMicros{};
+constexpr value::Integer<CoreCount> kCores{};
+constexpr value::Number kFraction{0, 1};
 }  // namespace
 
 void write_trace(std::ostream& os, const Workload& workload) {
@@ -46,61 +51,52 @@ Workload read_trace(std::istream& is) {
   Workload wl;
   std::string line;
   int line_no = 0;
+  // A field of the current line, read into its own type and range.
+  const auto read = [&line_no](const auto& kind, const std::string& token,
+                               std::string_view name) {
+    const auto v = kind.parse(token);
+    if (!v)
+      throw precondition_error("trace line " + std::to_string(line_no) + ": " +
+                               value::rejected(name, kind.expects(), token));
+    return *v;
+  };
   while (std::getline(is, line)) {
     ++line_no;
     const std::string_view trimmed = trim(line);
     if (trimmed.empty()) continue;
     if (trimmed.front() == '#') {
       const auto fields = split(trimmed.substr(1));
-      if (fields.size() == 2 && fields[0] == "total_cores") {
-        const auto v = parse_int(fields[1]);
-        DBS_REQUIRE(v.has_value(), "trace line " + std::to_string(line_no) +
-                                       ": bad total_cores");
-        wl.total_cores = static_cast<CoreCount>(*v);
-      }
+      if (fields.size() == 2 && fields[0] == "total_cores")
+        wl.total_cores = read(kCores, fields[1], "total_cores");
       continue;
     }
     const auto f = split(trimmed);
     DBS_REQUIRE(f.size() == 13 || f.size() == 14,
                 "trace line " + std::to_string(line_no) +
                     ": expected 13-14 fields, got " + std::to_string(f.size()));
-    const auto at = parse_int(f[0]);
-    const auto cores = parse_int(f[5]);
-    const auto wall = parse_int(f[6]);
-    const auto runtime = parse_int(f[8]);
-    const auto ask_frac = parse_double(f[9]);
-    const auto retry_frac = parse_double(f[10]);
-    const auto ask_cores = parse_int(f[11]);
-    const auto nego = parse_int(f[12]);
-    DBS_REQUIRE(at && cores && wall && runtime && ask_frac && retry_frac &&
-                    ask_cores && nego,
-                "trace line " + std::to_string(line_no) + ": malformed field");
-
     SubmitSpec s;
-    s.at = Time::from_micros(*at);
+    s.at = Time::from_micros(read(kMicros, f[0], "at_us"));
     s.spec.name = f[1];
     s.spec.cred.user = f[2];
     s.spec.cred.group = f[3] == "-" ? "" : f[3];
     s.spec.cred.job_class = f[4] == "-" ? "" : f[4];
-    s.spec.cores = static_cast<CoreCount>(*cores);
-    s.spec.walltime = Duration::micros(*wall);
+    s.spec.cores = read(value::Integer<CoreCount>{1}, f[5], "cores");
+    s.spec.walltime = Duration::micros(read(kMicros, f[6], "walltime_us"));
     for (const char c : f[7]) {
       if (c == 'E') s.behavior.evolving = true;
       if (c == 'X') s.spec.exclusive_priority = true;
       if (c == 'P') s.spec.preemptible = true;
     }
     s.spec.type_tag = s.spec.name.substr(0, s.spec.name.find('-'));
-    s.behavior.static_runtime = Duration::micros(*runtime);
-    s.behavior.first_ask_frac = *ask_frac;
-    s.behavior.retry_frac = *retry_frac;
-    s.behavior.ask_cores = static_cast<CoreCount>(*ask_cores);
-    s.behavior.negotiation_timeout = Duration::micros(*nego);
+    s.behavior.static_runtime =
+        Duration::micros(read(kMicros, f[8], "runtime_us"));
+    s.behavior.first_ask_frac = read(kFraction, f[9], "ask_frac");
+    s.behavior.retry_frac = read(kFraction, f[10], "retry_frac");
+    s.behavior.ask_cores = read(kCores, f[11], "ask_cores");
+    s.behavior.negotiation_timeout =
+        Duration::micros(read(kMicros, f[12], "nego_timeout_us"));
     if (f.size() == 14) {
-      const auto malleable = parse_int(f[13]);
-      DBS_REQUIRE(malleable.has_value(), "trace line " +
-                                             std::to_string(line_no) +
-                                             ": malformed malleable_min");
-      s.spec.malleable_min = static_cast<CoreCount>(*malleable);
+      s.spec.malleable_min = read(kCores, f[13], "malleable_min");
       s.behavior.malleable = s.spec.malleable_min > 0 && !s.behavior.evolving;
     }
     wl.jobs.push_back(std::move(s));

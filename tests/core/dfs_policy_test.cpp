@@ -7,21 +7,6 @@
 namespace dbs::core {
 namespace {
 
-TEST(DfsPolicy, ParseRoundTrip) {
-  for (const DfsPolicy p :
-       {DfsPolicy::None, DfsPolicy::SingleJobDelay, DfsPolicy::TargetDelay,
-        DfsPolicy::SingleAndTargetDelay}) {
-    const auto parsed = parse_dfs_policy(to_string(p));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, p);
-  }
-  EXPECT_FALSE(parse_dfs_policy("bogus").has_value());
-  // The paper uses both spellings for the combined policy.
-  EXPECT_EQ(parse_dfs_policy("DFSSINGLETARGETDELAY"),
-            DfsPolicy::SingleAndTargetDelay);
-  EXPECT_EQ(parse_dfs_policy("none"), DfsPolicy::None);
-}
-
 TEST(DfsPolicy, FlagHelpers) {
   EXPECT_FALSE(has_single(DfsPolicy::None));
   EXPECT_TRUE(has_single(DfsPolicy::SingleJobDelay));

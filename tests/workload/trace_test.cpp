@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "common/assert.hpp"
 #include "workload/synthetic.hpp"
 
@@ -70,6 +73,39 @@ TEST(Trace, MalformedLinesRejectedWithLineNumber) {
   EXPECT_THROW((void)trace_from_string(
                    "x j1 a g c 4 600000000 - 300000000 0.16 0.25 4 0\n"),
                precondition_error);
+}
+
+TEST(Trace, FieldOutOfRangeNamesLineAndField) {
+  // Each field is read into its own type and range: a core count past
+  // CoreCount or a fraction outside [0, 1] (NaN included) is an error naming
+  // the line and the field, never a narrowed or absorbed value.
+  const std::pair<const char*, const char*> cases[] = {
+      {"# total_cores 4294967360\n",
+       "trace line 1: total_cores expects an integer in [0, 2147483647], got "
+       "'4294967360'"},
+      {"# a comment\n"
+       "0 j1 a g c 4294967304 600000000 - 300000000 0.16 0.25 4 0\n",
+       "trace line 2: cores expects an integer in [1, 2147483647], got "
+       "'4294967304'"},
+      {"0 j1 a g c 4 600000000 - 300000000 nan 0.25 4 0\n",
+       "trace line 1: ask_frac expects a number in [0, 1], got 'nan'"},
+      {"0 j1 a g c 4 600000000 - 300000000 0.16 inf 4 0\n",
+       "trace line 1: retry_frac expects a number in [0, 1], got 'inf'"},
+      {"0 j1 a g c 4 600000000 E 300000000 0.16 0.25 4294967300 0\n",
+       "trace line 1: ask_cores expects an integer in [0, 2147483647], got "
+       "'4294967300'"},
+      {"0 j1 a g c 4 600000000 - 300000000 0.16 0.25 4 0 4294967297\n",
+       "trace line 1: malleable_min expects an integer in [0, 2147483647], "
+       "got '4294967297'"},
+  };
+  for (const auto& [text, message] : cases) {
+    try {
+      (void)trace_from_string(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const precondition_error& e) {
+      EXPECT_EQ(std::string(e.what()), message);
+    }
+  }
 }
 
 TEST(Trace, TotalCoresHeaderParsed) {

@@ -68,8 +68,10 @@ GATES = {
               0.3),
         # One priority per job against priorities inside the comparator.
         ratio("bm_prioritize/500", "bm_prioritize/reference/500", 0.5),
-        # Growth across sizes catches a worse complexity.
-        sweep("bm_plan_jobs/{}", 10, 200, 22),
+        # Growth across sizes catches a worse complexity. The plan walk
+        # grows ~20x from 50 to 1,000 jobs; a per-job scan of the input
+        # (O(n^2)) reads 141-256.
+        sweep("bm_plan_jobs/{}", 50, 1000, 60),
         sweep("bm_prioritize/{}", 50, 500, 25),
         sweep("bm_dfs_admit/{}", 5, 100, 12),
     ],

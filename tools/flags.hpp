@@ -9,19 +9,15 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <initializer_list>
 #include <iostream>
-#include <limits>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "common/string_util.hpp"
+#include "common/value.hpp"
 
 namespace dbs::tools {
 
@@ -39,21 +35,19 @@ class Flags {
 
   /// A switch: `out` becomes true when the flag is given.
   void flag(std::string name, bool& out, std::string help) {
-    flags_.push_back({std::move(name), {}, std::move(help), {},
-                      [&out](std::string_view) {
-                        out = true;
-                        return true;
-                      }});
+    const auto set = [&out](std::string_view) { return out = true; };
+    flags_.push_back({std::move(name), {}, std::move(help), {{}, set, {}}});
   }
 
   /// Any text, such as a path.
   void text(std::string name, std::string& out, std::string metavar,
             std::string help) {
-    flags_.push_back({std::move(name), std::move(metavar), std::move(help),
-                      {}, [&out](std::string_view arg) {
-                        out = arg;
-                        return true;
-                      }});
+    const auto set = [&out](std::string_view arg) {
+      out = arg;
+      return true;
+    };
+    flags_.push_back(
+        {std::move(name), std::move(metavar), std::move(help), {{}, set, {}}});
   }
 
   /// An integer in [min, max] into `out`, an integral type or a
@@ -61,22 +55,10 @@ class Flags {
   template <class Out>
   void integer(std::string name, Out& out, std::int64_t min,
                std::string metavar, std::string help,
-               std::int64_t max = largest<value_t<Out>>()) {
-    using T = value_t<Out>;
-    static_assert(std::is_integral_v<T>);
-    std::string expects =
-        max == largest<std::int64_t>()
-            ? "an integer >= " + std::to_string(min)
-            : "an integer in [" + std::to_string(min) + ", " +
-                  std::to_string(max) + "]";
-    flags_.push_back({std::move(name), std::move(metavar), std::move(help),
-                      std::move(expects),
-                      [&out, min, max](std::string_view arg) {
-                        const std::optional<std::int64_t> v = parse_int(arg);
-                        if (!v || *v < min || *v > max) return false;
-                        out = static_cast<T>(*v);
-                        return true;
-                      }});
+               std::int64_t max = value::largest<value::value_t<Out>>()) {
+    flags_.push_back(
+        {std::move(name), std::move(metavar), std::move(help),
+         value::bind(value::Integer<value::value_t<Out>>{min, max}, out)});
   }
 
   /// A number in [min, max] into `out`, a double or a std::optional of
@@ -84,16 +66,8 @@ class Flags {
   template <class Out>
   void number(std::string name, Out& out, double min, double max,
               std::string metavar, std::string help) {
-    static_assert(std::is_same_v<value_t<Out>, double>);
-    std::ostringstream expects;
-    expects << "a number in [" << min << ", " << max << "]";
     flags_.push_back({std::move(name), std::move(metavar), std::move(help),
-                      expects.str(), [&out, min, max](std::string_view arg) {
-                        const std::optional<double> v = parse_double(arg);
-                        if (!v || !(*v >= min && *v <= max)) return false;
-                        out = *v;
-                        return true;
-                      }});
+                      value::bind(value::Number{min, max}, out)});
   }
 
   /// One of `words`, each naming the value `out` takes; several words may
@@ -103,8 +77,7 @@ class Flags {
               std::initializer_list<std::pair<std::string_view, T>> words,
               std::string help) {
     add_choice(std::move(name), out,
-               std::vector<std::pair<std::string, T>>(words.begin(),
-                                                      words.end()),
+               value::Words<T>{{words.begin(), words.end()}},
                std::move(help));
   }
 
@@ -112,8 +85,9 @@ class Flags {
   void choice(std::string name, std::string& out,
               std::initializer_list<std::string_view> words,
               std::string help) {
-    std::vector<std::pair<std::string, std::string>> table;
-    for (const std::string_view word : words) table.emplace_back(word, word);
+    value::Words<std::string> table;
+    for (const std::string_view word : words)
+      table.words.emplace_back(word, word);
     add_choice(std::move(name), out, std::move(table), std::move(help));
   }
 
@@ -141,14 +115,13 @@ class Flags {
                        [&arg](const Flag& f) { return f.name == arg; });
       if (it == flags_.end()) return fail("unknown flag '" + arg + "'", err);
       if (it->metavar.empty()) {
-        it->set({});
+        it->slot.set({});
         continue;
       }
       if (i + 1 == argc) return fail(arg + " needs a value", err);
-      const std::string value = argv[++i];
-      if (!it->set(value))
-        return fail(arg + " expects " + it->expects + ", got '" + value + "'",
-                    err);
+      const std::string token = argv[++i];
+      if (!it->slot.set(token))
+        return fail(value::rejected(arg, it->slot.expects, token), err);
     }
     if (filled < operands_.size())
       return fail("missing " + operands_[filled].name, err);
@@ -167,8 +140,7 @@ class Flags {
     std::string name;
     std::string metavar;  ///< empty for a switch
     std::string help;
-    std::string expects;  ///< "an integer >= 1", "one of a, b", ...
-    std::function<bool(std::string_view)> set;  ///< false: value rejected
+    value::Slot slot;  ///< its expects: "an integer >= 1", "one of a, b", ...
   };
   struct Operand {
     std::string name;
@@ -188,47 +160,13 @@ class Flags {
   }
 
   template <class T>
-  struct Value {
-    using type = T;
-  };
-  template <class T>
-  struct Value<std::optional<T>> {
-    using type = T;
-  };
-  template <class Out>
-  using value_t = typename Value<Out>::type;
-
-  /// The most a T holds, capped at what parse_int yields.
-  template <class T>
-  static constexpr std::int64_t largest() {
-    constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
-    return static_cast<std::uint64_t>(std::numeric_limits<T>::max()) >
-                   static_cast<std::uint64_t>(kMax)
-               ? kMax
-               : static_cast<std::int64_t>(std::numeric_limits<T>::max());
-  }
-
-  template <class T>
-  void add_choice(std::string name, T& out,
-                  std::vector<std::pair<std::string, T>> table,
+  void add_choice(std::string name, T& out, value::Words<T> words,
                   std::string help) {
     std::string metavar;
-    std::string listed;
-    for (const auto& [word, value] : table) {
+    for (const auto& [word, v] : words.words)
       metavar += (metavar.empty() ? "" : "|") + word;
-      listed += (listed.empty() ? "" : ", ") + word;
-    }
-    flags_.push_back(
-        {std::move(name), std::move(metavar), std::move(help),
-         "one of " + listed,
-         [&out, table = std::move(table)](std::string_view arg) {
-           for (const auto& [word, value] : table)
-             if (word == arg) {
-               out = value;
-               return true;
-             }
-           return false;
-         }});
+    flags_.push_back({std::move(name), std::move(metavar), std::move(help),
+                      value::bind(std::move(words), out)});
   }
 
   std::string program_;
