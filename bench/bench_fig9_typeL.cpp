@@ -13,11 +13,11 @@ int main() {
   for (const auto& r : runs) header.push_back(r.label + " wait[s]");
   TextTable table(header);
 
-  const auto series0 = runs[0].waits_of_type("L");
+  const auto series0 = metrics::wait_series(runs[0].jobs, "L");
   for (std::size_t i = 0; i < series0.size(); ++i) {
     std::vector<std::string> row{std::to_string(i + 1)};
     for (const auto& r : runs) {
-      const auto series = r.waits_of_type("L");
+      const auto series = metrics::wait_series(r.jobs, "L");
       row.push_back(TextTable::num(series[i].wait.as_seconds(), 0));
     }
     table.add_row(row);
@@ -27,7 +27,7 @@ int main() {
   std::cout << "\nmean type-L waiting time per configuration:\n";
   for (const auto& r : runs) {
     Duration sum;
-    const auto series = r.waits_of_type("L");
+    const auto series = metrics::wait_series(r.jobs, "L");
     for (const auto& w : series) sum += w.wait;
     std::cout << "  " << r.label << ": "
               << TextTable::num(

@@ -3,55 +3,51 @@
 //   $ ./esp_campaign                      # the paper's four configurations
 //   $ ./esp_campaign --seed 7 --cores 256 # a different machine / ordering
 //   $ ./esp_campaign --trace out.trace    # dump the workload and exit
-#include <cstdlib>
+//
+// Its flags are declared on tools::Flags, like the tools': --help lists
+// them, and a bad value exits 2 naming the flag.
+#include <cstdint>
+#include <exception>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "batch/esp_experiment.hpp"
 #include "common/table.hpp"
+#include "config/maui_config.hpp"
+#include "flags.hpp"
 #include "workload/trace.hpp"
 
 using namespace dbs;
 
 namespace {
 
-void usage(const char* argv0) {
-  std::cerr << "usage: " << argv0
-            << " [--seed N] [--cores N] [--limit500 S] [--limit600 S] "
-               "[--trace FILE]\n";
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   batch::EspExperimentParams params;
   std::string trace_path;
+  const std::int64_t max_limit_s = cfg::kMaxDuration.as_micros() / 1'000'000;
+  std::int64_t limit500_s = params.dyn500_limit.as_micros() / 1'000'000;
+  std::int64_t limit600_s = params.dyn600_limit.as_micros() / 1'000'000;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        usage(argv[0]);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--seed") {
-      params.workload.seed = static_cast<std::uint64_t>(std::atoll(next()));
-    } else if (arg == "--cores") {
-      params.workload.total_cores = static_cast<CoreCount>(std::atoi(next()));
-    } else if (arg == "--limit500") {
-      params.dyn500_limit = Duration::seconds(std::atoll(next()));
-    } else if (arg == "--limit600") {
-      params.dyn600_limit = Duration::seconds(std::atoll(next()));
-    } else if (arg == "--trace") {
-      trace_path = next();
-    } else {
-      usage(argv[0]);
-      return 2;
-    }
-  }
+  tools::Flags flags("esp_campaign",
+                     "runs the dynamic ESP benchmark in the paper's four "
+                     "configurations, or writes its workload as a trace");
+  flags.integer("--seed", params.workload.seed, 0, "N",
+                "seed of the submission-order shuffle");
+  flags.integer("--cores", params.workload.total_cores, 1, "N",
+                "machine size in cores (a multiple of 8 to run the campaign)");
+  flags.integer("--limit500", limit500_s, 0, "S",
+                "per-user delay limit of the Dyn-500 configuration, seconds",
+                max_limit_s);
+  flags.integer("--limit600", limit600_s, 0, "S",
+                "per-user delay limit of the Dyn-600 configuration, seconds",
+                max_limit_s);
+  flags.text("--trace", trace_path, "FILE",
+             "write the workload as a dbs trace and exit");
+  if (const std::optional<int> stop = flags.parse(argc, argv)) return *stop;
+  params.dyn500_limit = Duration::seconds(limit500_s);
+  params.dyn600_limit = Duration::seconds(limit600_s);
 
   if (!trace_path.empty()) {
     const wl::Workload workload = wl::generate_esp(params.workload);
@@ -73,4 +69,17 @@ int main(int argc, char** argv) {
                                            i == 0 ? 0.0 : baseline_tp));
   std::cout << table.to_string();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A value in range that cannot run (a machine that is not whole nodes)
+  // is reported and exits 1.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "esp_campaign: " << e.what() << "\n";
+    return 1;
+  }
 }

@@ -19,13 +19,9 @@ struct RunResult {
   std::string label;
   metrics::WorkloadSummary summary;
   std::vector<metrics::JobRecord> jobs;   ///< in submission order
-  std::vector<metrics::WaitPoint> waits;  ///< completed jobs, submission order
+  std::vector<metrics::WaitPoint> waits;  ///< wait_series(jobs)
   std::uint64_t scheduler_iterations = 0;
   std::uint64_t events = 0;
-
-  /// Waiting times restricted to one ESP type letter.
-  [[nodiscard]] std::vector<metrics::WaitPoint> waits_of_type(
-      const std::string& tag) const;
 };
 
 /// Builds the system, injects the workload, runs to completion.

@@ -1,12 +1,12 @@
 #include "core/maui_scheduler.hpp"
 
-#include <chrono>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
 #include "common/cycle_timer.hpp"
+#include "core/pipeline/stages.hpp"
 #include "obs/recorder/recorder.hpp"
 #include "obs/registry.hpp"
 #include "obs/tracer.hpp"
@@ -27,6 +27,10 @@ const std::vector<double>& iteration_us_bounds() {
   return bounds;
 }
 
+/// Algorithm 2, one function per stage, in stage_names() order.
+constexpr std::array<void (*)(IterationContext&), kStageCount> kPipeline{
+    gather, statistics, prioritize, classify, admission, start_backfill};
+
 }  // namespace
 
 MauiScheduler::MauiScheduler(rms::Server& server, SchedulerConfig config)
@@ -36,13 +40,8 @@ MauiScheduler::MauiScheduler(rms::Server& server, SchedulerConfig config)
       priority_(config_.weights, config_.cred_priorities, &fairshare_),
       dfs_(config_.dfs, server.simulator().now()),
       tracker_(server),
-      ctx_(server),
-      env_{server,    config_, fairshare_,
-           priority_, dfs_,
-           config_.incremental_planning ? &tracker_ : nullptr},
-      statistics_(server.simulator().now()),
-      stages_{&gather_, &statistics_, &prioritize_,
-              &classify_, &admission_, &start_backfill_} {
+      ctx_(server, config_, fairshare_, priority_, dfs_,
+           config_.incremental_planning ? &tracker_ : nullptr) {
   config_.validate();
   // The tracker only observes server events when incremental planning is
   // on; otherwise the gather stage rebuilds from scratch and per-event
@@ -50,7 +49,7 @@ MauiScheduler::MauiScheduler(rms::Server& server, SchedulerConfig config)
   if (config_.incremental_planning) server_.add_observer(&tracker_);
   server_.set_allocation_policy(config_.allocation_policy);
   ctx_.sinks.registry = &obs::Registry::global();
-  // Calibrate the stage timer outside the first iteration's timed window.
+  // Calibrate the timer outside the first iteration's timed window.
   CycleTimer::warm_up();
   tick_to_us_ = CycleTimer::to_micros(1);
 }
@@ -75,7 +74,7 @@ void MauiScheduler::attach() {
 
 void MauiScheduler::run_pipeline() {
   if (!config_.stage_timing) {
-    for (Stage* stage : stages_) stage->run(env_, ctx_);
+    for (const auto stage : kPipeline) stage(ctx_);
     return;
   }
   // TSC spans, not steady_clock: even so, seven clock reads per iteration
@@ -85,8 +84,8 @@ void MauiScheduler::run_pipeline() {
   // ratio calibrated at construction) happens after the last span.
   std::array<std::uint64_t, kStageCount> ticks;
   std::uint64_t span_begin = CycleTimer::now();
-  for (std::size_t i = 0; i < stages_.size(); ++i) {
-    stages_[i]->run(env_, ctx_);
+  for (std::size_t i = 0; i < kStageCount; ++i) {
+    kPipeline[i](ctx_);
     const std::uint64_t span_end = CycleTimer::now();
     ticks[i] = span_end - span_begin;
     span_begin = span_end;
@@ -97,7 +96,8 @@ void MauiScheduler::run_pipeline() {
 
 void MauiScheduler::iterate() {
   const Time now = server_.simulator().now();
-  const auto wall_begin = std::chrono::steady_clock::now();
+  // The same clock as the stage spans, so they add up to at most wall_us.
+  const std::uint64_t wall_begin = CycleTimer::now();
   ++iterations_;
   ctx_.begin_iteration(now, iterations_, /*dry_run=*/false);
 
@@ -117,10 +117,9 @@ void MauiScheduler::iterate() {
     ctx_.sinks.recorder->record_decisions(now, iterations_,
                                           ctx_.applier.decisions());
 
-  const auto wall_end = std::chrono::steady_clock::now();
   IterationStats& stats = ctx_.stats;
   stats.wall_us =
-      std::chrono::duration<double, std::micro>(wall_end - wall_begin).count();
+      static_cast<double>(CycleTimer::now() - wall_begin) * tick_to_us_;
   stats.replanned_jobs = ctx_.staircase.replanned;
 
   if (obs::Tracer* tracer = ctx_.sinks.tracer;
@@ -148,13 +147,13 @@ void MauiScheduler::iterate() {
   }
 
   record_iteration(stats);
-  last_ = stats;
   schedule_poll();
 }
 
 std::vector<rms::Decision> MauiScheduler::dry_run_iteration() {
-  // Same pipeline, applier in dry-run: nothing is applied, no DFS budget is
-  // consumed, no iteration is recorded and the poll timer is untouched.
+  // Same six functions, applier in dry-run: nothing is applied, no DFS
+  // budget is consumed, no iteration is recorded and the poll timer is
+  // untouched.
   // Within the pass, decisions still build on each other (a dry grant
   // shifts what later requests are measured against), so the stream is a
   // coherent what-if of the next live iteration.
@@ -226,7 +225,7 @@ void MauiScheduler::schedule_poll() {
 MauiScheduler::ServiceState MauiScheduler::save_service_state() const {
   ServiceState s;
   s.iterations = iterations_;
-  s.last_usage_update = statistics_.last_usage_update();
+  s.last_usage_update = ctx_.last_usage_update;
   s.poll_pending = poll_event_.valid();
   if (s.poll_pending) s.poll_at = poll_at_;
   s.fairshare = fairshare_.save_state();
@@ -236,7 +235,7 @@ MauiScheduler::ServiceState MauiScheduler::save_service_state() const {
 
 void MauiScheduler::restore_service_state(const ServiceState& s) {
   iterations_ = s.iterations;
-  statistics_.restore(s.last_usage_update);
+  ctx_.last_usage_update = s.last_usage_update;
   fairshare_.restore_state(s.fairshare);
   dfs_.restore_state(s.dfs);
   if (config_.incremental_planning) tracker_.rebuild();

@@ -1,6 +1,7 @@
 // The extended Maui scheduler (paper Algorithm 2), organized as an
-// explicit stage pipeline. Each iteration runs six stages in order over a
-// shared IterationContext:
+// explicit stage pipeline: each iteration runs six functions in order over
+// one IterationContext (core/pipeline/stages.hpp), each named after its
+// stage:
 //
 //   gather          obtain resource / workload information from the server
 //   statistics      update statistics (fairshare usage, DFS interval roll)
@@ -17,9 +18,11 @@
 //                   (reservations up to ReservationDepth), backfill the rest
 //
 // Stages emit typed decisions through the context's DecisionApplier rather
-// than calling the server directly; dry_run_iteration() runs the same
-// pipeline with the applier in dry-run mode to answer "what would the next
-// iteration do" without changing any state. With no dynamic requests
+// than calling the server directly; dry_run_iteration() runs the same six
+// functions with the applier in dry-run mode to answer "what would the
+// next iteration do" without changing any state. The scheduler owns the
+// context and the engines it points at (fairshare, priority, DFS, the
+// incremental physical-profile tracker). With no dynamic requests
 // pending the pipeline degenerates exactly into the classic Maui iteration
 // (Algorithm 1).
 #pragma once
@@ -33,13 +36,7 @@
 #include "core/availability_profile.hpp"
 #include "core/dfs_engine.hpp"
 #include "core/fairshare.hpp"
-#include "core/pipeline/classify_stage.hpp"
-#include "core/pipeline/dynamic_admission_stage.hpp"
-#include "core/pipeline/gather_stage.hpp"
-#include "core/pipeline/prioritize_stage.hpp"
-#include "core/pipeline/stage.hpp"
-#include "core/pipeline/start_backfill_stage.hpp"
-#include "core/pipeline/statistics_stage.hpp"
+#include "core/pipeline/iteration_context.hpp"
 #include "core/physical_profile.hpp"
 #include "core/priority.hpp"
 #include "core/scheduler_config.hpp"
@@ -100,9 +97,8 @@ class MauiScheduler {
   /// Returns the decision stream the next live iteration would open with.
   [[nodiscard]] std::vector<rms::Decision> dry_run_iteration();
 
-  [[nodiscard]] const IterationStats& last_stats() const { return last_; }
   /// Retained per-iteration history (capped at `kHistoryCap` entries; the
-  /// oldest iterations are dropped first).
+  /// oldest iterations are dropped first); back() is the latest iteration.
   [[nodiscard]] const IterationHistory& history() const { return history_; }
   [[nodiscard]] std::uint64_t iterations() const { return iterations_; }
   [[nodiscard]] const SchedulerConfig& config() const { return config_; }
@@ -152,8 +148,8 @@ class MauiScheduler {
   ~MauiScheduler();
 
  private:
-  /// Runs the six stages in order, accumulating per-stage tick deltas into
-  /// ctx_.stats.stage_wall_us.
+  /// Runs the six stage functions in order, recording per-stage tick
+  /// deltas into ctx_.stats.stage_wall_us when stage timing is on.
   void run_pipeline();
   void schedule_poll();
   void record_iteration(const IterationStats& stats);
@@ -165,24 +161,14 @@ class MauiScheduler {
   DfsEngine dfs_;
   /// Persistent physical profile, kept in sync via server observation;
   /// registered only when config_.incremental_planning (declared before
-  /// env_, which points at it).
+  /// ctx_, which points at it).
   PhysicalProfileTracker tracker_;
-  IterationStats last_;
   IterationHistory history_{kHistoryCap};
   std::uint64_t iterations_ = 0;
   EventId poll_event_ = EventId::invalid();
   Time poll_at_;  ///< absolute fire time of poll_event_ when valid
 
   IterationContext ctx_;
-  PipelineEnv env_;
-  GatherStage gather_;
-  StatisticsStage statistics_;
-  PrioritizeStage prioritize_;
-  ClassifyStage classify_;
-  DynamicAdmissionStage admission_;
-  StartBackfillStage start_backfill_;
-  /// The pipeline, in Algorithm-2 order; indexes match stage_names().
-  std::array<Stage*, kStageCount> stages_;
   /// Registry instrument handles resolved once per sink change instead of
   /// by name (mutex + string hash) every iteration — instrument references
   /// are stable for a registry's lifetime. Invalidated by set_sinks.
@@ -198,8 +184,8 @@ class MauiScheduler {
     obs::Gauge* free_cores = nullptr;
   };
   Instruments instruments_;
-  /// Microseconds per CycleTimer tick, resolved at construction so span
-  /// conversion in run_pipeline is a bare multiply.
+  /// Microseconds per CycleTimer tick, resolved at construction so the
+  /// iteration and stage spans convert with a bare multiply.
   double tick_to_us_ = 0.0;
 };
 

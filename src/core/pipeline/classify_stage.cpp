@@ -1,4 +1,4 @@
-#include "core/pipeline/classify_stage.hpp"
+#include "core/pipeline/stages.hpp"
 
 #include <string>
 
@@ -35,22 +35,22 @@ void ids_json(const std::vector<const rms::Job*>& jobs, std::string& out) {
 
 }  // namespace
 
-void ClassifyStage::run(PipelineEnv& env, IterationContext& ctx) {
+void classify(IterationContext& ctx) {
   // Step-10 plan options: delay-measurement reservations up to
   // max(ReservationDepth, ReservationDelayDepth). Fixed for the whole pass;
   // the admission stage replans with the same options after state changes.
   ctx.measure_opts =
-      PlanOptions{ctx.now, env.config.delay_plan_depth(),
-                  env.config.enable_backfill && !ctx.drain, ctx.drain};
+      PlanOptions{ctx.now, ctx.config.delay_plan_depth(),
+                  ctx.config.enable_backfill && !ctx.drain, ctx.drain};
   plan_jobs_into(ctx.prioritized, ctx.planning, ctx.measure_opts,
                  ctx.baseline_plan,
-                 env.config.incremental_planning ? &ctx.staircase : nullptr);
+                 ctx.config.incremental_planning ? &ctx.staircase : nullptr);
   // The protected set (StartNow + first ReservationDelayDepth StartLater,
   // Fig. 5) is read off this step-10 plan, which holds its jobs in
   // priority order. Grants keep it even as they shift later plans; only a
   // steal or preemption, which re-plans, recomputes it.
   protected_subset_into(ctx.baseline_plan.table,
-                        env.config.reservation_delay_depth,
+                        ctx.config.reservation_delay_depth,
                         ctx.protected_jobs);
 
   // Step-10 audit record: the StartNow / StartLater split and the protected

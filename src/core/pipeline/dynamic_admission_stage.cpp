@@ -1,4 +1,4 @@
-#include "core/pipeline/dynamic_admission_stage.hpp"
+#include "core/pipeline/stages.hpp"
 
 #include <optional>
 #include <utility>
@@ -13,7 +13,6 @@
 #include "core/negotiation.hpp"
 #include "core/physical_profile.hpp"
 #include "core/preemption.hpp"
-#include "core/pipeline/prioritize_stage.hpp"
 #include "core/priority.hpp"
 #include "core/scheduler_config.hpp"
 #include "obs/registry.hpp"
@@ -32,7 +31,7 @@ const std::vector<double>& measure_depth_bounds() {
 
 }  // namespace
 
-void DynamicAdmissionStage::run(PipelineEnv& env, IterationContext& ctx) {
+void admission(IterationContext& ctx) {
   const Time now = ctx.now;
   obs::Tracer* tracer = ctx.sinks.tracer;
   ReservationTable& baseline = ctx.baseline_plan.table;
@@ -41,9 +40,9 @@ void DynamicAdmissionStage::run(PipelineEnv& env, IterationContext& ctx) {
   for (const rms::DynRequest& req : ctx.requests) {
     // A preemption earlier in this loop may have requeued the owner and
     // removed its request from the FIFO; skip such stale entries.
-    const rms::DynRequest* live = env.server.jobs().dyn_request_of(req.job);
+    const rms::DynRequest* live = ctx.server.jobs().dyn_request_of(req.job);
     if (live == nullptr || live->id != req.id) continue;
-    const rms::Job& owner = env.server.job(req.job);
+    const rms::Job& owner = ctx.server.job(req.job);
     DBS_ASSERT(owner.state() == rms::JobState::DynQueued,
                "FIFO entry for a job that is not dynqueued");
     const DynHold hold = make_hold(owner, req, now);
@@ -64,15 +63,15 @@ void DynamicAdmissionStage::run(PipelineEnv& env, IterationContext& ctx) {
       // ledger arithmetically (the victims free exactly `freed` cores).
       ctx.physical_free = ctx.applier.dry_run()
                               ? ctx.physical_free + freed
-                              : env.server.cluster().free_cores();
-      ctx.rebuild_planning_profile(env.config.dynamic_partition_cores);
+                              : ctx.server.cluster().free_cores();
+      ctx.rebuild_planning_profile(ctx.config.dynamic_partition_cores);
       // The drain flag stays as steps 6-9 set it: a victim was backfilled,
       // and nothing backfills while an exclusive job is queued.
-      if (requeued) prioritize_eligible(env, ctx);
+      if (requeued) prioritize_eligible(ctx);
       plan_jobs_into(
           ctx.prioritized, ctx.planning, ctx.measure_opts, ctx.baseline_plan,
-          env.config.incremental_planning ? &ctx.staircase : nullptr);
-      protected_subset_into(baseline, env.config.reservation_delay_depth,
+          ctx.config.incremental_planning ? &ctx.staircase : nullptr);
+      protected_subset_into(baseline, ctx.config.reservation_delay_depth,
                             ctx.protected_jobs);
       measure_dynamic_request_into(hold, ctx.protected_jobs, baseline,
                                    ctx.planning, ctx.physical_free,
@@ -82,9 +81,9 @@ void DynamicAdmissionStage::run(PipelineEnv& env, IterationContext& ctx) {
 
     // Optional §II-B strategy (gentle): free cores by shrinking running
     // malleable jobs toward their minimum — no progress is lost.
-    if (!m.feasible && env.config.allow_malleable_steal) {
+    if (!m.feasible && ctx.config.allow_malleable_steal) {
       const std::vector<MalleableShrink> shrinks =
-          plan_malleable_steal(env.server.jobs().running(), req.extra_cores,
+          plan_malleable_steal(ctx.server.jobs().running(), req.extra_cores,
                                ctx.physical_free, req.job);
       if (!shrinks.empty()) {
         CoreCount freed = 0;
@@ -96,7 +95,7 @@ void DynamicAdmissionStage::run(PipelineEnv& env, IterationContext& ctx) {
                               .field("cores", s.cores));
           // Patch the cached physical profile: the victim's hold loses
           // s.cores over its remaining walltime interval.
-          const rms::Job& victim = env.server.job(s.job);
+          const rms::Job& victim = ctx.server.job(s.job);
           const Time victim_end = hold_end_for(victim, now);
           ctx.applier.shrink_malleable(s.job, s.cores, req.job);
           ctx.physical.add(now, victim_end, s.cores);
@@ -109,9 +108,9 @@ void DynamicAdmissionStage::run(PipelineEnv& env, IterationContext& ctx) {
 
     // Optional §II-B strategy: free cores by preempting backfilled
     // preemptible jobs, then re-measure against the patched state.
-    if (!m.feasible && env.config.allow_preemption) {
+    if (!m.feasible && ctx.config.allow_preemption) {
       const std::vector<JobId> victims =
-          select_preemption_victims(env.server.jobs().running(),
+          select_preemption_victims(ctx.server.jobs().running(),
                                     req.extra_cores, ctx.physical_free,
                                     req.job);
       if (!victims.empty()) {
@@ -123,7 +122,7 @@ void DynamicAdmissionStage::run(PipelineEnv& env, IterationContext& ctx) {
                               .field("victim", victim.value()));
           // Patch: the victim's entire hold (same interval the profile
           // rebuild would have subtracted) is returned to the pool.
-          const rms::Job& victim_job = env.server.job(victim);
+          const rms::Job& victim_job = ctx.server.job(victim);
           const CoreCount victim_cores = victim_job.allocated_cores();
           const Time victim_end = hold_end_for(victim_job, now);
           ctx.applier.preempt(victim, req.job);
@@ -139,11 +138,11 @@ void DynamicAdmissionStage::run(PipelineEnv& env, IterationContext& ctx) {
     // placements, not sufficient: the extra cores must also fit the
     // node-level free map.
     const bool placeable =
-        m.feasible && env.server.cluster().can_allocate_chunked(
-                           req.extra_cores, env.server.effective_ppn(owner));
+        m.feasible && ctx.server.cluster().can_allocate_chunked(
+                           req.extra_cores, ctx.server.effective_ppn(owner));
 
     DfsVerdict verdict = DfsVerdict::Allowed;
-    if (placeable) verdict = env.dfs.admit(owner.spec().cred, m.delays);
+    if (placeable) verdict = ctx.dfs.admit(owner.spec().cred, m.delays);
 
     const bool granted = placeable && verdict == DfsVerdict::Allowed &&
                          ctx.applier.grant_dyn(req);
@@ -169,7 +168,7 @@ void DynamicAdmissionStage::run(PipelineEnv& env, IterationContext& ctx) {
     if (granted) {
       // A dry-run must not consume DFS delay budget: the grant is not real
       // and the next live iteration will commit it itself.
-      if (!ctx.applier.dry_run()) env.dfs.commit(owner.spec().cred, m.delays);
+      if (!ctx.applier.dry_run()) ctx.dfs.commit(owner.spec().cred, m.delays);
       if (tracer != nullptr && tracer->enabled()) {
         ctx.json_scratch.clear();
         delays_to_json(m.delays, ctx.json_scratch);

@@ -1,4 +1,4 @@
-#include "core/pipeline/gather_stage.hpp"
+#include "core/pipeline/stages.hpp"
 
 #include "common/assert.hpp"
 #include "core/physical_profile.hpp"
@@ -6,12 +6,12 @@
 
 namespace dbs::core {
 
-void GatherStage::run(PipelineEnv& env, IterationContext& ctx) {
+void gather(IterationContext& ctx) {
   // Dynamic requests are served in FIFO order (the server's queue order);
   // the snapshot fixes this iteration's serving order even as grants and
   // rejections mutate the live queue.
-  ctx.requests.assign(env.server.jobs().dyn_requests().begin(),
-                      env.server.jobs().dyn_requests().end());
+  ctx.requests.assign(ctx.server.jobs().dyn_requests().begin(),
+                      ctx.server.jobs().dyn_requests().end());
   ctx.stats.eligible_dynamic = ctx.requests.size();
 
   // The iteration's physical profile: either the persistent tracker
@@ -20,19 +20,19 @@ void GatherStage::run(PipelineEnv& env, IterationContext& ctx) {
   // context either way — the admission stage patches its copy in place on
   // every state change (grant, malleable shrink, preemption) and dry runs
   // must not perturb the tracker.
-  if (env.tracker != nullptr) {
-    env.tracker->advance(ctx.now);
-    if (env.config.check_invariants) {
+  if (ctx.tracker != nullptr) {
+    ctx.tracker->advance(ctx.now);
+    if (ctx.config.check_invariants) {
       ctx.rebuild_physical_profile();
-      DBS_REQUIRE(ctx.physical == env.tracker->profile(),
+      DBS_REQUIRE(ctx.physical == ctx.tracker->profile(),
                   "incremental physical profile diverged from rebuild");
     }
-    ctx.physical = env.tracker->profile();
+    ctx.physical = ctx.tracker->profile();
   } else {
     ctx.rebuild_physical_profile();
   }
-  ctx.physical_free = env.server.cluster().free_cores();
-  ctx.rebuild_planning_profile(env.config.dynamic_partition_cores);
+  ctx.physical_free = ctx.server.cluster().free_cores();
+  ctx.rebuild_planning_profile(ctx.config.dynamic_partition_cores);
 }
 
 }  // namespace dbs::core

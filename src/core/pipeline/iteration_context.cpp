@@ -12,8 +12,20 @@ const std::array<std::string_view, kStageCount>& stage_names() {
   return names;
 }
 
-IterationContext::IterationContext(rms::Server& server_ref)
-    : server(server_ref), applier(server_ref) {}
+IterationContext::IterationContext(rms::Server& server_ref,
+                                   const SchedulerConfig& config_ref,
+                                   Fairshare& fairshare_ref,
+                                   PriorityEngine& priority_ref,
+                                   DfsEngine& dfs_ref,
+                                   PhysicalProfileTracker* tracker_ref)
+    : server(server_ref),
+      config(config_ref),
+      fairshare(fairshare_ref),
+      priority(priority_ref),
+      dfs(dfs_ref),
+      tracker(tracker_ref),
+      applier(server_ref),
+      last_usage_update(server_ref.simulator().now()) {}
 
 void IterationContext::begin_iteration(Time at, std::uint64_t iteration_number,
                                        bool dry_run) {

@@ -1,13 +1,15 @@
-// Shared state of one scheduler pipeline pass.
+// Shared state of the scheduler pipeline.
 //
-// The IterationContext owns (a) the iteration-scoped values stages hand to
-// each other (prioritized jobs, plan options, the drain flag), (b) the
-// reusable scratch that used to live as MauiScheduler members so the hot
-// path allocates nothing after warm-up (profiles, plans, the measurement,
-// JSON buffers), and (c) the wiring every stage needs: the
-// DecisionApplier that executes decisions against the server and the
-// observability sinks. One context is created per scheduler and re-armed
-// by begin_iteration() for every pass.
+// The IterationContext holds (a) the wiring every stage needs: the server,
+// the config, the long-lived engines (fairshare, priority, DFS, the
+// optional physical-profile tracker), the DecisionApplier that executes
+// decisions against the server and the observability sinks; (b) the
+// iteration-scoped values stages hand to each other (prioritized jobs,
+// plan options, the drain flag); (c) the fairshare usage watermark, which
+// persists across passes; and (d) the reusable scratch that keeps the hot
+// path allocation-free after warm-up (profiles, plans, the measurement,
+// JSON buffers). One context is created per scheduler and re-armed by
+// begin_iteration() for every pass.
 #pragma once
 
 #include <array>
@@ -25,6 +27,11 @@
 #include "rms/decision_applier.hpp"
 
 namespace dbs::core {
+
+class DfsEngine;
+class Fairshare;
+class PhysicalProfileTracker;
+struct SchedulerConfig;
 
 /// Number of pipeline stages (one per Algorithm-2 step group).
 inline constexpr std::size_t kStageCount = 6;
@@ -54,12 +61,18 @@ struct IterationStats {
   /// simulated time).
   double wall_us = 0.0;
   /// Per-stage wall-clock breakdown (host microseconds), indexed like
-  /// stage_names(). Sums to roughly wall_us minus orchestration overhead.
+  /// stage_names(). Timed on wall_us's clock inside its span, so it sums
+  /// to wall_us minus orchestration overhead, never more.
   std::array<double, kStageCount> stage_wall_us{};
 };
 
 struct IterationContext {
-  explicit IterationContext(rms::Server& server_ref);
+  /// The engines are the caller's and must outlive the context; `tracker`
+  /// is null when incremental planning is off. The usage watermark starts
+  /// at the server's current time.
+  IterationContext(rms::Server& server_ref, const SchedulerConfig& config_ref,
+                   Fairshare& fairshare_ref, PriorityEngine& priority_ref,
+                   DfsEngine& dfs_ref, PhysicalProfileTracker* tracker_ref);
 
   IterationContext(const IterationContext&) = delete;
   IterationContext& operator=(const IterationContext&) = delete;
@@ -78,6 +91,13 @@ struct IterationContext {
 
   // --- wiring --------------------------------------------------------------
   rms::Server& server;
+  const SchedulerConfig& config;
+  Fairshare& fairshare;
+  PriorityEngine& priority;
+  DfsEngine& dfs;
+  /// Persistent physical profile; null when incremental planning is off
+  /// (the gather stage then rebuilds from the running set).
+  PhysicalProfileTracker* tracker;
   rms::DecisionApplier applier;
   /// sinks.tracer may be null (tracing off); sinks.registry is always
   /// resolved to a concrete registry by MauiScheduler::set_sinks.
@@ -104,6 +124,12 @@ struct IterationContext {
   /// `baseline_plan` (a grant, a malleable steal, a preemption), so the
   /// step-10 plan no longer answers for the start stage.
   bool admission_changed_plan = false;
+
+  // --- persists across iterations ------------------------------------------
+  /// The statistics stage's usage-charge watermark: running jobs are
+  /// charged into fairshare for the time since it. Durable snapshots carry
+  /// it, or the first post-recovery iteration would double-charge.
+  Time last_usage_update;
 
   // --- reusable scratch (persists across iterations) -----------------------
   /// Physical availability: patched incrementally on grant/shrink/preempt

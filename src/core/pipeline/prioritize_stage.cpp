@@ -1,4 +1,4 @@
-#include "core/pipeline/prioritize_stage.hpp"
+#include "core/pipeline/stages.hpp"
 
 #include <algorithm>
 #include <string>
@@ -10,6 +10,11 @@
 
 namespace dbs::core {
 
+namespace {
+
+/// Queued jobs eligible this iteration, into `out` (its capacity reused):
+/// every queued job, clamped to the first max_eligible_per_user per user
+/// when that cap is configured.
 void eligible_static_jobs_into(const rms::Server& server,
                                const SchedulerConfig& config,
                                std::vector<const rms::Job*>& out) {
@@ -36,28 +41,30 @@ std::vector<const rms::Job*> eligible_static_jobs(
   return eligible;
 }
 
-bool prioritize_eligible(const PipelineEnv& env, IterationContext& ctx) {
-  if (!env.config.incremental_planning) {
-    ctx.prioritized = env.priority.prioritize(
-        eligible_static_jobs(env.server, env.config), ctx.now);
+}  // namespace
+
+bool prioritize_eligible(IterationContext& ctx) {
+  if (!ctx.config.incremental_planning) {
+    ctx.prioritized = ctx.priority.prioritize(
+        eligible_static_jobs(ctx.server, ctx.config), ctx.now);
     return std::any_of(
         ctx.prioritized.begin(), ctx.prioritized.end(),
         [](const rms::Job* job) { return job->spec().exclusive_priority; });
   }
-  eligible_static_jobs_into(env.server, env.config, ctx.prioritized);
+  eligible_static_jobs_into(ctx.server, ctx.config, ctx.prioritized);
   const bool exclusive =
-      env.priority.order(ctx.prioritized, ctx.now, ctx.priority_keys);
-  if (env.config.check_invariants) {
+      ctx.priority.order(ctx.prioritized, ctx.now, ctx.priority_keys);
+  if (ctx.config.check_invariants) {
     DBS_REQUIRE(ctx.prioritized ==
-                    env.priority.prioritize(
-                        eligible_static_jobs(env.server, env.config), ctx.now),
+                    ctx.priority.prioritize(
+                        eligible_static_jobs(ctx.server, ctx.config), ctx.now),
                 "keyed priority order diverged from the comparator sort");
   }
   return exclusive;
 }
 
-void PrioritizeStage::run(PipelineEnv& env, IterationContext& ctx) {
-  ctx.drain = prioritize_eligible(env, ctx);
+void prioritize(IterationContext& ctx) {
+  ctx.drain = prioritize_eligible(ctx);
   ctx.stats.eligible_static = ctx.prioritized.size();
 }
 

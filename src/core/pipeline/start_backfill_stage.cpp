@@ -1,4 +1,4 @@
-#include "core/pipeline/start_backfill_stage.hpp"
+#include "core/pipeline/stages.hpp"
 
 #include "common/assert.hpp"
 #include "core/backfill.hpp"
@@ -8,9 +8,9 @@
 
 namespace dbs::core {
 
-void StartBackfillStage::run(PipelineEnv& env, IterationContext& ctx) {
-  const PlanOptions start_opts{ctx.now, env.config.reservation_depth,
-                               env.config.enable_backfill && !ctx.drain,
+void start_backfill(IterationContext& ctx) {
+  const PlanOptions start_opts{ctx.now, ctx.config.reservation_depth,
+                               ctx.config.enable_backfill && !ctx.drain,
                                ctx.drain};
   // Step 10 walked the same jobs over the same profile. Unless it planned
   // deeper (ReservationDelayDepth > ReservationDepth) or admission changed
@@ -20,8 +20,8 @@ void StartBackfillStage::run(PipelineEnv& env, IterationContext& ctx) {
       ctx.measure_opts.reservation_limit != start_opts.reservation_limit;
   if (replan) {
     plan_jobs_into(ctx.prioritized, ctx.planning, start_opts, ctx.baseline_plan,
-                   env.config.incremental_planning ? &ctx.staircase : nullptr);
-  } else if (env.config.check_invariants) {
+                   ctx.config.incremental_planning ? &ctx.staircase : nullptr);
+  } else if (ctx.config.check_invariants) {
     DBS_REQUIRE(ctx.baseline_plan.table.items() ==
                     plan_jobs(ctx.prioritized, ctx.planning, start_opts)
                         .table.items(),
@@ -42,7 +42,7 @@ void StartBackfillStage::run(PipelineEnv& env, IterationContext& ctx) {
       ++ctx.stats.start_failed;
       continue;
     }
-    if (!ctx.applier.dry_run()) env.dfs.on_job_started(job);
+    if (!ctx.applier.dry_run()) ctx.dfs.on_job_started(job);
     ++ctx.stats.started;
     if (r.backfilled) {
       ++ctx.stats.backfilled;

@@ -1,4 +1,4 @@
-#include "core/pipeline/statistics_stage.hpp"
+#include "core/pipeline/stages.hpp"
 
 #include "core/dfs_engine.hpp"
 #include "core/fairshare.hpp"
@@ -6,21 +6,21 @@
 
 namespace dbs::core {
 
-void StatisticsStage::run(PipelineEnv& env, IterationContext& ctx) {
+void statistics(IterationContext& ctx) {
   // Charge running jobs' usage since the last update into fairshare. Runs
   // in dry-run passes too: the charge is a function of elapsed time, so
   // charging part of an interval early conserves the total.
-  const Duration elapsed = ctx.now - last_usage_update_;
-  if (env.config.fairshare.enabled && elapsed > Duration::zero()) {
-    for (const rms::Job* job : env.server.jobs().running())
-      env.fairshare.record_usage(
+  const Duration elapsed = ctx.now - ctx.last_usage_update;
+  if (ctx.config.fairshare.enabled && elapsed > Duration::zero()) {
+    for (const rms::Job* job : ctx.server.jobs().running())
+      ctx.fairshare.record_usage(
           job->spec().cred,
           static_cast<double>(job->allocated_cores()) * elapsed.as_seconds(),
           ctx.now);
   }
-  last_usage_update_ = ctx.now;
-  env.fairshare.advance_to(ctx.now);
-  env.dfs.advance_to(ctx.now);
+  ctx.last_usage_update = ctx.now;
+  ctx.fairshare.advance_to(ctx.now);
+  ctx.dfs.advance_to(ctx.now);
 }
 
 }  // namespace dbs::core

@@ -116,10 +116,9 @@ WorkloadSummary merge_summaries(const std::vector<WorkloadSummary>& parts,
   return m;
 }
 
-std::vector<WaitPoint> wait_series(const Recorder& recorder,
+std::vector<WaitPoint> wait_series(const std::vector<JobRecord>& records,
                                    const std::string& type_tag) {
   std::vector<WaitPoint> out;
-  const std::vector<JobRecord> records = recorder.records();
   for (std::size_t i = 0; i < records.size(); ++i) {
     const JobRecord& r = records[i];
     if (!type_tag.empty() && r.type_tag != type_tag) continue;

@@ -45,15 +45,16 @@ struct WorkloadSummary {
     const std::vector<WorkloadSummary>& parts,
     const std::vector<CoreCount>& capacities);
 
-/// Waiting time of each completed job, in submission order. When
-/// `type_tag` is non-empty, only jobs of that type are included.
+/// Waiting time of each job of `records` (submission order) that started,
+/// in that order. When `type_tag` is non-empty, only jobs of that type are
+/// included.
 struct WaitPoint {
   std::size_t submit_index;  ///< position in submission order (0-based)
   std::string name;
   Duration wait;
 };
-[[nodiscard]] std::vector<WaitPoint> wait_series(const Recorder& recorder,
-                                                 const std::string& type_tag = "");
+[[nodiscard]] std::vector<WaitPoint> wait_series(
+    const std::vector<JobRecord>& records, const std::string& type_tag = "");
 
 /// A Table-II-style row.
 [[nodiscard]] std::vector<std::string> performance_row(

@@ -197,7 +197,7 @@ TEST(MauiScheduler, StatsCountStartsAndReservations) {
   sys.submit_now(test::spec("b", 8, Duration::minutes(5)),
                  test::rigid(Duration::minutes(5)));
   sys.run_until(Time::from_seconds(5));
-  const IterationStats& stats = sys.scheduler().last_stats();
+  const IterationStats& stats = sys.scheduler().history().back();
   EXPECT_EQ(stats.started, 1u);
   EXPECT_EQ(stats.reservations, 1u);
 }

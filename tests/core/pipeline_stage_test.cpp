@@ -1,5 +1,5 @@
-// Per-stage unit tests: each pipeline stage is run against a hand-built
-// PipelineEnv + IterationContext over a bare server (no scheduler), plus
+// Per-stage unit tests: each pipeline stage function is run against a
+// hand-built IterationContext over a bare server (no scheduler), plus
 // dry-run semantics through the full system façade.
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 #include "batch/batch_system.hpp"
 #include "core/backfill.hpp"
 #include "core/maui_scheduler.hpp"
+#include "core/pipeline/stages.hpp"
 #include "obs/registry.hpp"
 #include "rms/decision.hpp"
 
@@ -20,8 +21,9 @@ namespace {
 using batch::BatchSystem;
 using batch::SystemConfig;
 
-/// A bare server + cluster plus the long-lived engines stages need; tests
-/// drive one stage at a time and inspect the context it leaves behind.
+/// A bare server + cluster plus the long-lived engines the context points
+/// at; tests drive one stage at a time and inspect the context it leaves
+/// behind.
 struct StageFixture {
   StageFixture() {
     cfg.reservation_depth = 2;
@@ -54,10 +56,10 @@ struct StageFixture {
 
   /// Steps 2-24 (statistics skipped: fairshare is off in these tests).
   void run_through_admission() {
-    GatherStage{}.run(env, ctx);
-    PrioritizeStage{}.run(env, ctx);
-    ClassifyStage{}.run(env, ctx);
-    DynamicAdmissionStage{}.run(env, ctx);
+    gather(ctx);
+    prioritize(ctx);
+    classify(ctx);
+    admission(ctx);
   }
 
   test::BareSystem sys;  // 4 nodes x 8 cores
@@ -66,8 +68,8 @@ struct StageFixture {
   PriorityEngine priority{cfg.weights, cfg.cred_priorities, &fairshare};
   DfsEngine dfs{cfg.dfs};
   obs::Registry registry;
-  IterationContext ctx{sys.server};
-  PipelineEnv env{sys.server, cfg, fairshare, priority, dfs};
+  // No tracker: the gather stage rebuilds the physical profile.
+  IterationContext ctx{sys.server, cfg, fairshare, priority, dfs, nullptr};
 };
 
 TEST(PipelineStages, StageNamesMatchAlgorithmOrder) {
@@ -88,8 +90,7 @@ TEST(PipelineStages, GatherSnapshotsClusterAndRequestState) {
   f.submit("queued", 4);
   f.begin(Time::epoch());
 
-  GatherStage gather;
-  gather.run(f.env, f.ctx);
+  gather(f.ctx);
 
   EXPECT_EQ(f.ctx.physical_free, 24);
   EXPECT_EQ(f.ctx.physical.capacity(), 32);
@@ -108,16 +109,17 @@ TEST(PipelineStages, StatisticsChargesRunningUsageIntoFairshare) {
   const JobId running = f.submit("run", 8);
   ASSERT_TRUE(f.sys.server.start_job(running, false));
 
-  StatisticsStage statistics(Time::epoch());
+  ASSERT_EQ(f.ctx.last_usage_update, Time::epoch());
   f.begin(Time::from_seconds(100));
-  statistics.run(f.env, f.ctx);
+  statistics(f.ctx);
   // 8 cores for 100 s.
   EXPECT_DOUBLE_EQ(f.fairshare.effective_usage("alice"), 800.0);
 
   // The second pass charges only the delta since the first.
   f.begin(Time::from_seconds(150));
-  statistics.run(f.env, f.ctx);
+  statistics(f.ctx);
   EXPECT_DOUBLE_EQ(f.fairshare.effective_usage("alice"), 1200.0);
+  EXPECT_EQ(f.ctx.last_usage_update, Time::from_seconds(150));
 }
 
 TEST(PipelineStages, PrioritizeOrdersQueueAndAppliesPerUserCap) {
@@ -127,15 +129,14 @@ TEST(PipelineStages, PrioritizeOrdersQueueAndAppliesPerUserCap) {
   f.submit("b1", 4, "bob");
 
   f.begin(Time::epoch());
-  PrioritizeStage prioritize;
-  prioritize.run(f.env, f.ctx);
+  prioritize(f.ctx);
   EXPECT_EQ(f.ctx.prioritized.size(), 3u);
   EXPECT_EQ(f.ctx.stats.eligible_static, 3u);
   EXPECT_FALSE(f.ctx.drain);
 
   f.cfg.max_eligible_per_user = 1;
   f.begin(Time::epoch());
-  prioritize.run(f.env, f.ctx);
+  prioritize(f.ctx);
   ASSERT_EQ(f.ctx.prioritized.size(), 2u);  // first of alice, first of bob
   EXPECT_EQ(f.ctx.prioritized[0]->spec().name, "a1");
   EXPECT_EQ(f.ctx.prioritized[1]->spec().name, "b1");
@@ -147,8 +148,7 @@ TEST(PipelineStages, PrioritizeDetectsExclusivePriorityDrain) {
   z.exclusive_priority = true;
   f.sys.server.submit(std::move(z), test::rigid(Duration::minutes(10)));
   f.begin(Time::epoch());
-  PrioritizeStage prioritize;
-  prioritize.run(f.env, f.ctx);
+  prioritize(f.ctx);
   EXPECT_TRUE(f.ctx.drain);
 }
 
@@ -158,12 +158,9 @@ TEST(PipelineStages, ClassifySplitsStartNowFromStartLater) {
   f.submit("waits", 8);     // must wait for "fits": StartLater
   f.begin(Time::epoch());
 
-  GatherStage gather;
-  PrioritizeStage prioritize;
-  ClassifyStage classify;
-  gather.run(f.env, f.ctx);
-  prioritize.run(f.env, f.ctx);
-  classify.run(f.env, f.ctx);
+  gather(f.ctx);
+  prioritize(f.ctx);
+  classify(f.ctx);
 
   EXPECT_EQ(f.ctx.baseline_plan.table.start_now_count(), 1u);
   EXPECT_EQ(f.ctx.baseline_plan.table.start_later_count(), 1u);
@@ -223,7 +220,7 @@ TEST(SingleWalk, EqualDepthsStartStep10PlanWithoutWalkingAgain) {
   // Every prioritized job was judged once, by the step-10 walk.
   EXPECT_EQ(f.ctx.staircase.replanned, f.ctx.prioritized.size());
 
-  StartBackfillStage{}.run(f.env, f.ctx);
+  start_backfill(f.ctx);
   EXPECT_FALSE(f.ctx.admission_changed_plan);
   EXPECT_EQ(f.ctx.staircase.replanned, f.ctx.prioritized.size());
   EXPECT_EQ(start_lines(f.ctx), step10);
@@ -237,18 +234,18 @@ TEST(SingleWalk, GrantForcesReplanOnPostGrantProfile) {
   f.start_evolver(8, 8);
   f.submit("q", 24, "bob");  // fits the 24 idle cores until the grant
   f.begin(f.sys.sim.now());
-  GatherStage{}.run(f.env, f.ctx);
-  PrioritizeStage{}.run(f.env, f.ctx);
-  ClassifyStage{}.run(f.env, f.ctx);
+  gather(f.ctx);
+  prioritize(f.ctx);
+  classify(f.ctx);
   const std::vector<std::string> step10 = plan_lines(f.ctx.baseline_plan.table);
-  DynamicAdmissionStage{}.run(f.env, f.ctx);
+  admission(f.ctx);
   ASSERT_EQ(f.ctx.stats.dyn_granted, 1u);
   EXPECT_TRUE(f.ctx.admission_changed_plan);
   const std::vector<std::string> expected = fresh_start_plan(f);
   // The grant left 16 idle cores: q now waits, where step 10 started it.
   EXPECT_NE(expected, step10);
 
-  StartBackfillStage{}.run(f.env, f.ctx);
+  start_backfill(f.ctx);
   EXPECT_EQ(start_lines(f.ctx), expected);
   EXPECT_EQ(f.ctx.stats.started, 0u);
   EXPECT_EQ(f.ctx.stats.start_failed, 0u);
@@ -289,7 +286,7 @@ TEST_P(SingleWalkFreeCores, StealOrPreemptionWithoutGrantForcesReplan) {
   EXPECT_TRUE(f.ctx.admission_changed_plan);
   const std::vector<std::string> expected = fresh_start_plan(f);
 
-  StartBackfillStage{}.run(f.env, f.ctx);
+  start_backfill(f.ctx);
   EXPECT_GT(f.ctx.staircase.replanned, walked);  // the stage re-planned
   EXPECT_EQ(start_lines(f.ctx), expected);
   EXPECT_GE(f.ctx.stats.started, 1u);  // the freed cores are used at once
@@ -316,7 +313,7 @@ TEST(SingleWalk, DeeperDelayDepthReplansAtReservationDepth) {
   EXPECT_FALSE(f.ctx.admission_changed_plan);
   const std::vector<std::string> expected = fresh_start_plan(f);
 
-  StartBackfillStage{}.run(f.env, f.ctx);
+  start_backfill(f.ctx);
   EXPECT_EQ(f.ctx.stats.reservations, 1u);
   EXPECT_EQ(start_lines(f.ctx), expected);
 }
@@ -379,14 +376,17 @@ TEST(PipelineMetrics, StageTimingsCoverEveryStage) {
   sys.run();
 
   ASSERT_GE(sys.scheduler().iterations(), 1u);
-  const IterationStats& last = sys.scheduler().last_stats();
-  double stage_sum = 0.0;
-  for (double us : last.stage_wall_us) {
-    EXPECT_GE(us, 0.0);
-    stage_sum += us;
+  // Every iteration's stage spans lie inside its own span, on one clock.
+  const IterationHistory& history = sys.scheduler().history();
+  ASSERT_EQ(history.size(), sys.scheduler().iterations());
+  for (std::size_t i = 0; i < history.size(); ++i) {
+    double stage_sum = 0.0;
+    for (double us : history[i].stage_wall_us) {
+      EXPECT_GE(us, 0.0);
+      stage_sum += us;
+    }
+    EXPECT_LE(stage_sum, history[i].wall_us + 1e-6) << "iteration " << i;
   }
-  // Stage spans are measured inside the iteration span.
-  EXPECT_LE(stage_sum, last.wall_us + 1e-6);
 
   for (std::string_view stage : stage_names()) {
     const obs::Histogram* h = registry.find_histogram(
@@ -448,8 +448,8 @@ TEST(PipelineHistory, HistoryIsCappedAtKHistoryCap) {
   EXPECT_EQ(sys.scheduler().history().size(),
             std::min<std::size_t>(sys.scheduler().iterations(),
                                   MauiScheduler::kHistoryCap));
-  EXPECT_EQ(sys.scheduler().history().back().at,
-            sys.scheduler().last_stats().at);
+  // The newest entry is the last iteration: the one the job's end woke.
+  EXPECT_EQ(sys.scheduler().history().back().at, sys.simulator().now());
 }
 
 }  // namespace

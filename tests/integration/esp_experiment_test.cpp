@@ -178,9 +178,10 @@ TEST(EspExperiment, FairnessFlattensTypeLWaits) {
   // times stay close to the static scenario, while Dyn-HP perturbs them
   // heavily. Compare the mean absolute deviation of type-L waits from the
   // static run.
-  const auto static_waits = get(EspConfig::Static).waits_of_type("L");
+  const auto static_waits =
+      metrics::wait_series(get(EspConfig::Static).jobs, "L");
   const auto deviation = [&](const RunResult& r) {
-    const auto waits = r.waits_of_type("L");
+    const auto waits = metrics::wait_series(r.jobs, "L");
     double sum = 0.0;
     for (std::size_t i = 0; i < waits.size(); ++i)
       sum += std::abs(

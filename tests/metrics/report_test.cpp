@@ -52,8 +52,8 @@ TEST(Report, WaitSeriesFiltersByType) {
   sys.submit_now(a, test::rigid(Duration::minutes(1)));
   sys.submit_now(b, test::rigid(Duration::minutes(1)));
   sys.run();
-  EXPECT_EQ(wait_series(sys.recorder()).size(), 2u);
-  const auto only_l = wait_series(sys.recorder(), "L");
+  EXPECT_EQ(wait_series(sys.recorder().records()).size(), 2u);
+  const auto only_l = wait_series(sys.recorder().records(), "L");
   ASSERT_EQ(only_l.size(), 1u);
   EXPECT_EQ(only_l[0].name, "L-01");
   EXPECT_EQ(only_l[0].submit_index, 0u);

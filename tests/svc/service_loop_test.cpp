@@ -4,7 +4,8 @@
 //     one-shot replay paths on the same jobs;
 //   * a concurrently-produced live run replays byte-identically from its
 //     own WAL drain order, single-threaded;
-//   * clean shutdown / reopen continues to the uninterrupted result;
+//   * clean shutdown / reopen continues to the uninterrupted result, also
+//     under the paper's fairness policies (fairshare and DFS ledgers);
 //   * crash injection at EVERY decision index: recovery from any WAL
 //     prefix (with or without snapshots, with or without a torn tail)
 //     reconstructs ==-identical state and re-makes / continues the
@@ -28,14 +29,17 @@
 
 #include "batch/batch_system.hpp"
 #include "common/assert.hpp"
+#include "config/maui_config.hpp"
 #include "metrics/report.hpp"
 #include "obs/registry.hpp"
 #include "obs/tracer.hpp"
+#include "rms/decision.hpp"
 #include "svc/ingest.hpp"
 #include "svc/service_loop.hpp"
 #include "svc/state_store.hpp"
 #include "workload/swf/swf_gen.hpp"
 #include "workload/swf/swf_source.hpp"
+#include "../testutil.hpp"
 
 namespace dbs::svc {
 namespace {
@@ -50,6 +54,17 @@ batch::SystemConfig durable_config() {
   cfg.latency = rms::LatencyModel::zero();
   cfg.streaming_metrics = true;
   cfg.retire_finished_jobs = true;
+  return cfg;
+}
+
+/// durable_config() under the paper's fairness policies
+/// (test::kFairnessConfig). Fairshare usage, its charge watermark and the
+/// DFS budgets are scheduler state the server does not hold, so recovery
+/// must carry them. Over the overloaded test cluster with its 30% evolving
+/// overlay, DFS denies requests.
+batch::SystemConfig fairness_config() {
+  batch::SystemConfig cfg = durable_config();
+  cfg.scheduler = cfg::parse_maui_config_or_throw(test::kFairnessConfig);
   return cfg;
 }
 
@@ -129,12 +144,13 @@ void push(IngestQueue& ingest, const wl::SubmitSpec& s) {
 /// assert on (decisions before max_ticks, snapshots) is then fixed by the
 /// workload, not by how a producer thread races the ticks. Several
 /// producers run as racing threads against run().
-ServiceResult run_service(const wl::Workload& workload,
-                          const ServiceConfig& scfg,
-                          std::size_t producer_threads = 1) {
+ServiceResult run_service(
+    const wl::Workload& workload, const ServiceConfig& scfg,
+    std::size_t producer_threads = 1,
+    const batch::SystemConfig& system_config = durable_config()) {
   CancelLog cancels;
   IngestQueue ingest;
-  batch::BatchSystem system(durable_config());
+  batch::BatchSystem system(system_config);
   system.server().add_observer(&cancels);
   ServiceLoop& service = system.attach_ingest(ingest, scfg);
 
@@ -457,31 +473,47 @@ TEST(ServiceLoop, ConcurrentIngestReplaysByteIdentical) {
 
 // --- clean shutdown / reopen ------------------------------------------------
 
+/// The snapshots a reopened run finds in its state dir: every one the
+/// first run wrote, only the oldest (recovery re-runs the WAL from there),
+/// or none (recovery re-runs the whole WAL).
+enum class Kept { All, Oldest, None };
+
+/// Removes the snapshots of `state_dir` that `kept` does not keep.
+void keep_snapshots(const std::string& state_dir, Kept kept) {
+  if (kept == Kept::All) return;
+  std::map<std::uint64_t, fs::path> snapshots;  // by decisions covered
+  for (const auto& entry : fs::directory_iterator(state_dir)) {
+    const std::string name = entry.path().filename().string();
+    if (entry.path().extension() == ".dbss")
+      snapshots[std::stoull(name.substr(9))] = entry.path();  // "snapshot-"
+  }
+  ASSERT_FALSE(snapshots.empty()) << "the first run wrote no snapshot";
+  if (kept == Kept::Oldest) snapshots.erase(snapshots.begin());
+  for (const auto& [decisions, path] : snapshots) fs::remove(path);
+}
+
 /// Runs `workload` uninterrupted, then again stopped after `max_ticks`
-/// and reopened (with the state dir's snapshots removed when
-/// `drop_snapshots`, so recovery re-runs the whole WAL): the reopened run
-/// must finish on the uninterrupted summary and decision stream.
-void expect_reopen_continues(const TempDir& dir, const wl::Workload& workload,
-                             std::uint64_t max_ticks, bool drop_snapshots) {
+/// and reopened with the snapshots `kept` names: the reopened run must
+/// finish on the uninterrupted summary and decision stream.
+void expect_reopen_continues(
+    const TempDir& dir, const wl::Workload& workload, std::uint64_t max_ticks,
+    Kept kept, const batch::SystemConfig& system_config = durable_config()) {
   const ServiceResult baseline =
-      run_service(workload, service_config(dir.sub("base")));
+      run_service(workload, service_config(dir.sub("base")), 1, system_config);
   ASSERT_EQ(baseline.summary.jobs_completed, workload.jobs.size());
 
   // First run: stop after a bounded number of drain cycles, mid-workload.
   ServiceConfig stopped = service_config(dir.sub("split"));
   stopped.max_ticks = max_ticks;
-  const ServiceResult first = run_service(workload, stopped);
+  const ServiceResult first = run_service(workload, stopped, 1, system_config);
   ASSERT_LT(first.wal_decisions, baseline.wal_decisions)
       << "max_ticks did not stop mid-run; shrink it";
   EXPECT_FALSE(first.recovered);
-  if (drop_snapshots) {
-    for (const auto& entry : fs::directory_iterator(dir.sub("split")))
-      if (entry.path().extension() == ".dbss") fs::remove(entry.path());
-  }
+  keep_snapshots(dir.sub("split"), kept);
 
   // Second run: reopen the same directory and finish.
-  const ServiceResult second =
-      run_service(workload, service_config(dir.sub("split")));
+  const ServiceResult second = run_service(
+      workload, service_config(dir.sub("split")), 1, system_config);
   EXPECT_TRUE(second.recovered);
   expect_summaries_equal(second.summary, baseline.summary);
   EXPECT_EQ(second.wal_ingest, baseline.wal_ingest);
@@ -499,7 +531,7 @@ TEST(ServiceLoop, CleanShutdownAndReopenContinuesToTheSameResult) {
   {
     SCOPED_TRACE("80 jobs");
     TempDir dir("reopen");
-    expect_reopen_continues(dir, make_workload(80, 13), 40, false);
+    expect_reopen_continues(dir, make_workload(80, 13), 40, Kept::All);
   }
   {
     // One record per tick: the first run logs 2,500 records, and with no
@@ -508,7 +540,37 @@ TEST(ServiceLoop, CleanShutdownAndReopenContinuesToTheSameResult) {
     TempDir dir("reopen_windows");
     expect_reopen_continues(
         dir, make_workload(kWindowsJobs, 13, /*cluster_sized=*/true), 2500,
-        true);
+        Kept::None);
+  }
+}
+
+/// DFS verdicts that denied a request in a logged decision stream.
+std::size_t dfs_denials(const std::vector<obs::rec::PackedRecord>& stream) {
+  std::size_t denied = 0;
+  for (const obs::rec::PackedRecord& r : stream) {
+    const auto reason = static_cast<rms::RejectReason>(r.reason);
+    denied += reason == rms::RejectReason::DeniedPermission ||
+              reason == rms::RejectReason::DeniedSingleDelay ||
+              reason == rms::RejectReason::DeniedTargetDelay;
+  }
+  return denied;
+}
+
+// The same reopen under the paper's fairness policies, whose fairshare
+// usage, usage watermark and DFS budgets live only in the scheduler: a
+// recovery that restored the server but not them would order the queue
+// and judge requests differently from the uninterrupted run. Reopened with
+// every snapshot, from the oldest one and from none.
+TEST(ServiceLoop, ReopenUnderFairnessPoliciesContinuesToTheSameResult) {
+  const wl::Workload workload = make_workload(300, 7);
+  for (const Kept kept : {Kept::All, Kept::Oldest, Kept::None}) {
+    SCOPED_TRACE(kept == Kept::All      ? "all snapshots"
+                 : kept == Kept::Oldest ? "the oldest snapshot"
+                                        : "no snapshot");
+    TempDir dir("reopen_fair");
+    expect_reopen_continues(dir, workload, 150, kept, fairness_config());
+    EXPECT_GT(dfs_denials(decision_stream(dir.sub("base"))), 0u)
+        << "DFS denied no request: the run does not exercise its budgets";
   }
 }
 

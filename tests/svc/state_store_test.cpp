@@ -14,6 +14,7 @@
 
 #include "batch/batch_system.hpp"
 #include "common/assert.hpp"
+#include "config/maui_config.hpp"
 #include "metrics/report.hpp"
 #include "obs/recorder/recorder.hpp"
 #include "svc/state_store.hpp"
@@ -33,6 +34,13 @@ batch::SystemConfig durable_config() {
   cfg.scheduler.reservation_depth = 4;
   cfg.latency = rms::LatencyModel::zero();
   cfg.streaming_metrics = true;
+  return cfg;
+}
+
+/// durable_config() under the paper's fairness policies.
+batch::SystemConfig fairness_config() {
+  batch::SystemConfig cfg = durable_config();
+  cfg.scheduler = cfg::parse_maui_config_or_throw(test::kFairnessConfig);
   return cfg;
 }
 
@@ -64,13 +72,15 @@ struct CapturedRun {
   Time captured_at;
 };
 
-CapturedRun capture_mid_run(std::uint64_t jobs = 60, std::uint64_t seed = 11) {
+CapturedRun capture_mid_run(
+    std::uint64_t jobs = 60, std::uint64_t seed = 11,
+    const batch::SystemConfig& config = durable_config()) {
   const wl::Workload workload = make_workload(jobs, seed);
   Time last_arrival;
   for (const auto& s : workload.jobs) last_arrival = max(last_arrival, s.at);
 
   CapturedRun run;
-  run.system = std::make_unique<batch::BatchSystem>(durable_config());
+  run.system = std::make_unique<batch::BatchSystem>(config);
   run.system->submit_workload(workload);
   run.captured_at = last_arrival + Duration::seconds(1);
   run.system->run_until(run.captured_at);
@@ -177,16 +187,23 @@ TEST(StateCodec, LayoutIsPinnedToVersionOne) {
 
 // --- capture/restore fidelity ----------------------------------------------
 
-TEST(StateRestore, RestoredSystemRecapturesIdentically) {
-  CapturedRun run = capture_mid_run();
-
-  batch::BatchSystem restored(durable_config());
+/// Restores `run`'s capture into a fresh system of `config` and recaptures
+/// it, carrying over the fields the service loop (not the system) owns.
+SystemState recapture(const CapturedRun& run,
+                      const batch::SystemConfig& config) {
+  batch::BatchSystem restored(config);
   restore_state(restored, run.state);
   SystemState again = capture_state(restored);
   again.last_admitted = run.state.last_admitted;
   again.wal_ingest = run.state.wal_ingest;
   again.wal_decisions = run.state.wal_decisions;
   again.rng = run.state.rng;
+  return again;
+}
+
+TEST(StateRestore, RestoredSystemRecapturesIdentically) {
+  CapturedRun run = capture_mid_run();
+  const SystemState again = recapture(run, durable_config());
 
   EXPECT_EQ(again.now, run.state.now);
   EXPECT_TRUE(again.jobs == run.state.jobs);
@@ -196,6 +213,25 @@ TEST(StateRestore, RestoredSystemRecapturesIdentically) {
   EXPECT_TRUE(again.moms == run.state.moms);
   EXPECT_TRUE(again.scheduler == run.state.scheduler);
   EXPECT_TRUE(again.metrics == run.state.metrics);
+  EXPECT_TRUE(again == run.state);
+}
+
+// Under the paper's fairness policies the scheduler's ledgers are not
+// empty: fairshare usage per user, its charge watermark, and the delays
+// DFS charged to users in the current interval. A restore must bring back
+// each of them, not only the server.
+TEST(StateRestore, FairnessLedgersRecaptureIdentically) {
+  const CapturedRun run = capture_mid_run(300, 7, fairness_config());
+  const core::MauiScheduler::ServiceState& scheduler = run.state.scheduler;
+  ASSERT_FALSE(scheduler.fairshare.windows.empty());
+  ASSERT_GT(scheduler.last_usage_update, Time::epoch());
+  ASSERT_FALSE(scheduler.dfs.entities[0].empty())
+      << "DFS charged no user's delay budget by the capture point";
+
+  const SystemState again = recapture(run, fairness_config());
+  EXPECT_TRUE(again.scheduler.fairshare == scheduler.fairshare);
+  EXPECT_EQ(again.scheduler.last_usage_update, scheduler.last_usage_update);
+  EXPECT_TRUE(again.scheduler.dfs == scheduler.dfs);
   EXPECT_TRUE(again == run.state);
 }
 

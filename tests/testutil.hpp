@@ -39,6 +39,28 @@ inline const core::Reservation* reservation_of(
   return nullptr;
 }
 
+/// The paper's fairness policies as a Maui config over swfgen's users
+/// (u0, u1, ...): fairshare with per-user targets and an xfactor weight
+/// ordering the queue, DFS judging each dynamic request by single and
+/// target delays, and reservation depth 4.
+inline constexpr const char* kFairnessConfig = R"(RESERVATIONDEPTH 4
+FAIRSHARE ON
+FSWEIGHT 1
+FSINTERVAL 01:00:00
+FSDEPTH 4
+FSDECAY 0.5
+USERCFG[u1] FSTARGET=10
+USERCFG[u2] FSTARGET=15
+USERCFG[u3] FSTARGET=5
+USERCFG[u7] FSTARGET=20
+USERCFG[u38] FSTARGET=25
+XFACTORWEIGHT 10
+DFSPOLICY DFSSINGLEANDTARGETDELAY
+DFSINTERVAL 01:00:00
+DFSDECAY 0.5
+DFSDEFAULTCFG DFSTARGETDELAYTIME=00:20:00 DFSSINGLEDELAYTIME=00:05:00
+)";
+
 inline rms::JobSpec spec(std::string name, CoreCount cores, Duration walltime,
                          std::string user = "alice") {
   rms::JobSpec s;

@@ -201,8 +201,9 @@ int run(int argc, char** argv) {
   if (nodes == 0) {
     const CoreCount total =
         workload.total_cores > 0 ? workload.total_cores : 128;
-    nodes = static_cast<std::size_t>((total + cores_per_node - 1) /
-                                     cores_per_node);
+    nodes = static_cast<std::size_t>(
+        (static_cast<std::int64_t>(total) + cores_per_node - 1) /
+        cores_per_node);
   }
   // Operator tooling always records the per-stage breakdown; the span
   // overhead only matters in benchmark hot loops.
@@ -292,7 +293,7 @@ int run(int argc, char** argv) {
     system.run();
     summary = metrics::summarize(system.recorder());
     if (!system.recorder().streaming())
-      waits = metrics::wait_series(system.recorder());
+      waits = metrics::wait_series(system.recorder().records());
   }
   obs::rec::Manifest manifest;
   for (std::size_t k = 0; k < recorders.size(); ++k) {

@@ -10,10 +10,13 @@
 #include <iostream>
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "batch/sharded_system.hpp"
+#include "common/assert.hpp"
+#include "common/value.hpp"
 #include "config/maui_config.hpp"
 #include "core/shard_map.hpp"
 #include "obs/recorder/manifest.hpp"
@@ -69,16 +72,29 @@ inline bool load_maui_config(const std::string& path,
 
 /// Sizes the cluster for an SWF replay: `nodes` == 0 becomes enough nodes
 /// for the header's MaxProcs (128 cores when the header has none), and the
-/// source caps every job at the cluster's cores.
+/// source caps every job at the cluster's cores. A MaxProcs that no whole
+/// number of nodes within CoreCount cores holds throws precondition_error
+/// ("SWF header: MaxProcs expects ..., got '...'").
 inline void size_cluster_for_swf(wl::swf::SwfSource& source,
                                  std::size_t& nodes,
                                  CoreCount cores_per_node) {
   if (nodes == 0) {
     const std::int64_t max_procs = source.header().max_procs;
-    const CoreCount total =
-        max_procs > 0 ? static_cast<CoreCount>(max_procs) : 128;
-    nodes = static_cast<std::size_t>((total + cores_per_node - 1) /
-                                     cores_per_node);
+    CoreCount total = 128;
+    if (max_procs > 0) {
+      const value::Integer<CoreCount> fits{
+          1, value::largest<CoreCount>() / cores_per_node * cores_per_node};
+      const std::string token = std::to_string(max_procs);
+      const std::optional<CoreCount> procs = fits.parse(token);
+      if (!procs)
+        throw precondition_error(
+            "SWF header: " +
+            value::rejected("MaxProcs", fits.expects(), token));
+      total = *procs;
+    }
+    nodes = static_cast<std::size_t>(
+        (static_cast<std::int64_t>(total) + cores_per_node - 1) /
+        cores_per_node);
   }
   source.set_max_cores(static_cast<CoreCount>(
       static_cast<std::int64_t>(nodes) * cores_per_node));
